@@ -34,16 +34,15 @@
 //     every level boundary).  The pair guards the hot path: the
 //     cooperative-cancellation poll must stay in the noise.
 //
-// Before any measurement, every batched answer is verified
-// bit-identical against a serial algo::bfs pass; a mismatch fails the
-// run (exit 1).  The batched/unbatched saturation speedup is asserted
-// against the >= 2.9x floor (the PR-2 payoff this trajectory must not
-// regress); BITGB_BENCH_NO_PERF_GATE=1 downgrades the gate to a
-// warning for runs on contended machines (the ctest smoke lane sets
-// it — timing under `ctest -j` is not meaningful).  Results go to
-// BENCH_serving.json (schema bitgb-serving-bench-v4, see BUILDING.md),
-// including the persistence roundtrip cell (snapshot load vs
-// MatrixMarket re-ingest + prewarm).
+// Every single-graph cell serves the bench graph from one registry of
+// one built in main.  Before any measurement, every batched answer is
+// verified bit-identical against a serial algo::bfs pass; a mismatch
+// fails the run (exit 1).  Timings are reported, not asserted: the
+// batched/unbatched saturation speedup is written beside its 2.9x
+// reference floor, and regression detection belongs to the end-to-end
+// benchmark's bounds.  Results go to BENCH_serving.json (schema
+// bitgb-serving-bench-v4, see BUILDING.md), including the persistence
+// roundtrip cell (snapshot load vs MatrixMarket re-ingest + prewarm).
 #include "algorithms/bfs.hpp"
 #include "benchlib/reporting.hpp"
 #include "graphblas/graph.hpp"
@@ -70,12 +69,15 @@
 namespace {
 
 using namespace bitgb;
+using serving::GraphRegistry;
 using serving::QueryKind;
 using serving::Reply;
 using serving::Server;
 using serving::ServerOptions;
 using serving::Status;
 
+/// The registration every single-graph cell submits to.
+constexpr const char* kGraphName = "hybrid_4096";
 constexpr int kSaturationQueries = 1024;
 constexpr int kOpenLoopQueries = 1500;
 constexpr std::size_t kOpenLoopQueueCap = 256;
@@ -104,20 +106,20 @@ ServerOptions server_options(int max_batch, std::size_t queue_capacity,
 /// A non-zero `default_deadline` arms a CancelToken on every wave (the
 /// cancellation-overhead cell passes a far-future one so the deadline
 /// never fires but the per-level poll runs).
-bench::ServingSaturation run_saturation(const gb::Graph& g,
+bench::ServingSaturation run_saturation(const GraphRegistry& reg,
                                         const std::vector<vidx_t>& sources,
                                         int max_batch, const char* mode,
                                         std::chrono::milliseconds
                                             default_deadline =
                                                 std::chrono::milliseconds{0}) {
-  Server server(g, server_options(max_batch,
-                                  static_cast<std::size_t>(sources.size()),
-                                  default_deadline));
+  Server server(reg, server_options(max_batch,
+                                    static_cast<std::size_t>(sources.size()),
+                                    default_deadline));
   std::vector<std::future<Reply>> futs;
   futs.reserve(sources.size());
   Stopwatch watch;
   for (const vidx_t s : sources) {
-    futs.push_back(server.submit(QueryKind::kBfs, s));
+    futs.push_back(server.submit(kGraphName, QueryKind::kBfs, s));
   }
   for (auto& f : futs) {
     if (f.get().status != Status::kOk) {
@@ -138,11 +140,11 @@ bench::ServingSaturation run_saturation(const gb::Graph& g,
 /// Open-loop: Poisson arrivals on an absolute schedule (no coordinated
 /// omission — a late submitter submits immediately and the lateness
 /// shows up in the measured latency).
-bench::ServingRatePoint run_open_loop(const gb::Graph& g,
+bench::ServingRatePoint run_open_loop(const GraphRegistry& reg,
                                       const std::vector<vidx_t>& sources,
                                       int max_batch, const char* mode,
                                       double arrival_qps, std::uint64_t seed) {
-  Server server(g, server_options(max_batch, kOpenLoopQueueCap));
+  Server server(reg, server_options(max_batch, kOpenLoopQueueCap));
   std::mt19937_64 rng(seed);
   std::exponential_distribution<double> gap_s(arrival_qps);
 
@@ -157,7 +159,7 @@ bench::ServingRatePoint run_open_loop(const gb::Graph& g,
         std::chrono::duration<double>(gap_s(rng)));
     std::this_thread::sleep_until(due);
     submitted.push_back(serving::clock::now());
-    futs.push_back(server.submit(QueryKind::kBfs, s));
+    futs.push_back(server.submit(kGraphName, QueryKind::kBfs, s));
   }
 
   std::vector<double> latencies_ms;
@@ -250,10 +252,11 @@ bench::ServingScenario run_multi_graph(std::uint64_t seed) {
 }
 
 /// Mixed-kind storm: one graph, all four QueryKinds drawn uniformly.
-bench::ServingScenario run_mixed_kinds(const gb::Graph& g,
+bench::ServingScenario run_mixed_kinds(const GraphRegistry& reg,
                                        std::uint64_t seed) {
-  Server server(g, server_options(FrontierBatch::kMaxBatch,
-                                  kSaturationQueries));
+  const vidx_t n = reg.lookup(kGraphName)->graph().num_vertices();
+  Server server(reg, server_options(FrontierBatch::kMaxBatch,
+                                    kSaturationQueries));
   std::mt19937_64 rng(seed);
   std::vector<std::future<Reply>> futs;
   futs.reserve(kSaturationQueries);
@@ -261,11 +264,11 @@ bench::ServingScenario run_mixed_kinds(const gb::Graph& g,
   for (int i = 0; i < kSaturationQueries; ++i) {
     const auto kind =
         static_cast<QueryKind>(rng() % serving::kNumQueryKinds);
-    const auto source = static_cast<vidx_t>(
-        rng() % static_cast<std::uint64_t>(g.num_vertices()));
+    const auto source =
+        static_cast<vidx_t>(rng() % static_cast<std::uint64_t>(n));
     futs.push_back(kind == QueryKind::kPagerank
-                       ? server.submit_pagerank()
-                       : server.submit(kind, source));
+                       ? server.submit_pagerank(kGraphName)
+                       : server.submit(kGraphName, kind, source));
   }
   for (auto& f : futs) {
     if (f.get().status != Status::kOk) {
@@ -358,9 +361,11 @@ void print_scenario(const bench::ServingScenario& s) {
 }  // namespace
 
 int main() {
-  const std::string graph_name = "hybrid_4096";
-  const gb::Graph g = gb::Graph::from_coo(gen_hybrid(4096, 4));
-  g.prewarm(gb::kBitFormats);
+  const std::string graph_name = kGraphName;
+  GraphRegistry reg;  // add() prewarms the bit formats
+  const serving::GraphRef slot =
+      reg.add(graph_name, gb::Graph::from_coo(gen_hybrid(4096, 4)));
+  const gb::Graph& g = slot->graph();
   const int workers = std::min(8, hardware_width());
   std::printf("serving bench: %s, %d vertices, %lld edges, %d worker(s)\n\n",
               graph_name.c_str(), g.num_vertices(),
@@ -371,11 +376,11 @@ int main() {
   {
     const auto sources = random_sources(128, g.num_vertices(), 11);
     const Context serial_ctx = Context{}.with_threads(1);
-    Server server(g, server_options(FrontierBatch::kMaxBatch,
-                                    sources.size()));
+    Server server(reg, server_options(FrontierBatch::kMaxBatch,
+                                      sources.size()));
     std::vector<std::future<Reply>> futs;
     for (const vidx_t s : sources) {
-      futs.push_back(server.submit(QueryKind::kBfs, s));
+      futs.push_back(server.submit(kGraphName, QueryKind::kBfs, s));
     }
     for (std::size_t i = 0; i < futs.size(); ++i) {
       const Reply r = futs[i].get();
@@ -397,53 +402,34 @@ int main() {
   const auto burst =
       random_sources(kSaturationQueries, g.num_vertices(), 17);
   // Warm both paths once before timing.
-  (void)run_saturation(g, random_sources(128, g.num_vertices(), 5), 1, "warm");
-  (void)run_saturation(g, random_sources(128, g.num_vertices(), 6),
+  (void)run_saturation(reg, random_sources(128, g.num_vertices(), 5), 1,
+                       "warm");
+  (void)run_saturation(reg, random_sources(128, g.num_vertices(), 6),
                        FrontierBatch::kMaxBatch, "warm");
-  // The speedup is a regression gate (>= kSpeedupFloor); one noisy
-  // neighbour can sink a single run, so measure up to kGateAttempts
-  // times and keep the best pair.  BITGB_BENCH_NO_PERF_GATE=1 (the
-  // ctest smoke lane) takes the first measurement and only warns.
+  // The batch engine's reference payoff, reported beside the measured
+  // speedup (saturation_speedup_floor in the JSON), not asserted.
   constexpr double kSpeedupFloor = 2.9;
-  constexpr int kGateAttempts = 3;
-  const bool gate_enabled = std::getenv("BITGB_BENCH_NO_PERF_GATE") == nullptr;
-  bench::ServingSaturation unbatched, batched;
-  double speedup = 0.0;
-  for (int attempt = 0; attempt < kGateAttempts; ++attempt) {
-    const auto un = run_saturation(g, burst, 1, "unbatched");
-    const auto ba = run_saturation(g, burst, FrontierBatch::kMaxBatch,
-                                   "batched");
-    const double s = un.qps > 0.0 ? ba.qps / un.qps : 0.0;
-    if (s > speedup) {
-      unbatched = un;
-      batched = ba;
-      speedup = s;
-    }
-    if (!gate_enabled || speedup >= kSpeedupFloor) break;
-  }
+  const auto unbatched = run_saturation(reg, burst, 1, "unbatched");
+  const auto batched =
+      run_saturation(reg, burst, FrontierBatch::kMaxBatch, "batched");
+  const double speedup =
+      unbatched.qps > 0.0 ? batched.qps / unbatched.qps : 0.0;
   std::printf("saturation (%d-query closed-loop burst):\n",
               kSaturationQueries);
   std::printf("  %-10s %10.0f q/s   mean wave %5.1f\n", "unbatched",
               unbatched.qps, unbatched.mean_wave);
   std::printf("  %-10s %10.0f q/s   mean wave %5.1f   %.1fx\n", "batched",
               batched.qps, batched.mean_wave, speedup);
-  if (speedup < kSpeedupFloor) {
-    std::fprintf(stderr,
-                 "%s: batched/unbatched speedup %.2fx below the %.1fx floor\n",
-                 gate_enabled ? "FAIL" : "warning (gate disabled)", speedup,
-                 kSpeedupFloor);
-    if (gate_enabled) return 1;
-  }
 
   // --- Cancellation overhead -----------------------------------------
   // Same batched burst, polling off (no deadline => no token armed)
   // vs polling on (a far-future default deadline arms a token on every
   // wave; bfs/msbfs poll it at every level boundary but it never
   // fires).  The delta is the pure cost of the cooperative poll.
-  const auto cancel_off = run_saturation(g, burst, FrontierBatch::kMaxBatch,
+  const auto cancel_off = run_saturation(reg, burst, FrontierBatch::kMaxBatch,
                                          "polling-off");
   const auto cancel_on =
-      run_saturation(g, burst, FrontierBatch::kMaxBatch, "polling-on",
+      run_saturation(reg, burst, FrontierBatch::kMaxBatch, "polling-on",
                      std::chrono::milliseconds{3600 * 1000});
   bench::ServingCancellation cancellation;
   cancellation.polling_off_qps = cancel_off.qps;
@@ -472,7 +458,7 @@ int main() {
           std::pair<const char*, int>{"batched", FrontierBatch::kMaxBatch}}) {
       const auto srcs =
           random_sources(kOpenLoopQueries, g.num_vertices(), seed);
-      const auto pt = run_open_loop(g, srcs, max_batch, mode, rate, seed);
+      const auto pt = run_open_loop(reg, srcs, max_batch, mode, rate, seed);
       std::printf("  %-10s %12.0f %10.0f %8.2f %8.2f %8.2f %8llu %6.1f\n",
                   pt.mode.c_str(), pt.arrival_qps, pt.achieved_qps, pt.p50_ms,
                   pt.p99_ms, pt.p999_ms,
@@ -489,7 +475,7 @@ int main() {
               kSaturationQueries);
   const auto multi_graph = run_multi_graph(31);
   print_scenario(multi_graph);
-  const auto mixed_kinds = run_mixed_kinds(g, 37);
+  const auto mixed_kinds = run_mixed_kinds(reg, 37);
   print_scenario(mixed_kinds);
 
   // --- Persistence roundtrip -----------------------------------------

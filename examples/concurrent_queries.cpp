@@ -1,6 +1,6 @@
 // Concurrent queries, served: the serving::Server over ONE shared
-// Graph — the query-serving core the Context/Descriptor API exists
-// to make safe.
+// Graph (a registry of one) — the query-serving core the
+// Context/Descriptor API exists to make safe.
 //
 //   $ ./concurrent_queries
 //
@@ -42,11 +42,14 @@ int main() {
   using serving::ServerOptions;
   using serving::Status;
 
-  // The served graph, shared by every worker below.  prewarm() pays
-  // the one-time packing/transpose conversions before serving starts,
-  // so no query ever hits a cold format cache.
-  const gb::Graph g = gb::Graph::from_coo(gen_rmat(12, 32768, 7));
-  g.prewarm(gb::kBitFormats);
+  // The served graph, shared by every worker below.  A registry of one
+  // holds it: add() prewarms (pays the one-time packing/transpose
+  // conversions before serving starts, so no query ever hits a cold
+  // format cache), and every submit names it.
+  serving::GraphRegistry single;
+  const serving::GraphRef slot =
+      single.add("rmat", gb::Graph::from_coo(gen_rmat(12, 32768, 7)));
+  const gb::Graph& g = slot->graph();
   std::printf("serving graph: %d vertices, %lld edges, tile %dx%d, "
               "formats 0x%03x\n\n",
               g.num_vertices(), static_cast<long long>(g.num_edges()),
@@ -82,14 +85,14 @@ int main() {
     opts.workers = nworkers;
     opts.queue_capacity = kQueries;  // burst fits: no shedding today
     opts.max_batch = max_batch;
-    Server server(g, opts);
+    Server server(single, opts);
 
     std::vector<std::future<Reply>> futs;
     futs.reserve(kQueries);
     Stopwatch watch;
     for (int q = 0; q < kQueries; ++q) {
-      futs.push_back(
-          server.submit(QueryKind::kBfs, queue[static_cast<std::size_t>(q)]));
+      futs.push_back(server.submit("rmat", QueryKind::kBfs,
+                                   queue[static_cast<std::size_t>(q)]));
     }
     int mismatches = 0;
     for (int q = 0; q < kQueries; ++q) {

@@ -17,10 +17,6 @@ namespace {
 
 using RequestIt = std::vector<Request*>::iterator;
 
-double ms_between(clock::time_point from, clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
 /// Fulfill a promise that MAY already be satisfied (a wave that threw
 /// partway fulfilled a prefix of its requests first).  Returns whether
 /// this call did the fulfilling.  Never throws: promise_already_
@@ -39,17 +35,8 @@ bool try_fulfill(Request& r, Reply&& reply) noexcept {
 /// `iterations` > 0 records a cooperatively-aborted wave's progress.
 void shed(Request& r, Status status, clock::time_point now,
           int iterations = 0) {
-  Reply reply;
-  reply.status = status;
-  reply.kind = r.kind;
-  reply.source = r.source;
-  if (r.slot) {
-    reply.graph = r.slot->name();
-    reply.graph_generation = r.slot->generation();
-  }
+  Reply reply = make_reply(r, status, now, now);
   reply.iterations = iterations;
-  reply.queue_ms = ms_between(r.submitted, now);
-  reply.completed = now;
   try_fulfill(r, std::move(reply));
 }
 
@@ -57,31 +44,9 @@ void shed(Request& r, Status status, clock::time_point now,
 /// exception's text.  Returns whether the promise was still pending
 /// (false = the wave fulfilled it kOk before throwing).
 bool fulfill_error(Request& r, const char* what, clock::time_point now) {
-  Reply reply;
-  reply.status = Status::kInternalError;
-  reply.kind = r.kind;
-  reply.source = r.source;
-  if (r.slot) {
-    reply.graph = r.slot->name();
-    reply.graph_generation = r.slot->generation();
-  }
+  Reply reply = make_reply(r, Status::kInternalError, now, now);
   reply.error = what != nullptr ? what : "unknown exception";
-  reply.queue_ms = ms_between(r.submitted, now);
-  reply.completed = now;
   return try_fulfill(r, std::move(reply));
-}
-
-/// The serving-telemetry header every kOk reply carries.
-Reply ok_reply(const Request& r, int width, clock::time_point started) {
-  Reply reply;
-  reply.status = Status::kOk;
-  reply.kind = r.kind;
-  reply.source = r.source;
-  reply.graph = r.slot->name();
-  reply.graph_generation = r.slot->generation();
-  reply.batch_width = width;
-  reply.queue_ms = ms_between(r.submitted, started);
-  return reply;
 }
 
 /// The latest deadline aboard [first, last): the wave keeps running
@@ -119,7 +84,7 @@ WaveServed serve_single_traversal(const Context& ctx, Request& r,
     return {0, 1};
   }
 
-  Reply reply = ok_reply(r, 1, started);
+  Reply reply = make_reply(r, Status::kOk, started, clock::now(), 1);
   if (r.kind == QueryKind::kBfs) {
     reply.levels = out.levels;
   } else {
@@ -129,7 +94,6 @@ WaveServed serve_single_traversal(const Context& ctx, Request& r,
           static_cast<std::uint8_t>(out.levels[v] != algo::kUnreached);
     }
   }
-  reply.completed = clock::now();
   try_fulfill(r, std::move(reply));
   return {1, 0};
 }
@@ -172,9 +136,8 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
     const clock::time_point done = clock::now();
     for (auto it = first; it != last; ++it) {
       Request& r = **it;
-      Reply reply = ok_reply(r, width, started);
+      Reply reply = make_reply(r, Status::kOk, started, done, width);
       algo::scatter_levels(out, static_cast<int>(it - first), reply.levels);
-      reply.completed = done;
       try_fulfill(r, std::move(reply));
     }
   } else {
@@ -189,10 +152,9 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
     const clock::time_point done = clock::now();
     for (auto it = first; it != last; ++it) {
       Request& r = **it;
-      Reply reply = ok_reply(r, width, started);
+      Reply reply = make_reply(r, Status::kOk, started, done, width);
       algo::scatter_reached(reach, static_cast<int>(it - first),
                             reply.reached);
-      reply.completed = done;
       try_fulfill(r, std::move(reply));
     }
   }
@@ -216,10 +178,9 @@ WaveServed serve_components_wave(const Context& ctx, RequestIt first,
   const clock::time_point done = clock::now();
   for (auto it = first; it != last; ++it) {
     Request& r = **it;
-    Reply reply = ok_reply(r, width, started);
+    Reply reply = make_reply(r, Status::kOk, started, done, width);
     reply.component = cc.component;
     reply.iterations = cc.waves;
-    reply.completed = done;
     try_fulfill(r, std::move(reply));
   }
   return {width, 0};
@@ -244,15 +205,31 @@ WaveServed serve_pagerank(const Context& ctx, Request& r, algo::Workspace& ws,
     return {0, 1};
   }
 
-  Reply reply = ok_reply(r, 1, started);
+  Reply reply = make_reply(r, Status::kOk, started, clock::now(), 1);
   reply.rank = out.rank;
   reply.iterations = out.iterations;
-  reply.completed = clock::now();
   try_fulfill(r, std::move(reply));
   return {1, 0};
 }
 
 }  // namespace
+
+Reply make_reply(const Request& r, Status status, clock::time_point started,
+                 clock::time_point completed, int width) {
+  Reply reply;
+  reply.status = status;
+  reply.kind = r.kind;
+  reply.source = r.source;
+  if (r.slot) {
+    reply.graph = r.slot->name();
+    reply.graph_generation = r.slot->generation();
+  }
+  reply.batch_width = width;
+  reply.queue_ms =
+      std::chrono::duration<double, std::milli>(started - r.submitted).count();
+  reply.completed = completed;
+  return reply;
+}
 
 int fail_unfulfilled(std::vector<Request>& batch, const char* what) noexcept {
   int filled = 0;

@@ -93,6 +93,16 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
                  std::vector<Request>& batch, algo::Workspace& ws,
                  std::vector<int>& wave_widths, BatchOutcome& outcome);
 
+/// The header every reply carries, whichever path resolves it (the
+/// worker's waves and sheds, the server's admission refusals): the
+/// status, the query's identity, the registration that answered (blank
+/// when none resolved), and the telemetry — queued from `r.submitted`
+/// until `started`, fulfilled at `completed`, in a wave of `width`
+/// (0 = never executed).  Result vectors are the caller's to fill.
+[[nodiscard]] Reply make_reply(const Request& r, Status status,
+                               clock::time_point started,
+                               clock::time_point completed, int width = 0);
+
 /// Last-ditch containment: fulfill every request in `batch` whose
 /// promise is still unsatisfied with kInternalError (carrying `what`),
 /// returning how many were filled.  Idempotent over partially-served

@@ -54,8 +54,7 @@ GraphRef GraphRegistry::add(std::string name, gb::Graph g,
                        [&](const auto& p) { return p.first == name; });
       if (it != slots_.end()) existing = it->second;
     }
-    if (existing && existing->shared_graph() &&
-        existing->graph().num_vertices() == g.num_vertices() &&
+    if (existing && existing->graph().num_vertices() == g.num_vertices() &&
         existing->graph().num_edges() == g.num_edges() &&
         (existing->graph().formats() & warm) == warm &&
         existing->graph().fingerprint() == g.fingerprint()) {
@@ -87,8 +86,8 @@ GraphRef GraphRegistry::add(std::string name, gb::Graph g,
     const MutexLock lk(m_);
     generation = next_generation_++;
   }
-  auto slot = std::make_shared<const GraphSlot>(name, generation,
-                                               std::move(g));
+  auto slot = std::make_shared<const GraphSlot>(
+      name, generation, std::make_shared<const gb::Graph>(std::move(g)));
   const MutexLock lk(m_);
   for (auto& [n, s] : slots_) {
     if (n == name) {

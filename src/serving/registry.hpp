@@ -123,27 +123,13 @@ class CircuitBreaker {
 /// memoized whole-graph results every same-generation query shares.
 class GraphSlot {
  public:
-  /// Owning slot (the registry path; the Graph moves in).
-  GraphSlot(std::string name, std::uint64_t generation, gb::Graph g)
-      : name_(std::move(name)),
-        generation_(generation),
-        owned_(std::make_shared<const gb::Graph>(std::move(g))),
-        graph_(owned_.get()) {}
-
-  /// Sharing slot (the fingerprint-dedup re-add path: a NEW generation
-  /// over the SAME prewarmed graph, so memoized whole-graph results
-  /// reset without re-paying the format conversions).
+  /// A slot co-owns its graph: a fresh registration moves its Graph in,
+  /// and the fingerprint-dedup re-add shares the existing slot's (a NEW
+  /// generation over the SAME prewarmed graph, so memoized whole-graph
+  /// results reset without re-paying the format conversions).
   GraphSlot(std::string name, std::uint64_t generation,
             std::shared_ptr<const gb::Graph> g)
-      : name_(std::move(name)),
-        generation_(generation),
-        owned_(std::move(g)),
-        graph_(owned_.get()) {}
-
-  /// Borrowing slot (the single-graph Server constructor; the caller
-  /// guarantees the Graph outlives the slot).
-  GraphSlot(std::string name, std::uint64_t generation, const gb::Graph* g)
-      : name_(std::move(name)), generation_(generation), graph_(g) {}
+      : name_(std::move(name)), generation_(generation), graph_(std::move(g)) {}
 
   GraphSlot(const GraphSlot&) = delete;
   GraphSlot& operator=(const GraphSlot&) = delete;
@@ -152,10 +138,10 @@ class GraphSlot {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-  /// The shared ownership handle (null for a borrowing slot) — what the
-  /// registry's dedup re-add grafts into the replacement slot.
+  /// The shared ownership handle — what the registry's dedup re-add
+  /// grafts into the replacement slot.
   [[nodiscard]] const std::shared_ptr<const gb::Graph>& shared_graph() const {
-    return owned_;
+    return graph_;
   }
 
   /// The memoized connected-components labelling: the first kComponents
@@ -208,8 +194,7 @@ class GraphSlot {
 
   std::string name_;
   std::uint64_t generation_ = 0;
-  std::shared_ptr<const gb::Graph> owned_;
-  const gb::Graph* graph_ = nullptr;
+  std::shared_ptr<const gb::Graph> graph_;
   mutable Mutex cc_mutex_;
   /// Publication flag for cc_: set (release) only after the labelling
   /// is complete, read (acquire) on the lock-free fast path.

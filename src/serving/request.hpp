@@ -100,8 +100,8 @@ struct Reply {
 
   /// Which registration answered: the slot's name and generation.  A
   /// reply that raced a registry remove() still names the snapshot it
-  /// was served from (empty for kShedQueueFull/kBadGraph replies that
-  /// never resolved a slot).
+  /// was served from (empty for kBadGraph replies, which never resolved
+  /// a slot).
   std::string graph;
   std::uint64_t graph_generation = 0;
 
@@ -128,9 +128,10 @@ struct Reply {
   std::string error;
 
   /// How many queries shared the wave that produced this reply
-  /// (1 = executed unbatched).
+  /// (1 = executed unbatched, 0 = never executed).
   int batch_width = 0;
-  /// Admission-to-execution queueing delay.
+  /// Admission-to-execution queueing delay (for a shed, refused or
+  /// failed reply: admission to the instant it was resolved).
   double queue_ms = 0.0;
   /// When the worker fulfilled the promise — submit-side latency
   /// accounting without a clock call on the future-wait side.

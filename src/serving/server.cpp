@@ -13,10 +13,6 @@ namespace bitgb::serving {
 
 namespace {
 
-/// Name of the slot the single-graph constructor wraps the caller's
-/// Graph in; nameless submits route here.
-constexpr const char* kDefaultGraphName = "default";
-
 bool is_traversal(QueryKind kind) {
   return kind == QueryKind::kBfs || kind == QueryKind::kReach;
 }
@@ -45,25 +41,10 @@ void validate_pagerank_params(const algo::PageRankParams& p) {
 
 }  // namespace
 
-Server::Server(ServerOptions opts)
-    : opts_(opts), queue_(opts.queue_capacity) {
+Server::Server(const GraphRegistry& registry, ServerOptions opts)
+    : registry_(registry), opts_(opts), queue_(opts.queue_capacity) {
   opts_.max_batch =
       std::clamp(opts_.max_batch, 1, FrontierBatch::kMaxBatch);
-}
-
-Server::Server(const GraphRegistry& registry, ServerOptions opts)
-    : Server(opts) {
-  registry_ = &registry;
-  start_workers();
-}
-
-Server::Server(const gb::Graph& g, ServerOptions opts) : Server(opts) {
-  default_slot_ =
-      std::make_shared<const GraphSlot>(kDefaultGraphName, 0, &g);
-  start_workers();
-}
-
-void Server::start_workers() {
   const int n = opts_.workers <= 0 ? hardware_width()
                                    : std::min(opts_.workers, kMaxWorkerWidth);
   // Construction is single-threaded, but workers_ is guarded by the
@@ -85,21 +66,9 @@ clock::time_point Server::default_deadline_now() const {
              : clock::time_point::max();
 }
 
-std::future<Reply> Server::refuse(QueryKind kind, vidx_t source,
-                                  Status status, const GraphSlot* slot) {
-  Reply reply;
-  reply.status = status;
-  reply.kind = kind;
-  reply.source = source;
-  if (slot != nullptr) {
-    reply.graph = slot->name();
-    reply.graph_generation = slot->generation();
-  }
-  reply.completed = clock::now();
-  std::promise<Reply> p;
-  std::future<Reply> fut = p.get_future();
-  p.set_value(std::move(reply));
-  return fut;
+void Server::refuse(Request& r, Status status) {
+  const clock::time_point now = clock::now();
+  r.promise.set_value(make_reply(r, status, now, now));
 }
 
 std::future<Reply> Server::submit(std::string_view graph, QueryKind kind,
@@ -109,57 +78,22 @@ std::future<Reply> Server::submit(std::string_view graph, QueryKind kind,
 
 std::future<Reply> Server::submit(std::string_view graph, QueryKind kind,
                                   vidx_t source, clock::time_point deadline) {
-  GraphRef slot = registry_ != nullptr ? registry_->lookup(graph)
-                  : (default_slot_ && graph == default_slot_->name())
-                      ? default_slot_
-                      : nullptr;
-  return submit_resolved(std::move(slot), kind, source, {}, deadline);
-}
-
-std::future<Reply> Server::submit(QueryKind kind, vidx_t source) {
-  return submit(kind, source, default_deadline_now());
-}
-
-std::future<Reply> Server::submit(QueryKind kind, vidx_t source,
-                                  clock::time_point deadline) {
-  return submit_resolved(default_slot_, kind, source, {}, deadline);
+  return submit_resolved(registry_.lookup(graph), kind, source, {}, deadline);
 }
 
 std::future<Reply> Server::submit_pagerank(std::string_view graph,
                                            const algo::PageRankParams& params,
                                            clock::time_point deadline) {
   validate_pagerank_params(params);
-  GraphRef slot = registry_ != nullptr ? registry_->lookup(graph)
-                  : (default_slot_ && graph == default_slot_->name())
-                      ? default_slot_
-                      : nullptr;
-  return submit_resolved(std::move(slot), QueryKind::kPagerank, 0, params,
-                         deadline);
-}
-
-std::future<Reply> Server::submit_pagerank(const algo::PageRankParams& params,
-                                           clock::time_point deadline) {
-  validate_pagerank_params(params);
-  return submit_resolved(default_slot_, QueryKind::kPagerank, 0, params,
-                         deadline);
+  return submit_resolved(registry_.lookup(graph), QueryKind::kPagerank, 0,
+                         params, deadline);
 }
 
 std::future<Reply> Server::submit_resolved(GraphRef slot, QueryKind kind,
                                            vidx_t source,
                                            const algo::PageRankParams& params,
                                            clock::time_point deadline) {
-  if (slot == nullptr) {
-    // Unknown name: accounted, and the future resolves immediately —
-    // a routing miss is an answer, not an exception, because the
-    // registry may legitimately have changed between the caller's
-    // lookup and this submit.
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    submitted_by_kind_[static_cast<std::size_t>(kind)].fetch_add(
-        1, std::memory_order_relaxed);
-    shed_bad_graph_.fetch_add(1, std::memory_order_relaxed);
-    return refuse(kind, source, Status::kBadGraph, nullptr);
-  }
-  if (is_traversal(kind) &&
+  if (slot != nullptr && is_traversal(kind) &&
       (source < 0 || source >= slot->graph().num_vertices())) {
     throw std::invalid_argument(
         "serving: source " + std::to_string(source) + " out of range [0, " +
@@ -178,6 +112,15 @@ std::future<Reply> Server::submit_resolved(GraphRef slot, QueryKind kind,
   r.deadline = deadline;
   r.submitted = clock::now();
   std::future<Reply> fut = r.promise.get_future();
+  if (r.slot == nullptr) {
+    // Unknown name: accounted, and the future resolves immediately —
+    // a routing miss is an answer, not an exception, because the
+    // registry may legitimately have changed between the caller's
+    // lookup and this submit.
+    shed_bad_graph_.fetch_add(1, std::memory_order_relaxed);
+    refuse(r, Status::kBadGraph);
+    return fut;
+  }
   const PushOutcome push = queue_.try_push(std::move(r));
   if (push != PushOutcome::kAccepted) {
     // Shed at the door — with the honest reason: kFull is overload
@@ -185,20 +128,10 @@ std::future<Reply> Server::submit_resolved(GraphRef slot, QueryKind kind,
     // admission.  Either way try_push left the request intact, so the
     // promise is still ours to fulfill: the future always resolves,
     // never hangs.
-    const Status status = push == PushOutcome::kClosed
-                              ? Status::kShedShutdown
-                              : Status::kShedQueueFull;
-    auto& counter = push == PushOutcome::kClosed ? shed_shutdown_
-                                                 : shed_queue_full_;
-    counter.fetch_add(1, std::memory_order_relaxed);
-    Reply reply;
-    reply.status = status;
-    reply.kind = kind;
-    reply.source = source;
-    reply.graph = r.slot->name();
-    reply.graph_generation = r.slot->generation();
-    reply.completed = clock::now();
-    r.promise.set_value(std::move(reply));
+    const bool closed = push == PushOutcome::kClosed;
+    (closed ? shed_shutdown_ : shed_queue_full_)
+        .fetch_add(1, std::memory_order_relaxed);
+    refuse(r, closed ? Status::kShedShutdown : Status::kShedQueueFull);
   }
   return fut;
 }
@@ -307,11 +240,9 @@ ServerStats Server::stats() const {
   }
   s.window_grew = window_grew_.load(std::memory_order_relaxed);
   s.window_shrank = window_shrank_.load(std::memory_order_relaxed);
-  if (registry_ != nullptr) {
-    s.registry_dedup_hits = registry_->dedup_hits();
-    s.graphs_recovered = registry_->recovered_count();
-    s.graphs_quarantined = registry_->quarantined_count();
-  }
+  s.registry_dedup_hits = registry_.dedup_hits();
+  s.graphs_recovered = registry_.recovered_count();
+  s.graphs_quarantined = registry_.quarantined_count();
   return s;
 }
 

@@ -9,14 +9,18 @@
 // waves (BFS / reach), memoized batched_cc reads (components), or
 // per-request pagerank runs, over the graphs of a GraphRegistry.
 //
-// Multi-tenancy: submit() takes a graph name, resolved against the
-// registry ONCE at admission into a shared GraphRef snapshot.  An
-// unknown name resolves the future immediately with Status::kBadGraph;
-// a registry remove() racing in-flight queries is safe because every
-// queued request co-owns its slot — the graph drains with its last
-// reply.  The single-graph constructor remains for the embedded case:
-// it wraps the caller's Graph in an anonymous slot and the nameless
-// submit() overloads route to it.
+// Registry-only: every Server serves a GraphRegistry, and every submit
+// names its graph.  The name is resolved ONCE at admission into a
+// shared GraphRef snapshot.  An unknown name resolves the future
+// immediately with Status::kBadGraph; a registry remove() racing
+// in-flight queries is safe because every queued request co-owns its
+// slot — the graph drains with its last reply.  Serving one graph is a
+// registry of one:
+//
+//   GraphRegistry reg;
+//   const GraphRef slot = reg.add("g", std::move(graph));  // prewarms
+//   Server server(reg, opts);
+//   auto fut = server.submit("g", QueryKind::kBfs, source);
 //
 // Batching is adaptive by default: each worker sizes its next pop from
 // an AdaptiveBatch depth-feedback window (1..max_batch) instead of
@@ -32,7 +36,6 @@
 #pragma once
 
 #include "core/frontier_batch.hpp"
-#include "graphblas/graph.hpp"
 #include "platform/context.hpp"
 #include "platform/thread_annotations.hpp"
 #include "serving/queue.hpp"
@@ -129,9 +132,9 @@ struct ServerStats {
   std::uint64_t window_shrank = 0;
 
   /// Registry durability counters, mirrored from the backing
-  /// GraphRegistry at stats() time (all 0 in single-graph mode).  They
-  /// count REGISTRY events, not queries, so they are deliberately
-  /// outside the accounted() conservation invariant.
+  /// GraphRegistry at stats() time (shared by every Server on that
+  /// registry).  They count REGISTRY events, not queries, so they are
+  /// deliberately outside the accounted() conservation invariant.
   std::uint64_t registry_dedup_hits = 0;  ///< re-adds that reused a graph
   std::uint64_t graphs_recovered = 0;     ///< manifest entries recovered
   std::uint64_t graphs_quarantined = 0;   ///< entries missing/quarantined
@@ -154,16 +157,10 @@ struct ServerStats {
 
 class Server {
  public:
-  /// Multi-tenant form: serve every graph registered in `registry`
-  /// (which must outlive the Server; add/remove stay allowed while
-  /// serving).  Starts the workers immediately.
+  /// Serve every graph registered in `registry` (which must outlive the
+  /// Server; add/remove stay allowed while serving).  Starts the
+  /// workers immediately.
   Server(const GraphRegistry& registry, ServerOptions opts = {});
-
-  /// Single-graph form: the embedded case.  The Graph must outlive the
-  /// Server; prewarm it (gb::kBitFormats) first so no query pays the
-  /// one-time format conversions.  Nameless submit() overloads route
-  /// here.
-  Server(const gb::Graph& g, ServerOptions opts = {});
 
   /// Drains and joins (shutdown()).
   ~Server();
@@ -186,24 +183,14 @@ class Server {
   std::future<Reply> submit(std::string_view graph, QueryKind kind,
                             vidx_t source, clock::time_point deadline);
 
-  /// PageRank with explicit params (carried in the request; the
-  /// nameless form routes to the single-graph slot).  Params are
-  /// validated at the door — NaN or out-of-[0,1) damping, a
+  /// PageRank with explicit params (carried in the request).  Params
+  /// are validated at the door — NaN or out-of-[0,1) damping, a
   /// non-positive iteration budget, or a non-positive tolerance throw
   /// std::invalid_argument BEFORE admission, so a malformed request
   /// can never poison a worker or spin an unbounded iteration.
   std::future<Reply> submit_pagerank(
       std::string_view graph, const algo::PageRankParams& params = {},
       clock::time_point deadline = clock::time_point::max());
-  std::future<Reply> submit_pagerank(
-      const algo::PageRankParams& params = {},
-      clock::time_point deadline = clock::time_point::max());
-
-  /// Single-graph submits (the embedded constructor's slot; on a
-  /// registry server these reply kBadGraph).
-  std::future<Reply> submit(QueryKind kind, vidx_t source);
-  std::future<Reply> submit(QueryKind kind, vidx_t source,
-                            clock::time_point deadline);
 
   /// Stop admission, serve everything already queued, join the
   /// workers.  Idempotent.  submit() after shutdown is defined
@@ -221,21 +208,17 @@ class Server {
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
 
  private:
-  explicit Server(ServerOptions opts);  // common init; workers started after
-  void start_workers() EXCLUDES(shutdown_mutex_);
   void worker_main();
   std::future<Reply> submit_resolved(GraphRef slot, QueryKind kind,
                                      vidx_t source,
                                      const algo::PageRankParams& params,
                                      clock::time_point deadline);
   [[nodiscard]] clock::time_point default_deadline_now() const;
-  /// Fulfill a request admission refused (shed/bad-graph) — the future
-  /// still resolves immediately.
-  std::future<Reply> refuse(QueryKind kind, vidx_t source, Status status,
-                            const GraphSlot* slot);
+  /// Fulfill a request admission refused (bad graph, queue full,
+  /// shutdown) — its future resolves immediately.
+  static void refuse(Request& r, Status status);
 
-  const GraphRegistry* registry_ = nullptr;  ///< null in single-graph mode
-  GraphRef default_slot_;                    ///< null in registry mode
+  const GraphRegistry& registry_;
   ServerOptions opts_;
   RequestQueue queue_;
   mutable Mutex shutdown_mutex_;

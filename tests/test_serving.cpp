@@ -5,12 +5,15 @@
 // concurrent submission, the kPagerank/kComponents differentials over
 // the oracle corpus (including memo invalidation across a registry
 // re-add), deadline-shed accounting, queue-full shedding, bad-graph
-// routing, adaptive-window accounting, and drain-on-shutdown.
+// routing, adaptive-window accounting, reply telemetry on every
+// resolution path, and drain-on-shutdown.  Single-graph cases serve a
+// registry of one.
 #include "serving/server.hpp"
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/cc.hpp"
 #include "algorithms/pagerank.hpp"
+#include "platform/fault_injector.hpp"
 #include "serving/batcher.hpp"
 #include "serving/queue.hpp"
 #include "serving/registry.hpp"
@@ -20,12 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <numeric>
 #include <random>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -46,10 +51,17 @@ using serving::Status;
 gb::Graph serving_graph() {
   gb::GraphOptions opts;
   opts.tile_dim = 8;
-  gb::Graph g = gb::Graph::from_coo(gen_rmat(10, 4096, 7), opts);
-  g.prewarm(gb::kBitFormats);
-  return g;
+  return gb::Graph::from_coo(gen_rmat(10, 4096, 7), opts);
 }
+
+/// Serving one graph is a registry of one: the graph lives in its slot
+/// (prewarmed by add) and every submit names it.
+constexpr const char* kGraph = "g";
+struct OneGraph {
+  GraphRegistry reg;
+  const serving::GraphRef slot = reg.add(kGraph, serving_graph());
+  const gb::Graph& g = slot->graph();
+};
 
 Request make_request(QueryKind kind, vidx_t source) {
   Request r;
@@ -143,7 +155,8 @@ TEST(RequestQueue, CloseDrainsThenReturnsZero) {
 // ---------------------------------------------------------------------
 
 TEST(Serving, BatchedMatchesSerialUnderConcurrentSubmission) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   constexpr int kQueries = 256;
   std::mt19937_64 rng(2026);
   std::uniform_int_distribution<vidx_t> pick(0, g.num_vertices() - 1);
@@ -161,7 +174,7 @@ TEST(Serving, BatchedMatchesSerialUnderConcurrentSubmission) {
   ServerOptions opts;
   opts.workers = 4;
   opts.queue_capacity = kQueries;
-  Server server(g, opts);
+  Server server(served.reg, opts);
 
   // 4 submitter threads racing 4 workers: replies must be bit-identical
   // to the serial pass regardless of which wave each query rode.
@@ -175,7 +188,7 @@ TEST(Serving, BatchedMatchesSerialUnderConcurrentSubmission) {
           const int i = next.fetch_add(1);
           if (i >= kQueries) return;
           futs[static_cast<std::size_t>(i)] = server.submit(
-              QueryKind::kBfs, sources[static_cast<std::size_t>(i)]);
+              kGraph, QueryKind::kBfs, sources[static_cast<std::size_t>(i)]);
         }
       });
     }
@@ -198,18 +211,19 @@ TEST(Serving, BatchedMatchesSerialUnderConcurrentSubmission) {
 }
 
 TEST(Serving, ReachRepliesMatchBfsDerivedReachability) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   constexpr int kQueries = 96;  // > one wave, with odd tail
   const Context serial_ctx = Context{}.with_threads(1);
 
   ServerOptions opts;
   opts.workers = 2;
   opts.queue_capacity = kQueries;
-  Server server(g, opts);
+  Server server(served.reg, opts);
   std::vector<std::future<Reply>> futs;
   futs.reserve(kQueries);
   for (int i = 0; i < kQueries; ++i) {
-    futs.push_back(server.submit(QueryKind::kReach,
+    futs.push_back(server.submit(kGraph, QueryKind::kReach,
                                  static_cast<vidx_t>(i * 7) %
                                      g.num_vertices()));
   }
@@ -227,16 +241,17 @@ TEST(Serving, ReachRepliesMatchBfsDerivedReachability) {
 }
 
 TEST(Serving, UnbatchedAblationMatchesBatched) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   constexpr int kQueries = 64;
   std::vector<std::future<Reply>> batched, unbatched;
   {
     ServerOptions opts;
     opts.workers = 2;
     opts.queue_capacity = kQueries;
-    Server server(g, opts);
+    Server server(served.reg, opts);
     for (int i = 0; i < kQueries; ++i) {
-      batched.push_back(server.submit(QueryKind::kBfs,
+      batched.push_back(server.submit(kGraph, QueryKind::kBfs,
                                       static_cast<vidx_t>(i * 13) %
                                           g.num_vertices()));
     }
@@ -246,9 +261,9 @@ TEST(Serving, UnbatchedAblationMatchesBatched) {
     opts.workers = 2;
     opts.queue_capacity = kQueries;
     opts.max_batch = 1;  // the ablation: per-query execution
-    Server server(g, opts);
+    Server server(served.reg, opts);
     for (int i = 0; i < kQueries; ++i) {
-      unbatched.push_back(server.submit(QueryKind::kBfs,
+      unbatched.push_back(server.submit(kGraph, QueryKind::kBfs,
                                         static_cast<vidx_t>(i * 13) %
                                             g.num_vertices()));
     }
@@ -266,21 +281,21 @@ TEST(Serving, UnbatchedAblationMatchesBatched) {
 }
 
 TEST(Serving, ExpiredDeadlinesAreShedAndAccounted) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 64;
-  Server server(g, opts);
+  Server server(served.reg, opts);
 
   // A deadline already in the past when submitted is guaranteed to be
   // past when a worker reaches it: deterministically shed.
   const auto expired = serving::clock::now() - 1ms;
   std::vector<std::future<Reply>> doomed;
   for (int i = 0; i < 8; ++i) {
-    doomed.push_back(server.submit(QueryKind::kBfs, i, expired));
+    doomed.push_back(server.submit(kGraph, QueryKind::kBfs, i, expired));
   }
   // And a live one rides through normally.
-  auto ok = server.submit(QueryKind::kBfs, 0);
+  auto ok = server.submit(kGraph, QueryKind::kBfs, 0);
   for (auto& f : doomed) {
     const Reply r = f.get();
     EXPECT_EQ(Status::kShedDeadline, r.status);
@@ -295,17 +310,18 @@ TEST(Serving, ExpiredDeadlinesAreShedAndAccounted) {
 }
 
 TEST(Serving, QueueFullBackpressureShedsAtTheDoor) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 1;  // every pop is width 1; storms must shed
-  Server server(g, opts);
+  Server server(served.reg, opts);
 
   constexpr int kStorm = 400;
   std::vector<std::future<Reply>> futs;
   futs.reserve(kStorm);
   for (int i = 0; i < kStorm; ++i) {
-    futs.push_back(server.submit(QueryKind::kBfs,
+    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
                                  static_cast<vidx_t>(i) % g.num_vertices()));
   }
   int ok = 0, shed = 0;
@@ -332,25 +348,27 @@ TEST(Serving, QueueFullBackpressureShedsAtTheDoor) {
 }
 
 TEST(Serving, SubmitRejectsOutOfRangeSource) {
-  const gb::Graph g = serving_graph();
-  Server server(g, {});
-  EXPECT_THROW((void)server.submit(QueryKind::kBfs, -1),
+  const OneGraph served;
+  const gb::Graph& g = served.g;
+  Server server(served.reg, {});
+  EXPECT_THROW((void)server.submit(kGraph, QueryKind::kBfs, -1),
                std::invalid_argument);
-  EXPECT_THROW((void)server.submit(QueryKind::kBfs, g.num_vertices()),
+  EXPECT_THROW((void)server.submit(kGraph, QueryKind::kBfs, g.num_vertices()),
                std::invalid_argument);
   server.shutdown();
 }
 
 TEST(Serving, ShutdownDrainsEveryPendingFuture) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   std::vector<std::future<Reply>> futs;
   {
     ServerOptions opts;
     opts.workers = 2;
     opts.queue_capacity = 512;
-    Server server(g, opts);
+    Server server(served.reg, opts);
     for (int i = 0; i < 200; ++i) {
-      futs.push_back(server.submit(QueryKind::kBfs,
+      futs.push_back(server.submit(kGraph, QueryKind::kBfs,
                                    static_cast<vidx_t>(i) %
                                        g.num_vertices()));
     }
@@ -362,15 +380,17 @@ TEST(Serving, ShutdownDrainsEveryPendingFuture) {
 }
 
 TEST(Serving, MixedKindsUnderLoadStaySegregatedAndCorrect) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   const Context serial_ctx = Context{}.with_threads(1);
   ServerOptions opts;
   opts.workers = 4;
   opts.queue_capacity = 256;
-  Server server(g, opts);
+  Server server(served.reg, opts);
   std::vector<std::future<Reply>> futs;
   for (int i = 0; i < 128; ++i) {
-    futs.push_back(server.submit(i % 2 == 0 ? QueryKind::kBfs
+    futs.push_back(server.submit(kGraph,
+                                 i % 2 == 0 ? QueryKind::kBfs
                                             : QueryKind::kReach,
                                  static_cast<vidx_t>(i * 5) %
                                      g.num_vertices()));
@@ -388,6 +408,63 @@ TEST(Serving, MixedKindsUnderLoadStaySegregatedAndCorrect) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Reply telemetry: the fields client-side latency accounting reads
+// ---------------------------------------------------------------------
+
+TEST(ServingTelemetry, EveryResolutionPathStampsConsistentTiming) {
+  const OneGraph served;
+  // One worker whose every wave stalls 20ms: a storm against a 4-deep
+  // queue must overflow it, whatever the scheduling.
+  FaultPlan plan;
+  plan.wave_delay = 20ms;
+  FaultInjector injector(plan);
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.queue_capacity = 4;
+  opts.context = opts.context.with_fault(&injector);
+  Server server(served.reg, opts);
+
+  struct Sent {
+    serving::clock::time_point at;
+    std::future<Reply> reply;
+  };
+  std::vector<Sent> sent;
+  auto send = [&](std::string_view graph, vidx_t source,
+                  serving::clock::time_point deadline) {
+    const auto at = serving::clock::now();
+    sent.push_back({at, server.submit(graph, QueryKind::kBfs, source,
+                                      deadline)});
+  };
+  const auto never = serving::clock::time_point::max();
+  // A live wave and an expired rider, then let them drain.
+  for (vidx_t s = 0; s < 3; ++s) send(kGraph, s, never);
+  send(kGraph, 3, serving::clock::now() - 1ms);
+  for (auto& s : sent) s.reply.wait();
+  // An unknown name, then a storm against the stalled worker.
+  send("unknown", 0, never);
+  for (vidx_t s = 0; s < 64; ++s) send(kGraph, s, never);
+
+  std::array<int, serving::kNumStatuses> seen{};
+  for (auto& s : sent) {
+    const Reply r = s.reply.get();
+    SCOPED_TRACE(serving::status_name(r.status));
+    ++seen[static_cast<std::size_t>(r.status)];
+    const std::chrono::duration<double, std::milli> latency =
+        r.completed - s.at;
+    EXPECT_GE(r.completed, s.at);
+    EXPECT_GE(r.queue_ms, 0.0);
+    EXPECT_LE(r.queue_ms, latency.count());
+    if (r.status == Status::kOk) {
+      EXPECT_GE(r.batch_width, 1);
+    }
+  }
+  EXPECT_GT(seen[static_cast<std::size_t>(Status::kOk)], 0);
+  EXPECT_EQ(1, seen[static_cast<std::size_t>(Status::kShedDeadline)]);
+  EXPECT_EQ(1, seen[static_cast<std::size_t>(Status::kBadGraph)]);
+  EXPECT_GT(seen[static_cast<std::size_t>(Status::kShedQueueFull)], 0);
 }
 
 // ---------------------------------------------------------------------
@@ -725,15 +802,16 @@ TEST(ServingKinds, AllFourKindsMixedUnderLoadStayCorrect) {
 // ---------------------------------------------------------------------
 
 TEST(AdaptiveServing, BacklogWidensWavesAndDrainNarrowsThem) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 1024;
   ASSERT_TRUE(opts.adaptive);  // the default
-  Server server(g, opts);
+  Server server(served.reg, opts);
   std::vector<std::future<Reply>> futs;
   for (int i = 0; i < 512; ++i) {
-    futs.push_back(server.submit(QueryKind::kBfs,
+    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
                                  static_cast<vidx_t>(i * 11) %
                                      g.num_vertices()));
   }
@@ -749,15 +827,16 @@ TEST(AdaptiveServing, BacklogWidensWavesAndDrainNarrowsThem) {
 }
 
 TEST(AdaptiveServing, OverrideCapStillPinsTheWindow) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 512;
   opts.max_batch = 4;  // the override: adaptive may never exceed it
-  Server server(g, opts);
+  Server server(served.reg, opts);
   std::vector<std::future<Reply>> futs;
   for (int i = 0; i < 256; ++i) {
-    futs.push_back(server.submit(QueryKind::kBfs,
+    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
                                  static_cast<vidx_t>(i * 7) %
                                      g.num_vertices()));
   }
@@ -767,16 +846,17 @@ TEST(AdaptiveServing, OverrideCapStillPinsTheWindow) {
 }
 
 TEST(AdaptiveServing, StaticKnobStillAvailable) {
-  const gb::Graph g = serving_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 256;
   opts.adaptive = false;  // the pre-adaptive static pop width
   opts.max_batch = 1;     // the unbatched ablation
-  Server server(g, opts);
+  Server server(served.reg, opts);
   std::vector<std::future<Reply>> futs;
   for (int i = 0; i < 64; ++i) {
-    futs.push_back(server.submit(QueryKind::kBfs,
+    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
                                  static_cast<vidx_t>(i) %
                                      g.num_vertices()));
   }

@@ -63,6 +63,14 @@ gb::Graph fault_graph(vidx_t n = 512, std::uint64_t seed = 99) {
   return g;
 }
 
+/// Serving one graph is a registry of one; kGraph names it.
+constexpr const char* kGraph = "g";
+struct OneGraph {
+  GraphRegistry reg;
+  const serving::GraphRef slot = reg.add(kGraph, fault_graph());
+  const gb::Graph& g = slot->graph();
+};
+
 /// Single-worker server options: deterministic request ordering, so a
 /// one-shot Nth-call fault lands on a known query.
 ServerOptions one_worker(FaultInjector* injector = nullptr) {
@@ -177,14 +185,15 @@ TEST(FaultInjector, OneShotTriggersFireExactlyOnce) {
 // ---------------------------------------------------------------------
 
 TEST(FaultContainment, KernelFaultIsContainedAndLaterQueriesAreBitIdentical) {
-  const gb::Graph g = fault_graph();
+  const OneGraph served;
+  const gb::Graph& g = served.g;
   const vidx_t n = g.num_vertices();
   FaultPlan plan;
   plan.kernel_fault_after = 1;  // the very first level boundary throws
   FaultInjector injector(plan);
-  Server server(g, one_worker(&injector));
+  Server server(served.reg, one_worker(&injector));
 
-  auto poisoned = server.submit(QueryKind::kBfs, 7);
+  auto poisoned = server.submit(kGraph, QueryKind::kBfs, 7);
   const Reply dead = poisoned.get();
   EXPECT_EQ(Status::kInternalError, dead.status);
   EXPECT_FALSE(dead.error.empty());
@@ -194,13 +203,13 @@ TEST(FaultContainment, KernelFaultIsContainedAndLaterQueriesAreBitIdentical) {
   // contained fault left nothing behind in the worker's scratch.
   const Context oracle_ctx = Context{}.with_threads(1);
   for (const vidx_t src : {vidx_t{0}, vidx_t{7}, n - 1}) {
-    const Reply r = server.submit(QueryKind::kBfs, src).get();
+    const Reply r = server.submit(kGraph, QueryKind::kBfs, src).get();
     ASSERT_EQ(Status::kOk, r.status);
     const algo::BfsResult gold = algo::bfs(oracle_ctx, g, {src});
     EXPECT_EQ(gold.levels, r.levels) << "post-fault divergence from src "
                                      << src;
   }
-  const Reply pr = server.submit_pagerank().get();
+  const Reply pr = server.submit_pagerank(kGraph).get();
   ASSERT_EQ(Status::kOk, pr.status);
   const algo::PageRankResult pr_gold = algo::pagerank(oracle_ctx, g, {});
   EXPECT_EQ(pr_gold.rank, pr.rank);  // bit-identical, not approximately
@@ -214,17 +223,17 @@ TEST(FaultContainment, KernelFaultIsContainedAndLaterQueriesAreBitIdentical) {
 }
 
 TEST(FaultContainment, AllocatorExhaustionIsContained) {
-  const gb::Graph g = fault_graph();
+  const OneGraph served;
   FaultPlan plan;
   plan.bad_alloc_after = 1;  // the first buffer-sizing prologue throws
   FaultInjector injector(plan);
-  Server server(g, one_worker(&injector));
+  Server server(served.reg, one_worker(&injector));
 
-  const Reply dead = server.submit(QueryKind::kBfs, 0).get();
+  const Reply dead = server.submit(kGraph, QueryKind::kBfs, 0).get();
   EXPECT_EQ(Status::kInternalError, dead.status);
   EXPECT_EQ("std::bad_alloc", dead.error);
 
-  const Reply alive = server.submit(QueryKind::kBfs, 0).get();
+  const Reply alive = server.submit(kGraph, QueryKind::kBfs, 0).get();
   EXPECT_EQ(Status::kOk, alive.status);
 
   server.shutdown();
@@ -234,20 +243,20 @@ TEST(FaultContainment, AllocatorExhaustionIsContained) {
 }
 
 TEST(FaultContainment, ThrowingComponentsMemoIsRetriedNotCached) {
-  const gb::Graph g = fault_graph();
+  const OneGraph served;
   FaultPlan plan;
   plan.kernel_fault_after = 1;  // kills the FIRST memo attempt
   FaultInjector injector(plan);
-  Server server(g, one_worker(&injector));
+  Server server(served.reg, one_worker(&injector));
 
-  const Reply dead = server.submit(QueryKind::kComponents, 0).get();
+  const Reply dead = server.submit(kGraph, QueryKind::kComponents).get();
   EXPECT_EQ(Status::kInternalError, dead.status);
 
   // The memo treats the throwing attempt as never-ran: the next
   // components query recomputes and must succeed with a full labelling.
-  const Reply alive = server.submit(QueryKind::kComponents, 0).get();
+  const Reply alive = server.submit(kGraph, QueryKind::kComponents).get();
   ASSERT_EQ(Status::kOk, alive.status);
-  EXPECT_EQ(static_cast<std::size_t>(g.num_vertices()),
+  EXPECT_EQ(static_cast<std::size_t>(served.g.num_vertices()),
             alive.component.size());
 }
 
@@ -256,11 +265,11 @@ TEST(FaultContainment, ThrowingComponentsMemoIsRetriedNotCached) {
 // ---------------------------------------------------------------------
 
 TEST(Cancellation, ExpiredPagerankAbortsMidFlight) {
-  const gb::Graph g = fault_graph();
+  const OneGraph served;
   FaultPlan plan;
   plan.kernel_delay = 3ms;  // every iteration boundary stalls 3ms
   FaultInjector injector(plan);
-  Server server(g, one_worker(&injector));
+  Server server(served.reg, one_worker(&injector));
 
   algo::PageRankParams params;
   params.max_iterations = 100;
@@ -274,7 +283,7 @@ TEST(Cancellation, ExpiredPagerankAbortsMidFlight) {
   bool observed_midflight = false;
   for (int attempt = 0; attempt < 20 && !observed_midflight; ++attempt) {
     const auto deadline = serving::clock::now() + 30ms;
-    const Reply r = server.submit_pagerank("default", params, deadline).get();
+    const Reply r = server.submit_pagerank(kGraph, params, deadline).get();
     ASSERT_EQ(Status::kShedDeadline, r.status);
     ASSERT_LT(r.iterations, params.max_iterations)
         << "an expired 100-iteration pagerank must not run to completion";
@@ -400,16 +409,16 @@ TEST(CircuitBreakerServing, SlotTripsThenRecoversAcrossServers) {
 // ---------------------------------------------------------------------
 
 TEST(Shutdown, SubmitAfterShutdownResolvesImmediatelyWithShedShutdown) {
-  const gb::Graph g = fault_graph();
-  Server server(g, one_worker());
+  const OneGraph served;
+  Server server(served.reg, one_worker());
   server.shutdown();
 
-  auto fut = server.submit(QueryKind::kBfs, 0);
+  auto fut = server.submit(kGraph, QueryKind::kBfs, 0);
   ASSERT_EQ(std::future_status::ready, fut.wait_for(0s))
       << "a post-shutdown submit must resolve immediately, never hang";
   EXPECT_EQ(Status::kShedShutdown, fut.get().status);
 
-  auto pr = server.submit_pagerank();
+  auto pr = server.submit_pagerank(kGraph);
   EXPECT_EQ(Status::kShedShutdown, pr.get().status);
 
   const auto st = server.stats();
@@ -418,31 +427,31 @@ TEST(Shutdown, SubmitAfterShutdownResolvesImmediatelyWithShedShutdown) {
 }
 
 TEST(Validation, MalformedPagerankParamsThrowAtTheDoor) {
-  const gb::Graph g = fault_graph();
-  Server server(g, one_worker());
+  const OneGraph served;
+  Server server(served.reg, one_worker());
 
   algo::PageRankParams p;
   p.alpha = std::numeric_limits<value_t>::quiet_NaN();
-  EXPECT_THROW(server.submit_pagerank(p), std::invalid_argument);
+  EXPECT_THROW(server.submit_pagerank(kGraph, p), std::invalid_argument);
   p.alpha = 1.0f;  // damping must stay strictly below 1
-  EXPECT_THROW(server.submit_pagerank(p), std::invalid_argument);
+  EXPECT_THROW(server.submit_pagerank(kGraph, p), std::invalid_argument);
   p.alpha = -0.25f;
-  EXPECT_THROW(server.submit_pagerank(p), std::invalid_argument);
+  EXPECT_THROW(server.submit_pagerank(kGraph, p), std::invalid_argument);
 
   p = {};
   p.max_iterations = 0;
-  EXPECT_THROW(server.submit_pagerank(p), std::invalid_argument);
+  EXPECT_THROW(server.submit_pagerank(kGraph, p), std::invalid_argument);
 
   p = {};
   p.epsilon = 0.0;
-  EXPECT_THROW(server.submit_pagerank(p), std::invalid_argument);
+  EXPECT_THROW(server.submit_pagerank(kGraph, p), std::invalid_argument);
   p.epsilon = -1e-9;
-  EXPECT_THROW(server.submit_pagerank(p), std::invalid_argument);
+  EXPECT_THROW(server.submit_pagerank(kGraph, p), std::invalid_argument);
 
   // A rejected submit is never admitted: nothing to account for, and
   // the server still serves valid work.
   EXPECT_EQ(0u, server.stats().submitted);
-  EXPECT_EQ(Status::kOk, server.submit_pagerank().get().status);
+  EXPECT_EQ(Status::kOk, server.submit_pagerank(kGraph).get().status);
 }
 
 }  // namespace

@@ -485,10 +485,11 @@ TEST_F(SnapshotTest, ServerStatsSurfaceRegistryDurabilityCounters) {
   EXPECT_EQ(st.graphs_recovered, 3u);
   server.shutdown();
 
-  // Single-graph mode: the counters are defined (zero), not garbage.
-  const gb::Graph g = gb::Graph::from_csr(test::small_matrix(2).second);
-  g.prewarm(gb::kBitFormats);
-  serving::Server single(g);
+  // A fresh registry of one: the counters are defined (zero), not
+  // garbage.
+  serving::GraphRegistry fresh;
+  fresh.add("g", gb::Graph::from_csr(test::small_matrix(2).second));
+  serving::Server single(fresh);
   EXPECT_EQ(single.stats().registry_dedup_hits, 0u);
   EXPECT_EQ(single.stats().graphs_recovered, 0u);
   single.shutdown();
