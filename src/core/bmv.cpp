@@ -269,6 +269,50 @@ void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
   });
 }
 
+namespace detail {
+
+template <int Dim>
+void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
+                        LaneReduce reduce, value_t offset,
+                        const PackedVecT<Dim>* mask, bool complement,
+                        value_t* y, Exec exec) {
+  using word_t = typename TileTraits<Dim>::word_t;
+  // No HotKernel row: the vector body wins at every dim in both build
+  // modes (bench_micro_kernels).
+  const bool use_simd =
+      resolve_kernel_variant(exec.variant) == KernelVariant::kSimd;
+  const vidx_t* rowptr = a.tile_rowptr.data();
+  const vidx_t* colind = a.tile_colind.data();
+  const word_t* tiles = a.bits.data();
+  const word_t* mw = mask != nullptr ? mask->words.data() : nullptr;
+  const vidx_t nrows = a.nrows;
+  const vidx_t ncols = a.ncols;
+  // Value captures only (see parallel.hpp on closure escape).
+  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
+    const vidx_t lo = rowptr[tr];
+    const vidx_t hi = rowptr[tr + 1];
+    if (lo == hi) return;
+    value_t acc[Dim];
+    simd::semiring_row_fold<Dim>(tiles, colind, lo, hi, x, ncols, reduce,
+                                 offset, use_simd, acc);
+    // Paper §V: the mask is applied right before the output store.
+    auto keep = static_cast<word_t>(~word_t{0});
+    if (mw != nullptr) {
+      keep = mw[static_cast<std::size_t>(tr)];
+      if (complement) keep = static_cast<word_t>(~keep);
+    }
+    const vidx_t r0 = tr * Dim;
+    const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
+    for (vidx_t r = r0; r < rend; ++r) {
+      if (get_bit(keep, static_cast<int>(r - r0)) != 0) {
+        y[static_cast<std::size_t>(r)] = acc[r - r0];
+      }
+    }
+  });
+}
+
+}  // namespace detail
+
 #define BITGB_INSTANTIATE_BMV(Dim)                                          \
   template void bmv_bin_bin_bin<Dim>(const B2srT<Dim>&,                     \
                                      const PackedVecT<Dim>&,                \
@@ -288,7 +332,10 @@ void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                                       std::vector<value_t>&, Exec);\
   template void bmv_bin_bin_full_masked<Dim>(                               \
       const B2srT<Dim>&, const PackedVecT<Dim>&, const PackedVecT<Dim>&,    \
-      bool, std::vector<value_t>&, Exec)
+      bool, std::vector<value_t>&, Exec);                                   \
+  template void detail::semiring_tile_rows<Dim>(                            \
+      const B2srT<Dim>&, const value_t*, LaneReduce, value_t,               \
+      const PackedVecT<Dim>*, bool, value_t*, Exec)
 
 BITGB_INSTANTIATE_BMV(4);
 BITGB_INSTANTIATE_BMV(8);

@@ -19,6 +19,17 @@
 //   y[r] (+)= popc(w & b)          — the paper's core identity
 //   A_ij x b_j = c_i = __popc(A_ij & b_j).
 //
+// The semiring scheme maps lanes instead of popcounts (the paper's warp
+// lanes each holding one x element): lane j of a tile holds
+// x[tc*Dim + j], each bit-row word selects the lanes that fold into
+// that row's Dim lane accumulators, and each row folds its lanes in
+// ascending order once per tile-row (simd::semiring_row_fold).  That
+// lane order is the kernel's contract: the SIMD body folds every lane
+// of every word at once, the scalar body folds only the set bits (the
+// rest would fold the identity, which is exact), and both run the same
+// float operations in the same order — so kScalar and kSimd agree bit
+// for bit on every bundle and thread count, plus-times included.
+//
 // The masked variants take the mask as a PackedVec of the same tile dim
 // plus `complement` (GraphBLAS structural complement: BFS masks with the
 // *negation* of visited).
@@ -41,9 +52,9 @@ namespace bitgb {
 // selects the scalar or SIMD inner loop (kAuto = measured per-(kernel,
 // dim) preference table) and `threads` bounds the parallel region, so
 // concurrent callers with different policies never touch shared state.
-// Both variants are bit-identical (integer-exact reductions); the
-// active-list push kernel is a frontier-proportional serial scatter
-// loop by design.
+// Both variants are bit-identical (integer-exact reductions, and the
+// semiring lane order above); the active-list push kernel is a
+// frontier-proportional serial scatter loop by design.
 
 // --- bin x bin -> bin (Boolean semiring; BFS frontier expansion) ---
 
@@ -97,67 +108,29 @@ void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
 
 // --- bin x full -> full (general semiring Op; SSSP/PR/CC) ---
 
-/// Fold one bit-row's contributions into `acc`.  Two paths:
-///   * a *full* word (all Dim bits set — the common case inside dense
-///     regions of well-packed matrices) maps every x element
-///     unconditionally and tree-reduces: branch-free, vectorizable, no
-///     loop-carried dependency — the host analog of the GPU's lanes
-///     processing a bit-row in lock-step;
-///   * any other word walks its set bits with ctz.
-/// Tail tiles must pass allow_dense = false (the full-word path reads
-/// xp[0..Dim) unconditionally).
-template <int Dim, typename Op>
-inline void fold_bit_row(typename TileTraits<Dim>::word_t w,
-                         const value_t* xp, bool allow_dense, value_t& acc) {
-  if (w == 0) return;
-  if (allow_dense && w == low_mask<typename TileTraits<Dim>::word_t>(Dim)) {
-    value_t cand[Dim];
-    for (int j = 0; j < Dim; ++j) cand[j] = Op::map(xp[j]);
-    for (int s = Dim / 2; s > 0; s /= 2) {
-      for (int j = 0; j < s; ++j) cand[j] = Op::reduce(cand[j], cand[j + s]);
-    }
-    acc = Op::reduce(acc, cand[0]);
-  } else {
-    for_each_set_bit(w, [&](int j) { acc = Op::reduce(acc, Op::map(xp[j])); });
-  }
-}
+namespace detail {
 
+/// The tile-row loop both semiring kernels share: fold every non-empty
+/// tile-row through simd::semiring_row_fold, then store row r unless
+/// `mask` (null = keep all) drops it.  Empty tile-rows are not stored.
+template <int Dim>
+void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
+                        LaneReduce reduce, value_t offset,
+                        const PackedVecT<Dim>* mask, bool complement,
+                        value_t* y, Exec exec);
+
+}  // namespace detail
+
+/// y[i] = reduce over i's adjacent columns j of map(x[j]); rows with no
+/// neighbour get Op::identity.
 template <int Dim, typename Op>
 void bmv_bin_full_full(const B2srT<Dim>& a, const std::vector<value_t>& x,
                        std::vector<value_t>& y, Exec exec = {}, Op = Op{}) {
   assert(static_cast<vidx_t>(x.size()) == a.ncols);
   y.assign(static_cast<std::size_t>(a.nrows), Op::identity);
-  const B2srT<Dim>* ap = &a;
-  const value_t* xp_base = x.data();
-  value_t* yp = y.data();
-  const vidx_t nrows = a.nrows;
-  // The rightmost tile column may extend past ncols; it must take the
-  // bit-walking path (its words' tail bits are zero, but the dense
-  // path loads all Dim x elements unconditionally).
-  const vidx_t full_cols = a.ncols / Dim;
-  // Value captures only (see parallel.hpp on closure escape).
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    const auto lo = ap->tile_rowptr[static_cast<std::size_t>(tr)];
-    const auto hi = ap->tile_rowptr[static_cast<std::size_t>(tr) + 1];
-    if (lo == hi) return;
-    value_t acc[Dim];
-    for (int r = 0; r < Dim; ++r) acc[r] = Op::identity;
-    for (vidx_t t = lo; t < hi; ++t) {
-      const vidx_t tc = ap->tile_colind[static_cast<std::size_t>(t)];
-      const value_t* xp = xp_base + static_cast<std::size_t>(tc) * Dim;
-      const bool allow_dense = tc < full_cols;
-      const auto words = ap->tile(t);
-      for (int r = 0; r < Dim; ++r) {
-        fold_bit_row<Dim, Op>(words[static_cast<std::size_t>(r)], xp,
-                              allow_dense, acc[r]);
-      }
-    }
-    const vidx_t r0 = tr * Dim;
-    const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
-    for (vidx_t r = r0; r < rend; ++r) {
-      yp[static_cast<std::size_t>(r)] = acc[r - r0];
-    }
-  });
+  detail::semiring_tile_rows<Dim>(a, x.data(), Op::lane_reduce,
+                                  Op::map_offset, nullptr, false, y.data(),
+                                  exec);
 }
 
 /// Masked semiring BMV: positions whose mask test fails keep their
@@ -171,34 +144,9 @@ void bmv_bin_full_full_masked(const B2srT<Dim>& a,
   assert(static_cast<vidx_t>(x.size()) == a.ncols);
   assert(static_cast<vidx_t>(y.size()) == a.nrows);
   assert(mask.n == a.nrows);
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [&](vidx_t tr) {
-    const auto lo = a.tile_rowptr[static_cast<std::size_t>(tr)];
-    const auto hi = a.tile_rowptr[static_cast<std::size_t>(tr) + 1];
-    if (lo == hi) return;
-    value_t acc[Dim];
-    for (int r = 0; r < Dim; ++r) acc[r] = Op::identity;
-    const vidx_t full_cols = a.ncols / Dim;
-    for (vidx_t t = lo; t < hi; ++t) {
-      const vidx_t tc = a.tile_colind[static_cast<std::size_t>(t)];
-      const value_t* xp = x.data() + static_cast<std::size_t>(tc) * Dim;
-      const bool allow_dense = tc < full_cols;
-      const auto words = a.tile(t);
-      for (int r = 0; r < Dim; ++r) {
-        fold_bit_row<Dim, Op>(words[static_cast<std::size_t>(r)], xp,
-                              allow_dense, acc[r]);
-      }
-    }
-    using word_t = typename TileTraits<Dim>::word_t;
-    word_t mword = mask.words[static_cast<std::size_t>(tr)];
-    if (complement) mword = static_cast<word_t>(~mword);
-    const vidx_t r0 = tr * Dim;
-    const vidx_t rend = std::min<vidx_t>(a.nrows, r0 + Dim);
-    for (vidx_t r = r0; r < rend; ++r) {
-      if (get_bit(mword, static_cast<int>(r - r0)) != 0) {
-        y[static_cast<std::size_t>(r)] = acc[r - r0];
-      }
-    }
-  });
+  detail::semiring_tile_rows<Dim>(a, x.data(), Op::lane_reduce,
+                                  Op::map_offset, &mask, complement, y.data(),
+                                  exec);
 }
 
 // Declarations of the non-template-parameterized kernels are explicit

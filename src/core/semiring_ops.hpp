@@ -13,15 +13,24 @@
 // infinite", §V).  Each bundle therefore provides:
 //   identity  — the reduction identity (annihilates absent edges),
 //   map(x)    — contribution of an adjacent column holding x,
-//   reduce(a,b) — the additive reduction.
+//   reduce(a,b) — the additive reduction,
+// and, for the bit kernel's lane engine (simd::semiring_row_fold), the
+// same algebra as plain values so the engine needs no template over
+// the bundles:
+//   lane_reduce — which of add / min / max `reduce` is,
+//   map_offset  — the constant `map` adds to x (0 or +1).
 #pragma once
 
 #include "sparse/types.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 namespace bitgb {
+
+/// The reduction of a semiring bundle, as the lane engine runs it.
+enum class LaneReduce : std::uint8_t { kAdd, kMin, kMax };
 
 /// Arithmetic (+, x) with unit edge weights: y[i] = sum_{j in adj(i)} x[j].
 /// PR runs this on a pre-scaled vector (x[j]/outdeg[j] folded in before
@@ -34,6 +43,8 @@ namespace bitgb {
 /// is the binary-matrix specialization (a == 1 implicitly).
 struct PlusTimesOp {
   static constexpr value_t identity = 0.0f;
+  static constexpr LaneReduce lane_reduce = LaneReduce::kAdd;
+  static constexpr value_t map_offset = 0.0f;
   static value_t map(value_t x) { return x; }
   static value_t combine(value_t a, value_t x) { return a * x; }
   static value_t reduce(value_t a, value_t b) { return a + b; }
@@ -43,6 +54,8 @@ struct PlusTimesOp {
 /// SSSP relaxation over a homogeneous (unit-weight) graph.
 struct MinPlusOp {
   static constexpr value_t identity = std::numeric_limits<value_t>::infinity();
+  static constexpr LaneReduce lane_reduce = LaneReduce::kMin;
+  static constexpr value_t map_offset = 1.0f;
   static value_t map(value_t x) { return x + 1.0f; }
   static value_t combine(value_t a, value_t x) { return x + a; }
   static value_t reduce(value_t a, value_t b) { return std::min(a, b); }
@@ -53,6 +66,8 @@ struct MinPlusOp {
 /// style multiply, so combine ignores the stored value.
 struct MinIdentityOp {
   static constexpr value_t identity = std::numeric_limits<value_t>::infinity();
+  static constexpr LaneReduce lane_reduce = LaneReduce::kMin;
+  static constexpr value_t map_offset = 0.0f;
   static value_t map(value_t x) { return x; }
   static value_t combine(value_t, value_t x) { return x; }
   static value_t reduce(value_t a, value_t b) { return std::min(a, b); }
@@ -62,6 +77,8 @@ struct MinIdentityOp {
 /// Used by MIS/graph-coloring style algorithms (paper Table IV).
 struct MaxTimesOp {
   static constexpr value_t identity = -std::numeric_limits<value_t>::infinity();
+  static constexpr LaneReduce lane_reduce = LaneReduce::kMax;
+  static constexpr value_t map_offset = 0.0f;
   static value_t map(value_t x) { return x; }
   static value_t combine(value_t a, value_t x) { return a * x; }
   static value_t reduce(value_t a, value_t b) { return std::max(a, b); }

@@ -1,11 +1,13 @@
 // SIMD multi-tile kernel engine — implementation.
 //
-// Three backends, one contract (bit-identical integer reductions):
+// Three backends, one contract (bit-identical results):
 //
 //   * kAvx2  — hand-written intrinsics.  256-bit loads stream 8 B2SR-4
 //     or 4 B2SR-8 tiles (one B2SR-16 tile, a quarter B2SR-32 tile) per
 //     instruction; compare+movemask materializes Boolean row results,
-//     and byte-lane popcount uses the Mula pshufb nibble-LUT.
+//     byte-lane popcount uses the Mula pshufb nibble-LUT, and the
+//     semiring BMV selects float lanes through a per-word pattern
+//     table.
 //   * kSse42 — the portable SWAR/scalar bodies recompiled with
 //     target("sse4.2,popcnt"): hardware popcnt plus whatever the
 //     auto-vectorizer finds, without requiring -march at configure
@@ -21,7 +23,9 @@
 // inner loops on an AVX2 host and degrades gracefully elsewhere.
 #include "platform/simd.hpp"
 
+#include <array>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <string>
 
@@ -468,6 +472,71 @@ template <int Dim>
       cacc[r] = crow;
     }
   }
+}
+
+// --- Semiring lane fold (semiring_row_fold). ---
+
+/// One lane step, spelled as the x86 min/max instructions define it:
+/// the first operand unless the second wins strictly.  Both bodies use
+/// this exact form, so they agree even on signed zeros.
+template <LaneReduce R>
+[[gnu::always_inline]] inline value_t lane_fold(value_t a, value_t b) {
+  if constexpr (R == LaneReduce::kAdd) {
+    return a + b;
+  } else if constexpr (R == LaneReduce::kMin) {
+    return a < b ? a : b;
+  } else {
+    return a > b ? a : b;
+  }
+}
+
+/// Invoke fn.template operator()<R>() for the runtime reduce kind.
+template <typename Fn>
+void dispatch_lane_reduce(LaneReduce reduce, Fn&& fn) {
+  switch (reduce) {
+    case LaneReduce::kAdd: fn.template operator()<LaneReduce::kAdd>(); return;
+    case LaneReduce::kMin: fn.template operator()<LaneReduce::kMin>(); return;
+    case LaneReduce::kMax: fn.template operator()<LaneReduce::kMax>(); return;
+  }
+}
+
+template <LaneReduce R>
+constexpr value_t kLaneIdentity =
+    R == LaneReduce::kAdd   ? PlusTimesOp::identity
+    : R == LaneReduce::kMin ? MinPlusOp::identity
+                            : MaxTimesOp::identity;
+
+/// Scalar body: walk the set bits into lanes[j * Dim + r] (= L[r][j];
+/// lane-major so the closing fold runs over contiguous rows), then fold
+/// each row's lanes in ascending j.  Set bits never point past ncols
+/// (B2SR zero-tail invariant), so x is read in bounds.
+template <int Dim, LaneReduce R>
+[[gnu::always_inline]] inline void semiring_row_fold_body(
+    const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
+    vidx_t lo, vidx_t hi, const value_t* x, value_t offset, value_t* out) {
+  value_t lanes[Dim * Dim];
+  for (value_t& l : lanes) l = kLaneIdentity<R>;
+  for (vidx_t t = lo; t < hi; ++t) {
+    const value_t* xp = x + static_cast<std::size_t>(colind[t]) * Dim;
+    const auto* w = tiles + static_cast<std::size_t>(t) * Dim;
+    for (int r = 0; r < Dim; ++r) {
+      for_each_set_bit(w[r], [&](int j) {
+        value_t& l = lanes[j * Dim + r];
+        l = lane_fold<R>(l, xp[j]);
+      });
+    }
+  }
+  value_t acc[Dim];
+  for (int r = 0; r < Dim; ++r) acc[r] = lanes[r];
+  for (int j = 1; j < Dim; ++j) {
+    for (int r = 0; r < Dim; ++r) {
+      acc[r] = lane_fold<R>(acc[r], lanes[j * Dim + r]);
+    }
+  }
+  if (offset != 0.0f) {
+    for (int r = 0; r < Dim; ++r) acc[r] += offset;
+  }
+  std::memcpy(out, acc, sizeof(acc));
 }
 
 template <int Dim>
@@ -1184,6 +1253,219 @@ BITGB_TGT_AVX2 void spgemm_tile_accum_avx2(
   }
 }
 
+// --- Semiring lane fold: 128-bit lanes at dim 4, 256-bit above. ---
+
+/// Per-chunk lane patterns: entry w (a W-bit chunk of a bit-row word)
+/// holds, for lane j, the pattern that lanes_select<R>(x, pattern)
+/// turns into x when bit j of w is set and into the identity when it
+/// is clear — all-ones / zero under AND for kAdd, -inf / +inf under
+/// max for kMin, +inf / -inf under min for kMax.
+template <int W, LaneReduce R>
+constexpr std::array<std::uint32_t, (std::size_t{1} << W) * W>
+make_lane_table() {
+  constexpr std::uint32_t kNegInf = 0xFF800000u;
+  constexpr std::uint32_t kPosInf = 0x7F800000u;
+  constexpr std::uint32_t set = R == LaneReduce::kAdd   ? 0xFFFFFFFFu
+                                : R == LaneReduce::kMin ? kNegInf
+                                                        : kPosInf;
+  constexpr std::uint32_t clear = R == LaneReduce::kAdd   ? 0u
+                                  : R == LaneReduce::kMin ? kPosInf
+                                                          : kNegInf;
+  std::array<std::uint32_t, (std::size_t{1} << W) * W> table{};
+  for (std::size_t w = 0; w < (std::size_t{1} << W); ++w) {
+    for (int j = 0; j < W; ++j) {
+      table[w * W + static_cast<std::size_t>(j)] =
+          ((w >> j) & 1u) != 0 ? set : clear;
+    }
+  }
+  return table;
+}
+
+template <int W, LaneReduce R>
+alignas(64) constexpr auto kLaneTable = make_lane_table<W, R>();
+
+/// A register of W float lanes: W = 4 (128-bit) or 8 (256-bit).
+template <int W>
+struct LaneVec;
+template <>
+struct LaneVec<4> {
+  using type = __m128;
+};
+template <>
+struct LaneVec<8> {
+  using type = __m256;
+};
+template <int W>
+using lane_vec_t = typename LaneVec<W>::type;
+
+template <int W>
+BITGB_TGT_AVX2 inline lane_vec_t<W> lanes_load(const void* p) {
+  lane_vec_t<W> v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+template <int W>
+BITGB_TGT_AVX2 inline lane_vec_t<W> lanes_set1(value_t v) {
+  if constexpr (W == 4) {
+    return _mm_set1_ps(v);
+  } else {
+    return _mm256_set1_ps(v);
+  }
+}
+
+/// x where the pattern selects the lane, the identity elsewhere.
+template <int W, LaneReduce R>
+BITGB_TGT_AVX2 inline lane_vec_t<W> lanes_select(lane_vec_t<W> x,
+                                                 lane_vec_t<W> pattern) {
+  if constexpr (W == 4) {
+    if constexpr (R == LaneReduce::kAdd) {
+      return _mm_and_ps(x, pattern);
+    } else if constexpr (R == LaneReduce::kMin) {
+      return _mm_max_ps(x, pattern);
+    } else {
+      return _mm_min_ps(x, pattern);
+    }
+  } else {
+    if constexpr (R == LaneReduce::kAdd) {
+      return _mm256_and_ps(x, pattern);
+    } else if constexpr (R == LaneReduce::kMin) {
+      return _mm256_max_ps(x, pattern);
+    } else {
+      return _mm256_min_ps(x, pattern);
+    }
+  }
+}
+
+/// lane_fold, lane-wise (minps/maxps keep the first operand on ties,
+/// exactly as lane_fold does).
+template <int W, LaneReduce R>
+BITGB_TGT_AVX2 inline lane_vec_t<W> lanes_fold(lane_vec_t<W> a,
+                                               lane_vec_t<W> b) {
+  if constexpr (W == 4) {
+    if constexpr (R == LaneReduce::kAdd) {
+      return _mm_add_ps(a, b);
+    } else if constexpr (R == LaneReduce::kMin) {
+      return _mm_min_ps(a, b);
+    } else {
+      return _mm_max_ps(a, b);
+    }
+  } else {
+    if constexpr (R == LaneReduce::kAdd) {
+      return _mm256_add_ps(a, b);
+    } else if constexpr (R == LaneReduce::kMin) {
+      return _mm256_min_ps(a, b);
+    } else {
+      return _mm256_max_ps(a, b);
+    }
+  }
+}
+
+/// In-place transpose of a W x W lane block: afterwards l[j] holds
+/// lane j of every row.
+template <int W>
+BITGB_TGT_AVX2 inline void lanes_transpose(lane_vec_t<W>* l) {
+  if constexpr (W == 4) {
+    _MM_TRANSPOSE4_PS(l[0], l[1], l[2], l[3]);
+  } else {
+    __m256 t[8];
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; i += 2) {
+      t[i] = _mm256_unpacklo_ps(l[i], l[i + 1]);
+      t[i + 1] = _mm256_unpackhi_ps(l[i], l[i + 1]);
+    }
+    __m256 u[8];
+    constexpr int kLo = _MM_SHUFFLE(1, 0, 1, 0);
+    constexpr int kHi = _MM_SHUFFLE(3, 2, 3, 2);
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; i += 4) {
+      u[i] = _mm256_shuffle_ps(t[i], t[i + 2], kLo);
+      u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], kHi);
+      u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], kLo);
+      u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], kHi);
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < 4; ++j) {
+      l[j] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x20);
+      l[j + 4] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x31);
+    }
+  }
+}
+
+/// Vector body.  Row r's lanes live in C = Dim / W registers of W
+/// lanes (W = 4 at dim 4, else 8): l[r * C + c] holds L[r][c*W ..
+/// c*W + W).  Per bit-row and register: one table load, one select and
+/// one fold — no branch per word or per bit.  The closing fold
+/// transposes each W x W block so that the ascending per-row lane fold
+/// becomes vertical folds over W rows at once: the same operations in
+/// the same order as the scalar body's.
+template <int Dim, LaneReduce R>
+BITGB_TGT_AVX2 void semiring_row_fold_avx2(
+    const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
+    vidx_t lo, vidx_t hi, const value_t* x, vidx_t ncols, value_t offset,
+    value_t* out) {
+  constexpr int W = Dim == 4 ? 4 : 8;
+  constexpr int C = Dim / W;
+  constexpr std::uint32_t kChunkMask = (1u << W) - 1u;
+  using vec_t = lane_vec_t<W>;
+  const std::uint32_t* table = kLaneTable<W, R>.data();
+  const vec_t identity = lanes_set1<W>(kLaneIdentity<R>);
+  // At dims 4 and 8 the unrolled row loops keep l[] in registers.
+  vec_t l[Dim * C];
+#pragma GCC unroll 8
+  for (vec_t& v : l) v = identity;
+  const vidx_t full_cols = ncols / Dim;
+  // A tail tile column reads an identity-padded copy of x instead (the
+  // padded lanes are never selected: their bits are zero).
+  value_t pad[Dim] = {};
+  for (vidx_t t = lo; t < hi; ++t) {
+    const vidx_t tc = colind[t];
+    const value_t* xp = x + static_cast<std::size_t>(tc) * Dim;
+    const value_t* src = xp;
+    if (tc >= full_cols) {
+      const vidx_t valid = ncols - tc * Dim;
+      for (int j = 0; j < Dim; ++j) {
+        pad[j] = j < valid ? xp[j] : kLaneIdentity<R>;
+      }
+      src = pad;
+    }
+    vec_t xv[C];
+#pragma GCC unroll 8
+    for (vec_t& v : xv) {
+      v = lanes_load<W>(src);
+      src += W;
+    }
+    const auto* w = tiles + static_cast<std::size_t>(t) * Dim;
+#pragma GCC unroll 8
+    for (int r = 0; r < Dim; ++r) {
+      const std::uint32_t word = w[r];
+#pragma GCC unroll 8
+      for (int c = 0; c < C; ++c) {
+        const std::size_t chunk = (word >> (c * W)) & kChunkMask;
+        vec_t& v = l[r * C + c];
+        v = lanes_fold<W, R>(
+            v, lanes_select<W, R>(xv[c], lanes_load<W>(table + chunk * W)));
+      }
+    }
+  }
+  for (int rb = 0; rb < Dim; rb += W) {
+    vec_t acc = identity;
+    for (int c = 0; c < C; ++c) {
+      vec_t block[W];
+#pragma GCC unroll 8
+      for (int i = 0; i < W; ++i) block[i] = l[(rb + i) * C + c];
+      lanes_transpose<W>(block);
+      acc = c == 0 ? block[0] : lanes_fold<W, R>(acc, block[0]);
+#pragma GCC unroll 8
+      for (int j = 1; j < W; ++j) acc = lanes_fold<W, R>(acc, block[j]);
+    }
+    if (offset != 0.0f) {
+      acc = lanes_fold<W, LaneReduce::kAdd>(acc, lanes_set1<W>(offset));
+    }
+    std::memcpy(out + rb, &acc, sizeof(acc));
+  }
+}
+
 #endif  // BITGB_SIMD_X86
 
 }  // namespace
@@ -1325,6 +1607,25 @@ void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
   spgemm_tile_accum_scalar<Dim>(awords, bwords, cacc);
 }
 
+template <int Dim>
+void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
+                       const vidx_t* colind, vidx_t lo, vidx_t hi,
+                       const value_t* x, [[maybe_unused]] vidx_t ncols,
+                       LaneReduce reduce, value_t offset,
+                       [[maybe_unused]] bool vector, value_t* out) {
+  assert(reduce != LaneReduce::kAdd || offset == 0.0f);
+  dispatch_lane_reduce(reduce, [&]<LaneReduce R>() {
+#if BITGB_SIMD_X86
+    if (vector && active_backend() == Backend::kAvx2) {
+      semiring_row_fold_avx2<Dim, R>(tiles, colind, lo, hi, x, ncols, offset,
+                                     out);
+      return;
+    }
+#endif
+    semiring_row_fold_body<Dim, R>(tiles, colind, lo, hi, x, offset, out);
+  });
+}
+
 #define BITGB_INSTANTIATE_SIMD(Dim)                                           \
   template TileTraits<Dim>::word_t bbb_row_or<Dim>(                           \
       const TileTraits<Dim>::word_t*, const vidx_t*,                         \
@@ -1347,7 +1648,11 @@ void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
                                              TileTraits<Dim>::word_t&);       \
   template void spgemm_tile_accum<Dim>(const TileTraits<Dim>::word_t*,        \
                                        const TileTraits<Dim>::word_t*,        \
-                                       TileTraits<Dim>::word_t*)
+                                       TileTraits<Dim>::word_t*);             \
+  template void semiring_row_fold<Dim>(const TileTraits<Dim>::word_t*,        \
+                                       const vidx_t*, vidx_t, vidx_t,         \
+                                       const value_t*, vidx_t, LaneReduce,    \
+                                       value_t, bool, value_t*)
 
 BITGB_INSTANTIATE_SIMD(4);
 BITGB_INSTANTIATE_SIMD(8);

@@ -11,7 +11,9 @@
 //   * byte-lane popcount via the Mula pshufb nibble-LUT approach with
 //     per-row accumulation in integer lanes for the counting kernels,
 //   * bit-to-lane mask expansion + lane-wise OR for the 64-wide
-//     FrontierBatch accumulation.
+//     FrontierBatch accumulation,
+//   * bit-row word -> lane select + lane-wise add / min / max for the
+//     semiring BMV (one float lane per tile column).
 //
 // Backend selection is two-staged, as a GPU build is:
 //   * build time: AVX2 and SSE4.2 code paths are compiled whenever the
@@ -24,9 +26,11 @@
 //     backend; a machine without AVX2/SSE4.2 silently runs the portable
 //     SWAR/scalar fallback.
 //
-// Every helper is integer-exact (OR / popcount-add are associative and
+// Every integer helper is exact (OR / popcount-add are associative and
 // commutative), so each backend is bit-for-bit identical to the scalar
-// kernels — asserted over the oracle corpus by test_simd_parity.
+// kernels; the float helper (semiring_row_fold) is bit-identical
+// because both of its bodies fold the same lane values in the same
+// order.  test_simd_parity asserts both over the oracle corpus.
 //
 // Kernel-variant plumbing: kernels take a trailing Exec
 // (platform/exec.hpp) whose variant defaults to kAuto — resolved
@@ -36,6 +40,7 @@
 // concurrent queries can pin different sides through their Contexts.
 #pragma once
 
+#include "core/semiring_ops.hpp"
 #include "core/tile_traits.hpp"
 #include "sparse/types.hpp"
 
@@ -107,7 +112,7 @@ enum class Backend { kAvx2, kSse42, kScalar };
 // `tiles` is the contiguous tile-word store (tile t occupies
 // tiles[t*Dim .. t*Dim+Dim)), `colind` the tile-column index array,
 // and [lo, hi) the tile range of one tile-row.  Results are exactly the
-// scalar kernels' (integer-exact reductions).
+// scalar kernels'.
 // ---------------------------------------------------------------------
 
 /// Boolean pull BMV inner loop: the output word of one tile-row,
@@ -150,6 +155,33 @@ void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
                         const vidx_t* colind, vidx_t lo, vidx_t hi,
                         const std::uint64_t* frows, std::size_t nfrows,
                         std::uint64_t* acc);
+
+/// Semiring BMV over one tile-row — bmv_bin_full_full's inner loop,
+/// the host form of the paper's lane mapping.  Lane j of tile t holds
+/// x[colind[t]*Dim + j]; bit-row r's word selects the lanes that fold
+/// into row r's Dim lane accumulators L[r][0..Dim) with `reduce` (the
+/// other lanes fold the identity, which is exact: L + 0, min(L, +inf)
+/// and max(L, -inf) all return L).  After the last tile each row folds
+/// its lanes in ascending order and adds `offset`:
+///   out[r] = (((L[r][0] (+) L[r][1]) (+) L[r][2]) ... ) + offset.
+/// Adding the offset after a min or max equals adding it to every lane
+/// (x -> x + c is monotone), so `offset` must be 0 for kAdd.  A row
+/// with no set bit gets the identity.
+///
+/// `vector` false runs the scalar body, which walks the set bits into
+/// the same lane accumulators.  `vector` true runs the CPUID-dispatched
+/// AVX2 body (128-bit lanes at dim 4, 256-bit at dims 8-32; per bit-row
+/// and register: one table load, one select, one fold; no branch) and
+/// the scalar body on other backends.  Both bodies reach the same lane
+/// values and fold them in the same order, so out[] is bit-identical.
+/// `x` holds `ncols` values; a tile column reaching past ncols is read
+/// through an identity-padded copy, never past x's end (its bits past
+/// ncols are zero by the B2SR invariant).
+template <int Dim>
+void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
+                       const vidx_t* colind, vidx_t lo, vidx_t hi,
+                       const value_t* x, vidx_t ncols, LaneReduce reduce,
+                       value_t offset, bool vector, value_t* out);
 
 /// Ingest bit-scatter: consume the run of sorted CSR column indices
 /// cols[i..n) that fall inside one tile (base <= c < base + Dim), OR

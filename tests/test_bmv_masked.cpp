@@ -181,7 +181,7 @@ TEST_P(MaskedBmvTest, FullMaskEqualsUnmasked) {
     bmv_bin_full_full<Dim, PlusTimesOp>(a, xf, unmasked);
     std::vector<value_t> masked(static_cast<std::size_t>(m.nrows), 0.0f);
     bmv_bin_full_full_masked<Dim, PlusTimesOp>(a, xf, all, false, masked);
-    test::expect_vectors_near(unmasked, masked);
+    EXPECT_EQ(unmasked, masked);
     return 0;
   });
 }

@@ -1,9 +1,11 @@
 // SIMD/scalar parity: every vectorized kernel must be bit-for-bit
 // identical to the scalar fallback — over the small_matrices() oracle
 // corpus plus randomized tail-dim graphs (sizes deliberately not
-// multiples of any tile dim), at all four tile dims, against both the
-// pull BMV kernels, both BMM sums, and the FrontierBatch pull/push
-// kernels.  All reductions are integer (OR / popcount-add), so the
+// multiples of any tile dim), at all four tile dims, against the pull
+// BMV kernels, the semiring BMV (all four bundles, masked and not),
+// both BMM sums, and the FrontierBatch pull/push kernels.  The integer
+// reductions (OR / popcount-add) are exact, and the semiring BMV's two
+// bodies fold the same float lanes in the same order, so every
 // comparison is exact equality, not tolerance.
 //
 // ctest runs this binary twice, under both BITGB_KERNEL_VARIANT
@@ -21,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -29,10 +33,22 @@
 namespace bitgb {
 namespace {
 
+/// The complete digraph on n vertices, self-loops included: every tile
+/// is all-ones except the tail tiles, which are all-ones up to n.
+Coo complete_graph(vidx_t n) {
+  Coo m;
+  m.nrows = n;
+  m.ncols = n;
+  for (vidx_t r = 0; r < n; ++r) {
+    for (vidx_t c = 0; c < n; ++c) m.push(r, c);
+  }
+  return m;
+}
+
 /// Randomized graphs with awkward tail dims (none a multiple of 4),
 /// spanning sparse to dense tiles so every SIMD inner-loop branch
 /// (multi-tile batches, tails, dense-mask vector path, sparse-mask
-/// scalar path) executes.
+/// scalar path, all-ones tiles) executes.
 const std::vector<std::pair<std::string, Csr>>& fuzz_graphs() {
   static const auto graphs = [] {
     std::vector<std::pair<std::string, Csr>> out;
@@ -43,6 +59,7 @@ const std::vector<std::pair<std::string, Csr>>& fuzz_graphs() {
     out.emplace_back("fuzz_stripe_149", coo_to_csr(gen_stripe(149, 5, 0.6, 74)));
     out.emplace_back("fuzz_rmat_s7", coo_to_csr(gen_rmat(7, 1100, 75)));
     out.emplace_back("fuzz_road_9x13", coo_to_csr(gen_road(9, 13, 0.05, 76)));
+    out.emplace_back("fuzz_complete_45", coo_to_csr(complete_graph(45)));
     return out;
   }();
   return graphs;
@@ -76,6 +93,29 @@ class SimdParityTest : public ::testing::TestWithParam<std::tuple<int, int>> {
       if (on(rng)) v.set(i);
     }
     return v;
+  }
+
+  /// A semiring input: finite values of mixed sign and magnitude (so
+  /// plus-times sums round), and with `infinities` some +inf (unreached
+  /// SSSP vertices) and -inf (max-times' identity) entries.
+  std::vector<value_t> semiring_x(vidx_t n, std::uint64_t seed,
+                                  bool infinities) const {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<float> val(-1.0f, 1.0f);
+    std::uniform_int_distribution<int> scale(-8, 8);
+    std::uniform_int_distribution<int> kind(0, 9);
+    std::vector<value_t> x(static_cast<std::size_t>(n));
+    for (auto& v : x) {
+      const int k = kind(rng);
+      if (infinities && k == 0) {
+        v = std::numeric_limits<value_t>::infinity();
+      } else if (infinities && k == 1) {
+        v = -std::numeric_limits<value_t>::infinity();
+      } else {
+        v = std::ldexp(val(rng), scale(rng));
+      }
+    }
+    return x;
   }
 
   FrontierBatch random_batch(vidx_t n, int batch, std::uint64_t seed,
@@ -148,6 +188,62 @@ TEST_P(SimdParityTest, BmvBinBinFullMasked) {
                               KernelVariant::kSimd);
       EXPECT_EQ(ys, yv) << name() << " complement " << complement;
     }
+  });
+}
+
+// The semiring BMV over every bundle: kScalar == kSimd, and the result
+// does not depend on the thread count.
+TEST_P(SimdParityTest, BmvBinFullFull) {
+  dispatch_tile_dim(dim(), [&]<int Dim>() {
+    const auto a = pack_from_csr<Dim>(csr());
+    const auto finite = semiring_x(a.ncols, 47 + dim(), false);
+    const auto with_inf = semiring_x(a.ncols, 53 + dim(), true);
+    const auto check = [&]<typename Op>(Op, const std::vector<value_t>& x,
+                                        const char* op) {
+      std::vector<value_t> ys, yv, yv4;
+      bmv_bin_full_full<Dim, Op>(a, x, ys, Exec{KernelVariant::kScalar, 1});
+      bmv_bin_full_full<Dim, Op>(a, x, yv, Exec{KernelVariant::kSimd, 1});
+      bmv_bin_full_full<Dim, Op>(a, x, yv4, Exec{KernelVariant::kSimd, 4});
+      EXPECT_EQ(ys, yv) << name() << " " << op;
+      EXPECT_EQ(yv, yv4) << name() << " " << op << " threads 4";
+    };
+    check(PlusTimesOp{}, finite, "plus-times");
+    check(MinPlusOp{}, with_inf, "min-plus");
+    check(MinIdentityOp{}, with_inf, "min-identity");
+    check(MaxTimesOp{}, with_inf, "max-times");
+  });
+}
+
+TEST_P(SimdParityTest, BmvBinFullFullMasked) {
+  dispatch_tile_dim(dim(), [&]<int Dim>() {
+    const auto a = pack_from_csr<Dim>(csr());
+    const auto finite = semiring_x(a.ncols, 59 + dim(), false);
+    const auto with_inf = semiring_x(a.ncols, 61 + dim(), true);
+    const auto mask = random_packed<Dim>(a.nrows, 67 + dim(), 0.5);
+    const auto check = [&]<typename Op>(Op, const std::vector<value_t>& x,
+                                        const char* op) {
+      for (const bool complement : {false, true}) {
+        const std::vector<value_t> prior(static_cast<std::size_t>(a.nrows),
+                                         -7.0f);
+        auto ys = prior;
+        auto yv = prior;
+        auto yv4 = prior;
+        bmv_bin_full_full_masked<Dim, Op>(a, x, mask, complement, ys,
+                                          Exec{KernelVariant::kScalar, 1});
+        bmv_bin_full_full_masked<Dim, Op>(a, x, mask, complement, yv,
+                                          Exec{KernelVariant::kSimd, 1});
+        bmv_bin_full_full_masked<Dim, Op>(a, x, mask, complement, yv4,
+                                          Exec{KernelVariant::kSimd, 4});
+        EXPECT_EQ(ys, yv) << name() << " " << op << " complement "
+                          << complement;
+        EXPECT_EQ(yv, yv4) << name() << " " << op << " complement "
+                           << complement << " threads 4";
+      }
+    };
+    check(PlusTimesOp{}, finite, "plus-times");
+    check(MinPlusOp{}, with_inf, "min-plus");
+    check(MinIdentityOp{}, with_inf, "min-identity");
+    check(MaxTimesOp{}, with_inf, "max-times");
   });
 }
 
