@@ -42,7 +42,7 @@
 int main() {
   using namespace bitgb;
 
-  const Context bit_ctx;  // bit backend, auto variant, hardware threads
+  const Context bit_ctx;  // bit backend, hardware threads
   const Context ref_ctx = bit_ctx.with_backend(Backend::kReference);
 
   const std::vector<std::pair<std::string, Coo>> graphs = {

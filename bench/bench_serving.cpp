@@ -42,7 +42,8 @@
 // reference floor, and regression detection belongs to the end-to-end
 // benchmark's bounds.  Results go to BENCH_serving.json (schema
 // bitgb-serving-bench-v4, see BUILDING.md), including the persistence
-// roundtrip cell (snapshot load vs MatrixMarket re-ingest + prewarm).
+// roundtrip cell (snapshot load vs MatrixMarket re-ingest + prewarm);
+// a file that cannot be written also fails the run (exit 1).
 #include "algorithms/bfs.hpp"
 #include "benchlib/reporting.hpp"
 #include "graphblas/graph.hpp"
@@ -62,6 +63,7 @@
 #include <future>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -495,12 +497,17 @@ int main() {
               "reingest\n", "", "", persistence.load_ms,
               persistence.load_speedup());
 
-  bench::write_serving_bench_json("BENCH_serving.json", graph_name,
-                                  g.num_vertices(), g.num_edges(), workers,
-                                  verified, {unbatched, batched}, speedup,
-                                  kSpeedupFloor, points,
-                                  {multi_graph, mixed_kinds}, cancellation,
-                                  persistence);
+  try {
+    bench::write_serving_bench_json("BENCH_serving.json", graph_name,
+                                    g.num_vertices(), g.num_edges(), workers,
+                                    verified, {unbatched, batched}, speedup,
+                                    kSpeedupFloor, points,
+                                    {multi_graph, mixed_kinds}, cancellation,
+                                    persistence);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
+    return 1;
+  }
   std::printf("\nwrote BENCH_serving.json (batched/unbatched saturation "
               "speedup: %.2fx)\n", speedup);
   return 0;

@@ -7,9 +7,9 @@
 //                 adjacency matrix (CSR now, transposes / B2SR packed
 //                 forms materialize on first use or via prewarm());
 //   * Context   — the execution descriptor each call carries: backend,
-//                 kernel variant, thread budget, timer sink, RNG seed.
-//                 No globals, no environment reads (Context::from_env()
-//                 is opt-in sugar);
+//                 thread budget, timer sink, RNG seed.  No globals, no
+//                 environment reads (Context::from_env() is opt-in
+//                 sugar); the kernels' SIMD body is picked by CPUID;
 //   * Workspace — optional caller-owned scratch, for query loops that
 //                 want zero steady-state allocations.
 #include "algorithms/bfs.hpp"
@@ -32,8 +32,8 @@ int main() {
   std::printf("graph: %d vertices, %lld edges\n", g.num_vertices(),
               static_cast<long long>(g.num_edges()));
 
-  // 3. An execution descriptor.  Context{} = bit backend, auto kernel
-  //    variant, all hardware threads.  Everything is a plain field:
+  // 3. An execution descriptor.  Context{} = bit backend, all
+  //    hardware threads.  Everything is a plain field:
   //    Context{.backend = Backend::kReference, .threads = 1} pins a
   //    serial baseline run, and the fluent with_*() copies compose.
   const Context ctx;

@@ -102,7 +102,7 @@ std::vector<AlgoRow> run_algo_table(const DeviceProfile& profile,
   std::vector<AlgoRow> rows;
   for (const auto& entry : matrices) {
     gb::GraphOptions opts;  // tile size auto-selected by sampling
-    opts.ingest = Exec{profile.variant, profile.num_threads};
+    opts.ingest = Exec{.threads = profile.num_threads};
     const gb::Graph g = gb::Graph::from_csr(entry.matrix, opts);
 
     // Prewarm the one-time conversions so the measurement covers the

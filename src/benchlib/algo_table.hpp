@@ -25,8 +25,8 @@ enum class TableAlgo { kBfs, kSssp, kPr, kCc, kTc, kMsBfs };
 [[nodiscard]] std::vector<vidx_t> batch_sources(vidx_t n);
 
 /// Measure one algorithm over the given matrices under the given device
-/// profile (its thread width and kernel variant become the per-run
-/// Context; nothing global is touched).  Format conversion / transposes
+/// profile (its thread width becomes the per-run Context; nothing
+/// global is touched).  Format conversion / transposes
 /// are prewarmed outside the timed region (the paper amortizes the
 /// one-time conversion, §III-B, and its tables report algorithm time
 /// only).

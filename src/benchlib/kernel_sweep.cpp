@@ -30,7 +30,7 @@ std::vector<value_t> make_vector(vidx_t n, std::uint64_t seed) {
 SweepResult run_kernel_sweep(const DeviceProfile& profile,
                              const SweepOptions& opts) {
   SweepResult result;
-  const Exec exec{profile.variant, profile.num_threads};
+  const Exec exec{.threads = profile.num_threads};
   const auto corpus = full_corpus(opts.scale);
 
   for (const auto& entry : corpus) {

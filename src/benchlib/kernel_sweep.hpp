@@ -32,8 +32,8 @@ struct SweepOptions {
   eidx_t bmm_nnz_cap = 60000;
 };
 
-/// Run the sweep under the given device profile (its thread width and
-/// kernel variant are passed per call as an Exec; no global state).
+/// Run the sweep under the given device profile (its thread width is
+/// passed per call as an Exec; no global state).
 [[nodiscard]] SweepResult run_kernel_sweep(const DeviceProfile& profile,
                                            const SweepOptions& opts);
 

@@ -37,56 +37,6 @@ TileSpa<Dim>& tls_tile_spa() {
   return spa;
 }
 
-/// One (A, B) tile pair accumulated into the SPA slot:
-///   cacc[r] |= OR_{t set in awords[r]} bwords[t].
-/// For dims 4/8 the whole B tile fits one machine word, so the row OR
-/// selects shifted byte lanes from a register instead of re-loading
-/// bwords[t] per set bit.
-template <int Dim>
-[[gnu::always_inline]] inline void accumulate_tile_pair(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
-    typename TileTraits<Dim>::word_t* cacc) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  if constexpr (Dim == 8) {
-    std::uint64_t btile;
-    std::memcpy(&btile, bwords, sizeof btile);
-    if (btile == 0) return;
-    for (int r = 0; r < Dim; ++r) {
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      word_t crow = cacc[r];
-      for_each_set_bit(arow, [&](int t) {
-        crow = static_cast<word_t>(crow | ((btile >> (8 * t)) & 0xFF));
-      });
-      cacc[r] = crow;
-    }
-  } else if constexpr (Dim == 4) {
-    std::uint32_t btile;
-    std::memcpy(&btile, bwords, sizeof btile);
-    if (btile == 0) return;
-    for (int r = 0; r < Dim; ++r) {
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      word_t crow = cacc[r];
-      for_each_set_bit(arow, [&](int t) {
-        crow = static_cast<word_t>(crow | ((btile >> (8 * t)) & 0x0F));
-      });
-      cacc[r] = crow;
-    }
-  } else {
-    for (int r = 0; r < Dim; ++r) {
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      word_t crow = cacc[r];
-      for_each_set_bit(arow, [&](int t) {
-        crow = static_cast<word_t>(crow | bwords[static_cast<std::size_t>(t)]);
-      });
-      cacc[r] = crow;
-    }
-  }
-}
-
 /// True when the Dim accumulator words of one drained tile are all
 /// zero (every product annihilated) — word-OR reduction, whole-tile
 /// loads for the small dims.
@@ -115,9 +65,6 @@ B2srT<Dim> bit_spgemm(const B2srT<Dim>& a, const B2srT<Dim>& b,
                       Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
   assert(a.ncols == b.nrows);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kSpgemmAccum, Dim) ==
-      KernelVariant::kSimd;
 
   const vidx_t ntr = a.n_tile_rows();
   const vidx_t ntc = b.n_tile_cols();
@@ -192,15 +139,9 @@ B2srT<Dim> bit_spgemm(const B2srT<Dim>& a, const B2srT<Dim>& b,
                       Dim, word_t{0});
           spa.touched.push_back(j);
         }
-        if (use_simd) {
-          simd::spgemm_tile_accum<Dim>(
-              awords, b_tiles + static_cast<std::size_t>(tb) * Dim,
-              spa.acc.data() + ji * Dim);
-        } else {
-          accumulate_tile_pair<Dim>(
-              awords, b_tiles + static_cast<std::size_t>(tb) * Dim,
-              spa.acc.data() + ji * Dim);
-        }
+        simd::spgemm_tile_accum<Dim>(
+            awords, b_tiles + static_cast<std::size_t>(tb) * Dim,
+            spa.acc.data() + ji * Dim);
       }
     }
 

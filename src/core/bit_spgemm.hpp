@@ -11,7 +11,6 @@
 
 #include "core/b2sr.hpp"
 #include "platform/exec.hpp"
-#include "platform/simd.hpp"
 
 namespace bitgb {
 
@@ -19,10 +18,9 @@ namespace bitgb {
 /// (structural upper bound), the numeric pass fills pre-sized
 /// tile_rowptr/colind/words arrays straight from the generation-marked
 /// tile SPA — the tile-pair accumulate runs through the SIMD engine's
-/// spgemm_tile_accum behind the usual scalar/simd/auto dispatch — and
-/// a final compaction drops the rare all-annihilated tiles (a stored B
-/// tile can have zero rows, so a structurally reachable output tile
-/// can still come out empty).
+/// spgemm_tile_accum — and a final compaction drops the rare
+/// all-annihilated tiles (a stored B tile can have zero rows, so a
+/// structurally reachable output tile can still come out empty).
 template <int Dim>
 [[nodiscard]] B2srT<Dim> bit_spgemm(const B2srT<Dim>& a, const B2srT<Dim>& b,
                                     Exec exec = {});

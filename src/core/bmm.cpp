@@ -13,9 +13,6 @@ std::int64_t bmm_bin_bin_sum(const B2srT<Dim>& a, const B2srT<Dim>& b,
                              Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
   assert(a.ncols == b.nrows);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kBmmBinBinSum, Dim) ==
-      KernelVariant::kSimd;
   const vidx_t* a_rowptr = a.tile_rowptr.data();
   const vidx_t* a_colind = a.tile_colind.data();
   const word_t* a_tiles = a.bits.data();
@@ -45,14 +42,7 @@ std::int64_t bmm_bin_bin_sum(const B2srT<Dim>& a, const B2srT<Dim>& b,
       const vidx_t bhi = b_rowptr[k + 1];
       if (blo == bhi) continue;
       std::int32_t brow_pop[Dim] = {};
-      if (use_simd) {
-        simd::rows_pop_accum<Dim>(b_tiles, blo, bhi, brow_pop);
-      } else {
-        for (vidx_t tb = blo; tb < bhi; ++tb) {
-          const word_t* bwords = b_tiles + static_cast<std::size_t>(tb) * Dim;
-          for (int t = 0; t < Dim; ++t) brow_pop[t] += popcount(bwords[t]);
-        }
-      }
+      simd::rows_pop_accum<Dim>(b_tiles, blo, bhi, brow_pop);
       for (int r = 0; r < Dim; ++r) {
         const word_t w = awords[r];
         for_each_set_bit(w, [&](int t) { sum += brow_pop[t]; });
@@ -71,9 +61,6 @@ std::int64_t bmm_bin_bin_sum_masked(const B2srT<Dim>& a, const B2srT<Dim>& b,
   assert(a.ncols == b.ncols);
   assert(mask.nrows == a.nrows);
   assert(mask.ncols == b.nrows);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kBmmBinBinSumMasked, Dim) ==
-      KernelVariant::kSimd;
   const vidx_t* a_rowptr = a.tile_rowptr.data();
   const vidx_t* a_colind = a.tile_colind.data();
   const word_t* a_tiles = a.bits.data();
@@ -118,19 +105,7 @@ std::int64_t bmm_bin_bin_sum_masked(const B2srT<Dim>& a, const B2srT<Dim>& b,
           // popc(Arow_r & Brow_c) from this aligned tile pair — the
           // Listing-2 bit-dot (r0 & shfl(r1, k)), mask applied before
           // the atomicAdd as in bmm_bin_bin_sum_masked (paper §V TC).
-          if (use_simd) {
-            sum += simd::masked_pair_dot<Dim>(awords, bwords, mwords);
-          } else {
-            for (int r = 0; r < Dim; ++r) {
-              const word_t mrow = mwords[r];
-              if (mrow == 0) continue;
-              const word_t arow = awords[r];
-              if (arow == 0) continue;
-              for_each_set_bit(mrow, [&](int c) {
-                sum += popcount(static_cast<word_t>(arow & bwords[c]));
-              });
-            }
-          }
+          sum += simd::masked_pair_dot<Dim>(awords, bwords, mwords);
           ++pa;
           ++pb;
         }

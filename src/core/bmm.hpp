@@ -30,15 +30,15 @@
 
 #include "core/b2sr.hpp"
 #include "platform/exec.hpp"
-#include "platform/simd.hpp"
 
 #include <cstdint>
 
 namespace bitgb {
 
-// Both kernels take a trailing Exec (platform/exec.hpp) selecting the
-// scalar or SIMD inner loop and the thread budget; the reductions are
-// integer sums, so the variants are bit-identical.
+// Both kernels take a trailing Exec (platform/exec.hpp) carrying the
+// thread budget; their inner loops run through the SIMD engine
+// (platform/simd.hpp), whose CPUID-picked bodies agree exactly (the
+// reductions are integer sums).
 
 /// Sum over the counting product A*B (requires a.ncols == b.nrows).
 template <int Dim>

@@ -4,19 +4,24 @@
 
 namespace bitgb {
 
+namespace detail {
+
+/// The tile-row loop both Boolean kernels share: OR every non-empty
+/// tile-row through simd::bbb_row_or, then store its word AND-ed with
+/// `mask` (null = keep all).  Empty tile-rows keep the zero resize()
+/// wrote.
 template <int Dim>
-void bmv_bin_bin_bin(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
-                     PackedVecT<Dim>& y, Exec exec) {
+void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
+                       const PackedVecT<Dim>* mask, bool complement,
+                       PackedVecT<Dim>& y, Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
   assert(x.n == a.ncols);
   y.resize(a.nrows);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kBmvBinBinBin, Dim) ==
-      KernelVariant::kSimd;
   const vidx_t* rowptr = a.tile_rowptr.data();
   const vidx_t* colind = a.tile_colind.data();
   const word_t* tiles = a.bits.data();
   const word_t* xw = x.words.data();
+  const word_t* mw = mask != nullptr ? mask->words.data() : nullptr;
   word_t* yw = y.words.data();
   // Value captures only: a by-reference capture would tie the lambda to
   // the caller's stack and force the serial path's loads through memory
@@ -25,69 +30,37 @@ void bmv_bin_bin_bin(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
     const vidx_t lo = rowptr[tr];
     const vidx_t hi = rowptr[tr + 1];
     if (lo == hi) return;
-    word_t out = 0;
-    if (use_simd) {
-      out = simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi);
-    } else {
-      for (vidx_t t = lo; t < hi; ++t) {
-        const word_t xword = xw[static_cast<std::size_t>(colind[t])];
-        if (xword == 0) continue;
-        const word_t* words = tiles + static_cast<std::size_t>(t) * Dim;
-        for (int r = 0; r < Dim; ++r) {
-          if ((words[r] & xword) != 0) out = set_bit(out, r);
-        }
-      }
+    word_t out = simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi);
+    // Paper §V: no early exit (it would diverge the warp); instead the
+    // bitmask is AND-ed right before the output store.
+    if (mw != nullptr) {
+      word_t mword = mw[static_cast<std::size_t>(tr)];
+      if (complement) mword = static_cast<word_t>(~mword);
+      out = static_cast<word_t>(out & mword);
     }
     yw[static_cast<std::size_t>(tr)] = out;
   });
+  // Clamp tail bits beyond nrows (complemented masks set them).
+  if (a.nrows % Dim != 0 && !y.words.empty()) {
+    y.words.back() =
+        static_cast<word_t>(y.words.back() & low_mask<word_t>(a.nrows % Dim));
+  }
+}
+
+}  // namespace detail
+
+template <int Dim>
+void bmv_bin_bin_bin(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
+                     PackedVecT<Dim>& y, Exec exec) {
+  detail::boolean_tile_rows<Dim>(a, x, nullptr, false, y, exec);
 }
 
 template <int Dim>
 void bmv_bin_bin_bin_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                             const PackedVecT<Dim>& mask, bool complement,
                             PackedVecT<Dim>& y, Exec exec) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  assert(x.n == a.ncols);
   assert(mask.n == a.nrows);
-  y.resize(a.nrows);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kBmvBinBinBinMasked, Dim) ==
-      KernelVariant::kSimd;
-  const vidx_t* rowptr = a.tile_rowptr.data();
-  const vidx_t* colind = a.tile_colind.data();
-  const word_t* tiles = a.bits.data();
-  const word_t* xw = x.words.data();
-  const word_t* mw = mask.words.data();
-  word_t* yw = y.words.data();
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    const vidx_t lo = rowptr[tr];
-    const vidx_t hi = rowptr[tr + 1];
-    if (lo == hi) return;
-    word_t out = 0;
-    if (use_simd) {
-      out = simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi);
-    } else {
-      for (vidx_t t = lo; t < hi; ++t) {
-        const word_t xword = xw[static_cast<std::size_t>(colind[t])];
-        if (xword == 0) continue;
-        const word_t* words = tiles + static_cast<std::size_t>(t) * Dim;
-        for (int r = 0; r < Dim; ++r) {
-          if ((words[r] & xword) != 0) out = set_bit(out, r);
-        }
-      }
-    }
-    // Paper §V: no early exit (it would diverge the warp); instead the
-    // bitmask is AND-ed right before the output store.
-    word_t mword = mw[static_cast<std::size_t>(tr)];
-    if (complement) mword = static_cast<word_t>(~mword);
-    yw[static_cast<std::size_t>(tr)] = static_cast<word_t>(out & mword);
-  });
-  // Clamp tail bits beyond nrows (complemented masks set them).
-  if (a.nrows % Dim != 0 && !y.words.empty()) {
-    using W = typename TileTraits<Dim>::word_t;
-    y.words.back() =
-        static_cast<W>(y.words.back() & low_mask<W>(a.nrows % Dim));
-  }
+  detail::boolean_tile_rows<Dim>(a, x, &mask, complement, y, exec);
 }
 
 template <int Dim>
@@ -181,92 +154,62 @@ void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
   }
 }
 
+namespace detail {
+
+/// The tile-row loop both counting kernels share: popcount-accumulate
+/// every non-empty tile-row through simd::bbf_row_accum, then store
+/// row r unless `mask` (null = keep all) drops it.  Empty tile-rows
+/// are not stored.
 template <int Dim>
-void bmv_bin_bin_full(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
-                      std::vector<value_t>& y, Exec exec) {
+void counting_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
+                        const PackedVecT<Dim>* mask, bool complement,
+                        value_t* y, Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
   assert(x.n == a.ncols);
-  y.assign(static_cast<std::size_t>(a.nrows), 0.0f);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kBmvBinBinFull, Dim) ==
-      KernelVariant::kSimd;
   const vidx_t* rowptr = a.tile_rowptr.data();
   const vidx_t* colind = a.tile_colind.data();
   const word_t* tiles = a.bits.data();
   const word_t* xw = x.words.data();
-  value_t* yp = y.data();
+  const word_t* mw = mask != nullptr ? mask->words.data() : nullptr;
   const vidx_t nrows = a.nrows;
   parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
     const vidx_t lo = rowptr[tr];
     const vidx_t hi = rowptr[tr + 1];
     if (lo == hi) return;
+    // The paper's core identity, per bit-row: c_i = __popc(A_i & b).
     std::int32_t acc[Dim] = {};
-    if (use_simd) {
-      simd::bbf_row_accum<Dim>(tiles, colind, xw, lo, hi, acc);
-    } else {
-      for (vidx_t t = lo; t < hi; ++t) {
-        const word_t xword = xw[static_cast<std::size_t>(colind[t])];
-        if (xword == 0) continue;
-        const word_t* words = tiles + static_cast<std::size_t>(t) * Dim;
-        for (int r = 0; r < Dim; ++r) {
-          // The paper's core identity: c_i = __popc(A_i & b).
-          acc[r] += popcount(static_cast<word_t>(words[r] & xword));
-        }
-      }
+    simd::bbf_row_accum<Dim>(tiles, colind, xw, lo, hi, acc);
+    auto keep = static_cast<word_t>(~word_t{0});
+    if (mw != nullptr) {
+      keep = mw[static_cast<std::size_t>(tr)];
+      if (complement) keep = static_cast<word_t>(~keep);
     }
     const vidx_t r0 = tr * Dim;
     const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
     for (vidx_t r = r0; r < rend; ++r) {
-      yp[static_cast<std::size_t>(r)] = static_cast<value_t>(acc[r - r0]);
+      if (get_bit(keep, static_cast<int>(r - r0)) != 0) {
+        y[static_cast<std::size_t>(r)] = static_cast<value_t>(acc[r - r0]);
+      }
     }
   });
+}
+
+}  // namespace detail
+
+template <int Dim>
+void bmv_bin_bin_full(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
+                      std::vector<value_t>& y, Exec exec) {
+  y.assign(static_cast<std::size_t>(a.nrows), 0.0f);
+  detail::counting_tile_rows<Dim>(a, x, nullptr, false, y.data(), exec);
 }
 
 template <int Dim>
 void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                              const PackedVecT<Dim>& mask, bool complement,
                              std::vector<value_t>& y, Exec exec) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  assert(x.n == a.ncols);
   assert(mask.n == a.nrows);
   assert(static_cast<vidx_t>(y.size()) == a.nrows);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kBmvBinBinFullMasked, Dim) ==
-      KernelVariant::kSimd;
-  const vidx_t* rowptr = a.tile_rowptr.data();
-  const vidx_t* colind = a.tile_colind.data();
-  const word_t* tiles = a.bits.data();
-  const word_t* xw = x.words.data();
-  const word_t* mw = mask.words.data();
-  value_t* yp = y.data();
-  const vidx_t nrows = a.nrows;
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    const vidx_t lo = rowptr[tr];
-    const vidx_t hi = rowptr[tr + 1];
-    if (lo == hi) return;
-    std::int32_t acc[Dim] = {};
-    if (use_simd) {
-      simd::bbf_row_accum<Dim>(tiles, colind, xw, lo, hi, acc);
-    } else {
-      for (vidx_t t = lo; t < hi; ++t) {
-        const word_t xword = xw[static_cast<std::size_t>(colind[t])];
-        if (xword == 0) continue;
-        const word_t* words = tiles + static_cast<std::size_t>(t) * Dim;
-        for (int r = 0; r < Dim; ++r) {
-          acc[r] += popcount(static_cast<word_t>(words[r] & xword));
-        }
-      }
-    }
-    word_t mword = mw[static_cast<std::size_t>(tr)];
-    if (complement) mword = static_cast<word_t>(~mword);
-    const vidx_t r0 = tr * Dim;
-    const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
-    for (vidx_t r = r0; r < rend; ++r) {
-      if (get_bit(mword, static_cast<int>(r - r0)) != 0) {
-        yp[static_cast<std::size_t>(r)] = static_cast<value_t>(acc[r - r0]);
-      }
-    }
-  });
+  detail::counting_tile_rows<Dim>(a, x, &mask, complement, y.data(), exec);
 }
 
 namespace detail {
@@ -277,10 +220,6 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
                         const PackedVecT<Dim>* mask, bool complement,
                         value_t* y, Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
-  // No HotKernel row: the vector body wins at every dim in both build
-  // modes (bench_micro_kernels).
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant) == KernelVariant::kSimd;
   const vidx_t* rowptr = a.tile_rowptr.data();
   const vidx_t* colind = a.tile_colind.data();
   const word_t* tiles = a.bits.data();
@@ -294,7 +233,7 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
     if (lo == hi) return;
     value_t acc[Dim];
     simd::semiring_row_fold<Dim>(tiles, colind, lo, hi, x, ncols, reduce,
-                                 offset, use_simd, acc);
+                                 offset, acc);
     // Paper §V: the mask is applied right before the output store.
     auto keep = static_cast<word_t>(~word_t{0});
     if (mw != nullptr) {

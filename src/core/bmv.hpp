@@ -24,10 +24,10 @@
 // x[tc*Dim + j], each bit-row word selects the lanes that fold into
 // that row's Dim lane accumulators, and each row folds its lanes in
 // ascending order once per tile-row (simd::semiring_row_fold).  That
-// lane order is the kernel's contract: the SIMD body folds every lane
-// of every word at once, the scalar body folds only the set bits (the
-// rest would fold the identity, which is exact), and both run the same
-// float operations in the same order — so kScalar and kSimd agree bit
+// lane order is the kernel's contract: the AVX2 body folds every lane
+// of every word at once, the portable body folds only the set bits
+// (the rest would fold the identity, which is exact), and both run the
+// same float operations in the same order — so portable == AVX2 bit
 // for bit on every bundle and thread count, plus-times included.
 //
 // The masked variants take the mask as a PackedVec of the same tile dim
@@ -40,7 +40,6 @@
 #include "core/semiring_ops.hpp"
 #include "platform/exec.hpp"
 #include "platform/parallel.hpp"
-#include "platform/simd.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -48,13 +47,14 @@
 
 namespace bitgb {
 
-// Every kernel takes a trailing Exec (platform/exec.hpp): the variant
-// selects the scalar or SIMD inner loop (kAuto = measured per-(kernel,
-// dim) preference table) and `threads` bounds the parallel region, so
-// concurrent callers with different policies never touch shared state.
-// Both variants are bit-identical (integer-exact reductions, and the
-// semiring lane order above); the active-list push kernel is a
-// frontier-proportional serial scatter loop by design.
+// Every kernel takes a trailing Exec (platform/exec.hpp) whose
+// `threads` bounds the parallel region, so concurrent callers with
+// different policies never touch shared state.  The pull kernels run
+// their inner loop through the SIMD engine (platform/simd.hpp), which
+// picks the AVX2 or portable body by CPUID; both are bit-identical
+// (integer-exact reductions, and the semiring lane order above).  The
+// active-list push kernel is a frontier-proportional serial scatter
+// loop by design.
 
 // --- bin x bin -> bin (Boolean semiring; BFS frontier expansion) ---
 

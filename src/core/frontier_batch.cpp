@@ -51,37 +51,17 @@ bool FrontierBatch::validate() const {
 namespace {
 
 // Shared tile sweep: accumulate OR_{j in adj(i)} f.rows[j] for the Dim
-// rows of one tile-row into acc.  Set bits of a tail tile-column never
-// exceed ncols (the B2SR zero-tail invariant), so f.rows[base + j] is
-// always in range.  The SIMD path streams the tile words through the
-// engine's bit-to-lane OR accumulation (platform/simd.hpp).
+// rows of one tile-row into acc, through the engine's bit-to-lane OR
+// accumulation (platform/simd.hpp).  Set bits of a tail tile-column
+// never exceed ncols (the B2SR zero-tail invariant), so f.rows[base + j]
+// is always in range.
 template <int Dim>
 inline void accumulate_tile_row(const B2srT<Dim>& a, const FrontierBatch& f,
-                                vidx_t tr, bool use_simd,
-                                FrontierBatch::word_t* acc) {
-  using word_t = typename TileTraits<Dim>::word_t;
+                                vidx_t tr, FrontierBatch::word_t* acc) {
   const vidx_t* rowptr = a.tile_rowptr.data();
-  const vidx_t lo = rowptr[tr];
-  const vidx_t hi = rowptr[tr + 1];
-  if (use_simd) {
-    simd::frontier_row_accum<Dim>(a.bits.data(), a.tile_colind.data(), lo, hi,
-                                  f.rows.data(), f.rows.size(), acc);
-    return;
-  }
-  const vidx_t* colind = a.tile_colind.data();
-  const word_t* tiles = a.bits.data();
-  for (vidx_t t = lo; t < hi; ++t) {
-    const auto base = static_cast<std::size_t>(colind[t]) *
-                      static_cast<std::size_t>(Dim);
-    const word_t* words = tiles + static_cast<std::size_t>(t) * Dim;
-    for (int r = 0; r < Dim; ++r) {
-      const auto w = words[r];
-      if (w == 0) continue;
-      for_each_set_bit(w, [&](int j) {
-        acc[r] |= f.rows[base + static_cast<std::size_t>(j)];
-      });
-    }
-  }
+  simd::frontier_row_accum<Dim>(a.bits.data(), a.tile_colind.data(),
+                                rowptr[tr], rowptr[tr + 1], f.rows.data(),
+                                f.rows.size(), acc);
 }
 
 }  // namespace
@@ -91,9 +71,6 @@ void bmm_frontier(const B2srT<Dim>& a, const FrontierBatch& f,
                   FrontierBatch& next, Exec exec) {
   assert(f.n == a.ncols);
   next.resize(a.nrows, f.batch);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kFrontierPull, Dim) ==
-      KernelVariant::kSimd;
   const FrontierBatch::word_t lanes = f.lane_mask();
   // Value captures only (see parallel.hpp on closure escape).
   const B2srT<Dim>* ap = &a;
@@ -106,7 +83,7 @@ void bmm_frontier(const B2srT<Dim>& a, const FrontierBatch& f,
     const auto hi = rowptr[tr + 1];
     if (lo == hi) return;
     FrontierBatch::word_t acc[Dim] = {};
-    accumulate_tile_row<Dim>(*ap, *fp, tr, use_simd, acc);
+    accumulate_tile_row<Dim>(*ap, *fp, tr, acc);
     const vidx_t r0 = tr * Dim;
     const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
     for (vidx_t r = r0; r < rend; ++r) {
@@ -123,9 +100,6 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
   assert(mask.n == a.nrows);
   assert(mask.batch == f.batch);
   next.resize(a.nrows, f.batch);
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kFrontierPullMasked, Dim) ==
-      KernelVariant::kSimd;
   const FrontierBatch::word_t lanes = f.lane_mask();
   const B2srT<Dim>* ap = &a;
   const FrontierBatch* fp = &f;
@@ -138,7 +112,7 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
     const auto hi = rowptr[tr + 1];
     if (lo == hi) return;
     FrontierBatch::word_t acc[Dim] = {};
-    accumulate_tile_row<Dim>(*ap, *fp, tr, use_simd, acc);
+    accumulate_tile_row<Dim>(*ap, *fp, tr, acc);
     const vidx_t r0 = tr * Dim;
     const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
     for (vidx_t r = r0; r < rend; ++r) {

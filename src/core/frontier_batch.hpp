@@ -27,7 +27,6 @@
 #include "core/b2sr.hpp"
 #include "platform/exec.hpp"
 #include "platform/intrinsics.hpp"
-#include "platform/simd.hpp"
 #include "sparse/types.hpp"
 
 #include <cstdint>
@@ -130,10 +129,11 @@ struct FrontierBatch {
 // disjoint, so no atomics.  Requires f.n == a.ncols; next is resized to
 // a.nrows with f's batch width.
 
-/// The pull kernels take a trailing Exec (platform/exec.hpp) selecting
-/// the scalar or SIMD accumulation and the thread budget; the reduction
-/// is a 64-bit OR, so the variants are bit-identical.  The push kernel
-/// is a frontier-proportional scatter and stays scalar by design.
+/// The pull kernels take a trailing Exec (platform/exec.hpp) carrying
+/// the thread budget and accumulate through the SIMD engine's
+/// frontier_row_accum (a 64-bit OR, exact in either CPUID-picked body).
+/// The push kernel is a frontier-proportional scatter and stays a
+/// plain loop by design.
 template <int Dim>
 void bmm_frontier(const B2srT<Dim>& a, const FrontierBatch& f,
                   FrontierBatch& next, Exec exec = {});

@@ -41,8 +41,7 @@ struct RowRuns {
 };
 
 template <int Dim>
-RowRuns build_row_runs(const Csr& a, bool use_simd, bool with_words,
-                       int threads) {
+RowRuns build_row_runs(const Csr& a, bool with_words, int threads) {
   using word_t = typename TileTraits<Dim>::word_t;
   RowRuns runs;
   runs.tc.resize(a.colind.size());
@@ -69,17 +68,9 @@ RowRuns build_row_runs(const Csr& a, bool use_simd, bool with_words,
       if (!with_words) {
         const vidx_t limit = base + Dim;
         while (i < hi && cols[i] < limit) ++i;
-      } else if (use_simd) {
+      } else {
         word_t w = 0;
         i = simd::pack_scatter_run<Dim>(cols, i, hi, base, w);
-        run_word[lo + n] = w;
-      } else {
-        const vidx_t limit = base + Dim;
-        word_t w = 0;
-        while (i < hi && cols[i] < limit) {
-          w = static_cast<word_t>(w | (word_t{1} << (cols[i] - base)));
-          ++i;
-        }
         run_word[lo + n] = w;
       }
       run_tc[lo + n] = tc;
@@ -170,9 +161,8 @@ void collect_tile_cols_reference(const Csr& a, vidx_t tr,
 
 vidx_t count_nonempty_tiles(const Csr& a, int dim, Exec exec) {
   return dispatch_tile_dim(dim, [&]<int Dim>() {
-    const RowRuns runs = build_row_runs<Dim>(a, /*use_simd=*/false,
-                                             /*with_words=*/false,
-                                             exec.threads);
+    const RowRuns runs =
+        build_row_runs<Dim>(a, /*with_words=*/false, exec.threads);
     const vidx_t ntr = (a.nrows + Dim - 1) / Dim;
     std::vector<vidx_t> per_row(static_cast<std::size_t>(ntr), 0);
     parallel_for_static(exec.threads, vidx_t{0}, ntr, [&](vidx_t tr) {
@@ -193,15 +183,12 @@ B2srT<Dim> pack_from_csr(const Csr& a, Exec exec) {
   b.nrows = a.nrows;
   b.ncols = a.ncols;
   const vidx_t ntr = b.n_tile_rows();
-  const bool use_simd =
-      resolve_kernel_variant(exec.variant, HotKernel::kPackScatter, Dim) ==
-      KernelVariant::kSimd;
 
   // Pass 0: fold every row's nonzeros into (tile column, word) runs —
   // the only O(nnz) work in the pipeline; the bit scatter runs through
   // the SIMD engine here.
   const RowRuns runs =
-      build_row_runs<Dim>(a, use_simd, /*with_words=*/true, exec.threads);
+      build_row_runs<Dim>(a, /*with_words=*/true, exec.threads);
 
   // Pass 1: distinct tile columns per tile-row (csr2bsrNnz analog),
   // then tile_rowptr by parallel prefix sum.

@@ -10,7 +10,6 @@
 
 #include "core/b2sr.hpp"
 #include "platform/exec.hpp"
-#include "platform/simd.hpp"
 #include "sparse/csr.hpp"
 
 #include <cstdint>
@@ -31,8 +30,8 @@ namespace bitgb {
 /// Pack a CSR matrix (pattern; values, if any, are ignored — a nonzero
 /// is a 1) into B2SR with the given tile dim.  Fused count+fill over a
 /// k-way tile-column merge (CSR's sorted columns make each row's tile
-/// sequence pre-sorted); the bit scatter runs through the SIMD engine
-/// behind the usual scalar/simd/auto variant dispatch.
+/// sequence pre-sorted); the bit scatter runs through the SIMD engine's
+/// pack_scatter_run.
 template <int Dim>
 [[nodiscard]] B2srT<Dim> pack_from_csr(const Csr& a, Exec exec = {});
 

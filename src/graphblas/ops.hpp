@@ -1,8 +1,8 @@
 // GraphBLAS operations for both backends.
 //
 // Every operation takes the caller's Context first — the execution
-// descriptor (platform/context.hpp) carrying the kernel variant, the
-// thread budget and the optional kernel-time sink.  Nothing here reads
+// descriptor (platform/context.hpp) carrying the backend, the thread
+// budget and the optional kernel-time sink.  Nothing here reads
 // process-global state, so operations issued from different threads
 // with different Contexts never interfere.
 //

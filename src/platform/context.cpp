@@ -25,12 +25,6 @@ Context Context::from_env() {
   // nothing concurrently calls setenv, so the mt-unsafe findings are
   // excused here and nowhere else.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* e = std::getenv("BITGB_KERNEL_VARIANT")) {
-    if (!parse_kernel_variant(e, ctx.variant)) {
-      bad_env("BITGB_KERNEL_VARIANT", e, "scalar|simd|auto");
-    }
-  }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* e = std::getenv("BITGB_THREADS")) {
     char* end = nullptr;
     const long n = std::strtol(e, &end, 10);

@@ -5,21 +5,21 @@
 // it to each operation, instead of free functions reading process-wide
 // state.  A Context is cheap to copy, immutable-by-convention while a
 // query runs, and *per query*: two queries running concurrently in one
-// process can use different backends, kernel variants, thread budgets,
-// timer sinks and RNG seeds over the same shared Graph — the property
-// the ROADMAP's concurrent-serving north star needs and which
-// process-global knobs made structurally impossible.
+// process can use different backends, thread budgets, timer sinks and
+// RNG seeds over the same shared Graph — the property the ROADMAP's
+// concurrent-serving north star needs and which process-global knobs
+// made structurally impossible.
 //
 // No hot path reads globals or environment variables; the environment
 // is one-time construction sugar (Context::from_env), which is also the
-// single place BITGB_KERNEL_VARIANT / BITGB_THREADS are parsed and
-// validated.
+// single place BITGB_THREADS / BITGB_BACKEND are parsed and validated.
+// Which inner loop a kernel runs is no descriptor field: the SIMD engine
+// picks it from CPUID (platform/simd.hpp).
 #pragma once
 
 #include "platform/cancel.hpp"
 #include "platform/exec.hpp"
 #include "platform/fault_injector.hpp"
-#include "platform/simd.hpp"
 #include "platform/timer.hpp"
 
 #include <cstdint>
@@ -39,8 +39,6 @@ enum class Backend {
 struct Context {
   /// Backend the algorithms route through.
   Backend backend = Backend::kBit;
-  /// Kernel inner-loop variant (kAuto = per-(kernel, dim) table).
-  KernelVariant variant = KernelVariant::kAuto;
   /// Worker-thread budget for this query's parallel regions:
   /// 0 = all hardware threads, 1 = serial (a concurrently-served query
   /// typically runs serial and lets the batch dimension scale instead).
@@ -62,7 +60,7 @@ struct Context {
 
   /// The core-kernel execution policy slice of this descriptor.
   [[nodiscard]] constexpr Exec exec() const {
-    return Exec{variant, threads, cancel};
+    return Exec{.threads = threads, .cancel = cancel};
   }
 
   /// The cancellation poll (one branch when no token is armed).
@@ -85,11 +83,6 @@ struct Context {
   [[nodiscard]] constexpr Context with_backend(Backend b) const {
     Context c = *this;
     c.backend = b;
-    return c;
-  }
-  [[nodiscard]] constexpr Context with_variant(KernelVariant v) const {
-    Context c = *this;
-    c.variant = v;
     return c;
   }
   [[nodiscard]] constexpr Context with_threads(int n) const {
@@ -120,7 +113,6 @@ struct Context {
 
   /// One-time environment sugar — THE single place the library touches
   /// getenv.  Reads and validates:
-  ///   BITGB_KERNEL_VARIANT   "scalar" | "simd" | "auto"
   ///   BITGB_THREADS          integer >= 1 (no trailing junk)
   ///   BITGB_BACKEND          "bit" | "reference"
   /// and throws std::invalid_argument naming the variable and the

@@ -4,8 +4,7 @@
 #include <bit>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(BITGB_SIMD_DISABLE)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define BITGB_CRC32C_X86 1
 #include <nmmintrin.h>
 #else

@@ -4,10 +4,11 @@
 // ships it in hardware: SSE4.2's crc32 instruction folds 8 bytes per
 // cycle-ish, so checksumming a snapshot runs at memory speed and the
 // save/load paths never trade integrity for throughput.  Dispatch
-// follows the kernel engine's two-stage model (platform/simd.cpp): the
-// SSE4.2 body is compiled behind a function target attribute (no -march
-// required), CPUID-probed once at runtime, and a host without SSE4.2 —
-// or a BITGB_SIMD_DISABLE build — runs the slice-by-8 software path.
+// follows the kernel engine's model (platform/simd.cpp): the SSE4.2 body
+// is compiled behind a function target attribute (no -march required),
+// CPUID-probed once at runtime, and a host without SSE4.2 (or a
+// toolchain without target attributes) runs the slice-by-8 software
+// path.
 // Both paths are bit-identical (asserted by test_snapshot's parity
 // fuzz).
 //

@@ -1,33 +1,26 @@
 #include "platform/device_profile.hpp"
 
 #include "platform/parallel.hpp"
+#include "platform/simd.hpp"
 
 namespace bitgb {
 
 DeviceProfile pascal_analog() {
-  return DeviceProfile{"pascal-analog", "NVIDIA GTX 1080 (Pascal)", 1,
-                       KernelVariant::kAuto};
+  return DeviceProfile{"pascal-analog", "NVIDIA GTX 1080 (Pascal)", 1};
 }
 
 DeviceProfile volta_analog() {
   return DeviceProfile{"volta-analog", "NVIDIA Titan V (Volta)",
-                       hardware_width(), KernelVariant::kAuto};
+                       hardware_width()};
 }
 
 std::vector<DeviceProfile> all_profiles() {
   return {pascal_analog(), volta_analog()};
 }
 
-DeviceProfile with_variant(DeviceProfile p, KernelVariant v) {
-  p.variant = v;
-  p.name += std::string("+") + kernel_variant_name(v);
-  return p;
-}
-
 Context context_for(const DeviceProfile& p, KernelTimeSink* sink) {
   Context ctx;
   ctx.threads = p.num_threads;
-  ctx.variant = p.variant;
   ctx.timer = sink;
   return ctx;
 }

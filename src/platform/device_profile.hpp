@@ -14,17 +14,14 @@
 // __ballot_sync that the paper cites for its slightly lower bit-kernel
 // gains on Volta (§VI-E, last paragraph); EXPERIMENTS.md notes this.
 //
-// Profiles also carry the kernel variant (scalar vs SIMD inner loops,
-// platform/simd.hpp).  A profile no longer *activates* anything — it is
-// descriptor material: context_for() turns one into a bitgb::Context
-// the benches thread through every call, which is how they ablate the
-// SIMD engine on identical inputs without mutating process state.  The
-// SIMD backend itself is CPUID-verified at runtime; simd_summary()
+// A profile does not *activate* anything — it is descriptor material:
+// context_for() turns one into a bitgb::Context the benches thread
+// through every call.  The SIMD engine's body (AVX2 or portable) is
+// chosen by CPUID at runtime, not by the profile; simd_summary()
 // reports what this host runs.
 #pragma once
 
 #include "platform/context.hpp"
-#include "platform/simd.hpp"
 
 #include <string>
 #include <vector>
@@ -35,8 +32,6 @@ struct DeviceProfile {
   std::string name;        ///< e.g. "pascal-analog"
   std::string paper_gpu;   ///< the GPU this profile stands in for
   int num_threads = 1;     ///< host worker threads while active
-  /// Kernel variant the profile pins (kAuto = per-kernel table).
-  KernelVariant variant = KernelVariant::kAuto;
 };
 
 /// The GTX 1080 stand-in: minimum parallel width.
@@ -48,14 +43,9 @@ struct DeviceProfile {
 /// All profiles, in paper order (Pascal first).
 [[nodiscard]] std::vector<DeviceProfile> all_profiles();
 
-/// Copy of `p` pinned to the given kernel variant, named
-/// "<name>+scalar" / "<name>+simd" — the ablation axis of the kernel
-/// micro-bench.
-[[nodiscard]] DeviceProfile with_variant(DeviceProfile p, KernelVariant v);
-
-/// The execution Context a profile describes: its thread width and
-/// kernel variant, optionally wired to a timer sink.  Benches pass the
-/// result (with the backend of their choice) through every call.
+/// The execution Context a profile describes: its thread width,
+/// optionally wired to a timer sink.  Benches pass the result (with the
+/// backend of their choice) through every call.
 [[nodiscard]] Context context_for(const DeviceProfile& p,
                                   KernelTimeSink* sink = nullptr);
 

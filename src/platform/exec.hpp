@@ -1,26 +1,24 @@
 // Exec — the per-call execution policy of the core kernels.
 //
 // Every hot kernel takes a trailing Exec instead of reading process
-// state: which inner-loop variant to run (scalar or SIMD) and how many
-// worker threads the parallel regions may use.  Two kernels running
-// concurrently on different threads can therefore use different
-// variants and thread budgets — the enabling property of the
-// Context/Descriptor execution API (graph queries carry their policy
-// with them instead of mutating globals).
+// state: how many worker threads the parallel regions may use and
+// which cancellation token to honor.  Two kernels running concurrently
+// on different threads can therefore use different thread budgets —
+// the enabling property of the Context/Descriptor execution API (graph
+// queries carry their policy with them instead of mutating globals).
+// Which inner loop a kernel runs is not part of the policy: the SIMD
+// engine picks its AVX2 or portable body from CPUID (platform/simd.hpp).
 //
-// The default Exec{} is kAuto (per-(kernel, dim) preference table) at
-// full hardware width.  An Exec converts implicitly from a bare
-// KernelVariant, so pinning one side reads as before:
-//   bmv_bin_bin_bin(a, x, y, KernelVariant::kScalar);
+// Exec is a plain aggregate: Exec{} runs at full hardware width,
+// Exec{.threads = n} on n workers, Exec::serial() on the caller's
+// thread alone.
 #pragma once
 
 #include "platform/cancel.hpp"
-#include "platform/simd.hpp"
 
 namespace bitgb {
 
 struct Exec {
-  KernelVariant variant = KernelVariant::kAuto;
   /// Worker-thread budget for parallel regions: 0 = all hardware
   /// threads, 1 = serial (never touches the pool), n = n workers
   /// (honored up to parallel.hpp's kMaxWorkerWidth ceiling).
@@ -33,17 +31,8 @@ struct Exec {
   /// sweep.
   const CancelToken* cancel = nullptr;
 
-  constexpr Exec() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): a bare KernelVariant
-  // is an Exec at default width by design (see header comment).
-  constexpr Exec(KernelVariant v, int nthreads = 0,
-                 const CancelToken* cancel_tok = nullptr)
-      : variant(v), threads(nthreads), cancel(cancel_tok) {}
-
-  /// The serial policy (1 thread, auto variant).
-  [[nodiscard]] static constexpr Exec serial() {
-    return Exec{KernelVariant::kAuto, 1};
-  }
+  /// The serial policy (1 thread).
+  [[nodiscard]] static constexpr Exec serial() { return Exec{.threads = 1}; }
 };
 
 }  // namespace bitgb

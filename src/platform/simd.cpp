@@ -1,36 +1,31 @@
 // SIMD multi-tile kernel engine — implementation.
 //
-// Three backends, one contract (bit-identical results):
+// Two bodies per entry, one contract (bit-identical results):
 //
-//   * kAvx2  — hand-written intrinsics.  256-bit loads stream 8 B2SR-4
+//   * AVX2 — hand-written intrinsics.  256-bit loads stream 8 B2SR-4
 //     or 4 B2SR-8 tiles (one B2SR-16 tile, a quarter B2SR-32 tile) per
 //     instruction; compare+movemask materializes Boolean row results,
 //     byte-lane popcount uses the Mula pshufb nibble-LUT, and the
 //     semiring BMV selects float lanes through a per-word pattern
 //     table.
-//   * kSse42 — the portable SWAR/scalar bodies recompiled with
-//     target("sse4.2,popcnt"): hardware popcnt plus whatever the
-//     auto-vectorizer finds, without requiring -march at configure
-//     time.
-//   * kScalar — portable SWAR fallback: 64-bit words emulate the
-//     vector lanes (per-byte popcount, byte-nonzero movemask), so even
-//     ISA-less hosts keep most of the multi-tile batching.
+//   * portable — SWAR bodies: 64-bit words emulate the vector lanes
+//     (per-byte popcount, byte-nonzero movemask), so hosts without
+//     AVX2 keep most of the multi-tile batching.
 //
-// Every path is compiled in one translation unit behind gcc/clang
-// function target attributes; active_backend() CPUID-probes the host
-// once (__builtin_cpu_supports) and the dispatchers branch on the
-// cached result, so a binary built without -march still runs AVX2
-// inner loops on an AVX2 host and degrades gracefully elsewhere.
+// The AVX2 bodies are compiled in this translation unit behind
+// gcc/clang function target attributes; active_backend() CPUID-probes
+// the host once (__builtin_cpu_supports) and each public dispatcher
+// branches on the cached result, so a binary built without -march
+// still runs the AVX2 inner loops on an AVX2 host and the portable
+// bodies elsewhere.
 #include "platform/simd.hpp"
 
 #include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <string>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(BITGB_SIMD_DISABLE)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define BITGB_SIMD_X86 1
 #include <immintrin.h>
 #else
@@ -39,80 +34,6 @@
 
 namespace bitgb {
 
-KernelVariant preferred_variant(HotKernel k, int dim) {
-#if defined(__AVX2__)
-  // The scalar bodies of this translation-unit's callers were compiled
-  // under a wide ISA (-march=...), so the compiler auto-vectorizes
-  // them; the committed BENCH_kernels.json shows them beating the
-  // hand-written engine in these cells (dense per-tile reductions where
-  // the compiler emits full-width popcount code).  Everything else
-  // still prefers the engine.
-  switch (k) {
-    case HotKernel::kBmvBinBinBin:
-    case HotKernel::kBmvBinBinBinMasked:
-      return dim >= 32 ? KernelVariant::kScalar : KernelVariant::kSimd;
-    case HotKernel::kBmvBinBinFull:
-    case HotKernel::kBmvBinBinFullMasked:
-      // The counting per-tile reduction auto-vectorizes outright (the
-      // escape-free serial loops popcount at full width); the baseline
-      // records the scalar side winning at every dim.
-      return KernelVariant::kScalar;
-    case HotKernel::kBmmBinBinSum:
-      // Near-ties throughout; dims 8/32 record the auto-vectorized
-      // scalar ahead, dims 4/16 the engine.
-      return (dim == 8 || dim == 32) ? KernelVariant::kScalar
-                                     : KernelVariant::kSimd;
-    case HotKernel::kBmmBinBinSumMasked:
-    case HotKernel::kFrontierPull:
-    case HotKernel::kFrontierPullMasked:
-    case HotKernel::kPackScatter:
-    case HotKernel::kSpgemmAccum:
-      return KernelVariant::kSimd;
-  }
-  return KernelVariant::kSimd;
-#else
-  // Default build: only the CPUID-dispatched engine paths emit vector
-  // code at all, and the engine wins every recorded cell.
-  (void)k;
-  (void)dim;
-  return KernelVariant::kSimd;
-#endif
-}
-
-KernelVariant resolve_kernel_variant(KernelVariant requested) {
-  // No kernel context: kAuto keeps the historical blanket-kSimd default.
-  return requested == KernelVariant::kAuto ? KernelVariant::kSimd : requested;
-}
-
-KernelVariant resolve_kernel_variant(KernelVariant requested, HotKernel k,
-                                     int dim) {
-  if (requested != KernelVariant::kAuto) return requested;
-  return preferred_variant(k, dim);
-}
-
-const char* kernel_variant_name(KernelVariant v) {
-  switch (v) {
-    case KernelVariant::kAuto: return "auto";
-    case KernelVariant::kScalar: return "scalar";
-    case KernelVariant::kSimd: return "simd";
-  }
-  return "?";
-}
-
-bool parse_kernel_variant(const char* s, KernelVariant& out) {
-  const std::string v(s == nullptr ? "" : s);
-  if (v == "scalar") {
-    out = KernelVariant::kScalar;
-  } else if (v == "simd") {
-    out = KernelVariant::kSimd;
-  } else if (v == "auto") {
-    out = KernelVariant::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 namespace simd {
 
 namespace {
@@ -120,11 +41,8 @@ namespace {
 Backend detect_backend() {
 #if BITGB_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
-  if (__builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("popcnt")) {
-    return Backend::kSse42;
-  }
 #endif
-  return Backend::kScalar;
+  return Backend::kPortable;
 }
 
 // =====================================================================
@@ -176,9 +94,10 @@ Backend detect_backend() {
 }
 
 // =====================================================================
-// Portable bodies.  These are the kScalar backend and, recompiled with
-// target("sse4.2,popcnt"), the kSse42 backend; marked always_inline so
-// the SSE wrappers regenerate them under the wider ISA.
+// Portable bodies.  The simd::portable:: entries below wrap them; they
+// are marked always_inline so the AVX2 bodies that fall back to them
+// (tails, and the dims where the vector form does not pay) compile
+// them under the AVX2 target.
 // =====================================================================
 
 template <int Dim>
@@ -506,7 +425,7 @@ constexpr value_t kLaneIdentity =
     : R == LaneReduce::kMin ? MinPlusOp::identity
                             : MaxTimesOp::identity;
 
-/// Scalar body: walk the set bits into lanes[j * Dim + r] (= L[r][j];
+/// Portable body: walk the set bits into lanes[j * Dim + r] (= L[r][j];
 /// lane-major so the closing fold runs over contiguous rows), then fold
 /// each row's lanes in ascending j.  Set bits never point past ncols
 /// (B2SR zero-tail invariant), so x is read in bounds.
@@ -554,121 +473,82 @@ template <int Dim>
   return i;
 }
 
+}  // namespace
+
 // =====================================================================
-// Backend wrappers.
+// The portable entries (simd.hpp): the fallback of every dispatcher
+// below and the parity tests' reference.
 // =====================================================================
 
+namespace portable {
+
 template <int Dim>
-typename TileTraits<Dim>::word_t bbb_row_or_scalar(
+typename TileTraits<Dim>::word_t bbb_row_or(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
     const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
   return bbb_row_or_body<Dim>(tiles, colind, xwords, lo, hi);
 }
 
 template <int Dim>
-void bbf_row_accum_scalar(const typename TileTraits<Dim>::word_t* tiles,
-                          const vidx_t* colind,
-                          const typename TileTraits<Dim>::word_t* xwords,
-                          vidx_t lo, vidx_t hi, std::int32_t* acc) {
+void bbf_row_accum(const typename TileTraits<Dim>::word_t* tiles,
+                   const vidx_t* colind,
+                   const typename TileTraits<Dim>::word_t* xwords, vidx_t lo,
+                   vidx_t hi, std::int32_t* acc) {
   bbf_row_accum_body<Dim>(tiles, colind, xwords, lo, hi, acc);
 }
 
 template <int Dim>
-void rows_pop_accum_scalar(const typename TileTraits<Dim>::word_t* tiles,
-                           vidx_t lo, vidx_t hi, std::int32_t* pop) {
+void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
+                    vidx_t hi, std::int32_t* pop) {
   rows_pop_accum_body<Dim>(tiles, lo, hi, pop);
 }
 
 template <int Dim>
-std::int64_t masked_pair_dot_scalar(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
-    const typename TileTraits<Dim>::word_t* mwords) {
+std::int64_t masked_pair_dot(const typename TileTraits<Dim>::word_t* awords,
+                             const typename TileTraits<Dim>::word_t* bwords,
+                             const typename TileTraits<Dim>::word_t* mwords) {
   return masked_pair_dot_body<Dim>(awords, bwords, mwords);
 }
 
 template <int Dim>
-void frontier_row_accum_scalar(const typename TileTraits<Dim>::word_t* tiles,
-                               const vidx_t* colind, vidx_t lo, vidx_t hi,
-                               const std::uint64_t* frows, std::size_t nfrows,
-                               std::uint64_t* acc) {
+void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
+                        const vidx_t* colind, vidx_t lo, vidx_t hi,
+                        const std::uint64_t* frows, std::size_t nfrows,
+                        std::uint64_t* acc) {
   frontier_row_accum_body<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
 }
 
 template <int Dim>
-std::size_t pack_scatter_run_scalar(const vidx_t* cols, std::size_t i,
-                                    std::size_t n, vidx_t base,
-                                    typename TileTraits<Dim>::word_t& w) {
+std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i, std::size_t n,
+                             vidx_t base,
+                             typename TileTraits<Dim>::word_t& w) {
   return pack_scatter_run_body<Dim>(cols, i, n, base, w);
 }
 
 template <int Dim>
-void spgemm_tile_accum_scalar(const typename TileTraits<Dim>::word_t* awords,
-                              const typename TileTraits<Dim>::word_t* bwords,
-                              typename TileTraits<Dim>::word_t* cacc) {
+void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
+                       const typename TileTraits<Dim>::word_t* bwords,
+                       typename TileTraits<Dim>::word_t* cacc) {
   spgemm_tile_accum_body<Dim>(awords, bwords, cacc);
 }
+
+template <int Dim>
+void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
+                       const vidx_t* colind, vidx_t lo, vidx_t hi,
+                       const value_t* x, vidx_t /*ncols*/, LaneReduce reduce,
+                       value_t offset, value_t* out) {
+  dispatch_lane_reduce(reduce, [&]<LaneReduce R>() {
+    semiring_row_fold_body<Dim, R>(tiles, colind, lo, hi, x, offset, out);
+  });
+}
+
+}  // namespace portable
+
+namespace {
 
 #if BITGB_SIMD_X86
 
-#define BITGB_TGT_SSE __attribute__((target("sse4.2,popcnt")))
 #define BITGB_TGT_AVX2 __attribute__((target("avx2,popcnt")))
-
-// --- SSE4.2: the portable bodies under the wider ISA (hardware popcnt
-// plus auto-vectorization), regenerated here by always_inline. ---
-
-template <int Dim>
-BITGB_TGT_SSE typename TileTraits<Dim>::word_t bbb_row_or_sse(
-    const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
-  return bbb_row_or_body<Dim>(tiles, colind, xwords, lo, hi);
-}
-
-template <int Dim>
-BITGB_TGT_SSE void bbf_row_accum_sse(
-    const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
-    std::int32_t* acc) {
-  bbf_row_accum_body<Dim>(tiles, colind, xwords, lo, hi, acc);
-}
-
-template <int Dim>
-BITGB_TGT_SSE void rows_pop_accum_sse(
-    const typename TileTraits<Dim>::word_t* tiles, vidx_t lo, vidx_t hi,
-    std::int32_t* pop) {
-  rows_pop_accum_body<Dim>(tiles, lo, hi, pop);
-}
-
-template <int Dim>
-BITGB_TGT_SSE std::int64_t masked_pair_dot_sse(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
-    const typename TileTraits<Dim>::word_t* mwords) {
-  return masked_pair_dot_body<Dim>(awords, bwords, mwords);
-}
-
-template <int Dim>
-BITGB_TGT_SSE void frontier_row_accum_sse(
-    const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    vidx_t lo, vidx_t hi, const std::uint64_t* frows, std::size_t nfrows,
-    std::uint64_t* acc) {
-  frontier_row_accum_body<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
-}
-
-template <int Dim>
-BITGB_TGT_SSE std::size_t pack_scatter_run_sse(
-    const vidx_t* cols, std::size_t i, std::size_t n, vidx_t base,
-    typename TileTraits<Dim>::word_t& w) {
-  return pack_scatter_run_body<Dim>(cols, i, n, base, w);
-}
-
-template <int Dim>
-BITGB_TGT_SSE void spgemm_tile_accum_sse(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
-    typename TileTraits<Dim>::word_t* cacc) {
-  spgemm_tile_accum_body<Dim>(awords, bwords, cacc);
-}
 
 // --- AVX2: hand-written intrinsics. ---
 
@@ -1091,7 +971,7 @@ BITGB_TGT_AVX2 void frontier_row_accum_avx2(
   using word_t = typename TileTraits<Dim>::word_t;
   if constexpr (Dim == 32) {
     // 32 batch words per tile block; per-bit OR is already competitive
-    // and the block gather would dominate — keep the scalar walk.
+    // and the block gather would dominate — keep the portable walk.
     frontier_row_accum_body<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
   } else {
     constexpr int kGroups = Dim / 4;  // 64-bit lanes per 256-bit register
@@ -1148,7 +1028,7 @@ BITGB_TGT_AVX2 std::size_t pack_scatter_run_avx2(
     // right edge (in-run lanes form a prefix because the input is
     // sorted), variable-shift 1 << (c - base) per lane, OR-reduce.
     // Worthwhile only where one tile can hold long runs; dims 4/8 cap
-    // runs at 8 columns and stay on the scalar body.
+    // runs at 8 columns and stay on the portable body.
     const __m256i vlimit = _mm256_set1_epi32(base + Dim);
     const __m256i vbase = _mm256_set1_epi32(base);
     const __m256i ones = _mm256_set1_epi32(1);
@@ -1172,7 +1052,7 @@ BITGB_TGT_AVX2 std::size_t pack_scatter_run_avx2(
     w = static_cast<word_t>(
         w | static_cast<std::uint32_t>(_mm_cvtsi128_si32(o)));
     // Fewer than 8 columns left (or the run already ended, in which
-    // case this is a no-op): finish on the scalar body.
+    // case this is a no-op): finish on the portable body.
     return pack_scatter_run_body<Dim>(cols, i, n, base, w);
   } else {
     return pack_scatter_run_body<Dim>(cols, i, n, base, w);
@@ -1398,7 +1278,7 @@ BITGB_TGT_AVX2 inline void lanes_transpose(lane_vec_t<W>* l) {
 /// one fold — no branch per word or per bit.  The closing fold
 /// transposes each W x W block so that the ascending per-row lane fold
 /// becomes vertical folds over W rows at once: the same operations in
-/// the same order as the scalar body's.
+/// the same order as the portable body's.
 template <int Dim, LaneReduce R>
 BITGB_TGT_AVX2 void semiring_row_fold_avx2(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
@@ -1478,18 +1358,14 @@ Backend active_backend() {
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kAvx2: return "avx2";
-    case Backend::kSse42: return "sse4.2";
-    case Backend::kScalar: return "scalar";
+    case Backend::kPortable: return "portable";
   }
   return "?";
 }
 
-bool vector_backend_available() {
-  return active_backend() != Backend::kScalar;
-}
-
 // ---------------------------------------------------------------------
-// Public dispatchers: one branch on the cached backend per tile-row.
+// Public dispatchers: one branch on the cached backend per call — the
+// only place that decides which body runs.
 // ---------------------------------------------------------------------
 
 template <int Dim>
@@ -1497,15 +1373,11 @@ typename TileTraits<Dim>::word_t bbb_row_or(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
     const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2:
-      return bbb_row_or_avx2<Dim>(tiles, colind, xwords, lo, hi);
-    case Backend::kSse42:
-      return bbb_row_or_sse<Dim>(tiles, colind, xwords, lo, hi);
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    return bbb_row_or_avx2<Dim>(tiles, colind, xwords, lo, hi);
   }
 #endif
-  return bbb_row_or_scalar<Dim>(tiles, colind, xwords, lo, hi);
+  return portable::bbb_row_or<Dim>(tiles, colind, xwords, lo, hi);
 }
 
 template <int Dim>
@@ -1514,30 +1386,24 @@ void bbf_row_accum(const typename TileTraits<Dim>::word_t* tiles,
                    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo,
                    vidx_t hi, std::int32_t* acc) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2:
-      bbf_row_accum_avx2<Dim>(tiles, colind, xwords, lo, hi, acc);
-      return;
-    case Backend::kSse42:
-      bbf_row_accum_sse<Dim>(tiles, colind, xwords, lo, hi, acc);
-      return;
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    bbf_row_accum_avx2<Dim>(tiles, colind, xwords, lo, hi, acc);
+    return;
   }
 #endif
-  bbf_row_accum_scalar<Dim>(tiles, colind, xwords, lo, hi, acc);
+  portable::bbf_row_accum<Dim>(tiles, colind, xwords, lo, hi, acc);
 }
 
 template <int Dim>
 void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
                     vidx_t hi, std::int32_t* pop) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2: rows_pop_accum_avx2<Dim>(tiles, lo, hi, pop); return;
-    case Backend::kSse42: rows_pop_accum_sse<Dim>(tiles, lo, hi, pop); return;
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    rows_pop_accum_avx2<Dim>(tiles, lo, hi, pop);
+    return;
   }
 #endif
-  rows_pop_accum_scalar<Dim>(tiles, lo, hi, pop);
+  portable::rows_pop_accum<Dim>(tiles, lo, hi, pop);
 }
 
 template <int Dim>
@@ -1545,13 +1411,11 @@ std::int64_t masked_pair_dot(const typename TileTraits<Dim>::word_t* awords,
                              const typename TileTraits<Dim>::word_t* bwords,
                              const typename TileTraits<Dim>::word_t* mwords) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2: return masked_pair_dot_avx2<Dim>(awords, bwords, mwords);
-    case Backend::kSse42: return masked_pair_dot_sse<Dim>(awords, bwords, mwords);
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    return masked_pair_dot_avx2<Dim>(awords, bwords, mwords);
   }
 #endif
-  return masked_pair_dot_scalar<Dim>(awords, bwords, mwords);
+  return portable::masked_pair_dot<Dim>(awords, bwords, mwords);
 }
 
 template <int Dim>
@@ -1560,17 +1424,13 @@ void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
                         const std::uint64_t* frows, std::size_t nfrows,
                         std::uint64_t* acc) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2:
-      frontier_row_accum_avx2<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
-      return;
-    case Backend::kSse42:
-      frontier_row_accum_sse<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
-      return;
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    frontier_row_accum_avx2<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
+    return;
   }
 #endif
-  frontier_row_accum_scalar<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
+  portable::frontier_row_accum<Dim>(tiles, colind, lo, hi, frows, nfrows,
+                                    acc);
 }
 
 template <int Dim>
@@ -1578,15 +1438,11 @@ std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i, std::size_t n,
                              vidx_t base,
                              typename TileTraits<Dim>::word_t& w) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2:
-      return pack_scatter_run_avx2<Dim>(cols, i, n, base, w);
-    case Backend::kSse42:
-      return pack_scatter_run_sse<Dim>(cols, i, n, base, w);
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    return pack_scatter_run_avx2<Dim>(cols, i, n, base, w);
   }
 #endif
-  return pack_scatter_run_scalar<Dim>(cols, i, n, base, w);
+  return portable::pack_scatter_run<Dim>(cols, i, n, base, w);
 }
 
 template <int Dim>
@@ -1594,70 +1450,69 @@ void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
                        const typename TileTraits<Dim>::word_t* bwords,
                        typename TileTraits<Dim>::word_t* cacc) {
 #if BITGB_SIMD_X86
-  switch (active_backend()) {
-    case Backend::kAvx2:
-      spgemm_tile_accum_avx2<Dim>(awords, bwords, cacc);
-      return;
-    case Backend::kSse42:
-      spgemm_tile_accum_sse<Dim>(awords, bwords, cacc);
-      return;
-    case Backend::kScalar: break;
+  if (active_backend() == Backend::kAvx2) {
+    spgemm_tile_accum_avx2<Dim>(awords, bwords, cacc);
+    return;
   }
 #endif
-  spgemm_tile_accum_scalar<Dim>(awords, bwords, cacc);
+  portable::spgemm_tile_accum<Dim>(awords, bwords, cacc);
 }
 
 template <int Dim>
 void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
                        const vidx_t* colind, vidx_t lo, vidx_t hi,
-                       const value_t* x, [[maybe_unused]] vidx_t ncols,
-                       LaneReduce reduce, value_t offset,
-                       [[maybe_unused]] bool vector, value_t* out) {
+                       const value_t* x, vidx_t ncols, LaneReduce reduce,
+                       value_t offset, value_t* out) {
   assert(reduce != LaneReduce::kAdd || offset == 0.0f);
-  dispatch_lane_reduce(reduce, [&]<LaneReduce R>() {
 #if BITGB_SIMD_X86
-    if (vector && active_backend() == Backend::kAvx2) {
+  if (active_backend() == Backend::kAvx2) {
+    dispatch_lane_reduce(reduce, [&]<LaneReduce R>() {
       semiring_row_fold_avx2<Dim, R>(tiles, colind, lo, hi, x, ncols, offset,
                                      out);
-      return;
-    }
+    });
+    return;
+  }
 #endif
-    semiring_row_fold_body<Dim, R>(tiles, colind, lo, hi, x, offset, out);
-  });
+  portable::semiring_row_fold<Dim>(tiles, colind, lo, hi, x, ncols, reduce,
+                                   offset, out);
 }
 
-#define BITGB_INSTANTIATE_SIMD(Dim)                                           \
-  template TileTraits<Dim>::word_t bbb_row_or<Dim>(                           \
-      const TileTraits<Dim>::word_t*, const vidx_t*,                         \
-      const TileTraits<Dim>::word_t*, vidx_t, vidx_t);                        \
-  template void bbf_row_accum<Dim>(const TileTraits<Dim>::word_t*,            \
-                                   const vidx_t*,                             \
-                                   const TileTraits<Dim>::word_t*, vidx_t,    \
-                                   vidx_t, std::int32_t*);                    \
-  template void rows_pop_accum<Dim>(const TileTraits<Dim>::word_t*, vidx_t,   \
-                                    vidx_t, std::int32_t*);                   \
-  template std::int64_t masked_pair_dot<Dim>(                                 \
-      const TileTraits<Dim>::word_t*, const TileTraits<Dim>::word_t*,         \
-      const TileTraits<Dim>::word_t*);                                        \
-  template void frontier_row_accum<Dim>(const TileTraits<Dim>::word_t*,       \
-                                        const vidx_t*, vidx_t, vidx_t,        \
-                                        const std::uint64_t*, std::size_t,    \
-                                        std::uint64_t*);                      \
-  template std::size_t pack_scatter_run<Dim>(const vidx_t*, std::size_t,      \
-                                             std::size_t, vidx_t,             \
-                                             TileTraits<Dim>::word_t&);       \
-  template void spgemm_tile_accum<Dim>(const TileTraits<Dim>::word_t*,        \
-                                       const TileTraits<Dim>::word_t*,        \
-                                       TileTraits<Dim>::word_t*);             \
-  template void semiring_row_fold<Dim>(const TileTraits<Dim>::word_t*,        \
-                                       const vidx_t*, vidx_t, vidx_t,         \
-                                       const value_t*, vidx_t, LaneReduce,    \
-                                       value_t, bool, value_t*)
+// Both the dispatchers (ns = simd) and the portable bodies (ns =
+// portable) are instantiated for every tile dim.
+#define BITGB_INSTANTIATE_SIMD(ns, Dim)                                      \
+  template TileTraits<Dim>::word_t ns::bbb_row_or<Dim>(                      \
+      const TileTraits<Dim>::word_t*, const vidx_t*,                        \
+      const TileTraits<Dim>::word_t*, vidx_t, vidx_t);                       \
+  template void ns::bbf_row_accum<Dim>(const TileTraits<Dim>::word_t*,       \
+                                       const vidx_t*,                        \
+                                       const TileTraits<Dim>::word_t*,       \
+                                       vidx_t, vidx_t, std::int32_t*);       \
+  template void ns::rows_pop_accum<Dim>(const TileTraits<Dim>::word_t*,      \
+                                        vidx_t, vidx_t, std::int32_t*);      \
+  template std::int64_t ns::masked_pair_dot<Dim>(                            \
+      const TileTraits<Dim>::word_t*, const TileTraits<Dim>::word_t*,        \
+      const TileTraits<Dim>::word_t*);                                       \
+  template void ns::frontier_row_accum<Dim>(                                 \
+      const TileTraits<Dim>::word_t*, const vidx_t*, vidx_t, vidx_t,         \
+      const std::uint64_t*, std::size_t, std::uint64_t*);                    \
+  template std::size_t ns::pack_scatter_run<Dim>(                            \
+      const vidx_t*, std::size_t, std::size_t, vidx_t,                       \
+      TileTraits<Dim>::word_t&);                                             \
+  template void ns::spgemm_tile_accum<Dim>(const TileTraits<Dim>::word_t*,   \
+                                           const TileTraits<Dim>::word_t*,   \
+                                           TileTraits<Dim>::word_t*);        \
+  template void ns::semiring_row_fold<Dim>(                                  \
+      const TileTraits<Dim>::word_t*, const vidx_t*, vidx_t, vidx_t,         \
+      const value_t*, vidx_t, LaneReduce, value_t, value_t*)
 
-BITGB_INSTANTIATE_SIMD(4);
-BITGB_INSTANTIATE_SIMD(8);
-BITGB_INSTANTIATE_SIMD(16);
-BITGB_INSTANTIATE_SIMD(32);
+BITGB_INSTANTIATE_SIMD(simd, 4);
+BITGB_INSTANTIATE_SIMD(simd, 8);
+BITGB_INSTANTIATE_SIMD(simd, 16);
+BITGB_INSTANTIATE_SIMD(simd, 32);
+BITGB_INSTANTIATE_SIMD(portable, 4);
+BITGB_INSTANTIATE_SIMD(portable, 8);
+BITGB_INSTANTIATE_SIMD(portable, 16);
+BITGB_INSTANTIATE_SIMD(portable, 32);
 
 #undef BITGB_INSTANTIATE_SIMD
 

@@ -15,29 +15,22 @@
 //   * bit-row word -> lane select + lane-wise add / min / max for the
 //     semiring BMV (one float lane per tile column).
 //
-// Backend selection is two-staged, as a GPU build is:
-//   * build time: AVX2 and SSE4.2 code paths are compiled whenever the
-//     toolchain supports function target attributes (gcc/clang on
-//     x86-64) and BITGB_SIMD is ON; no -march flag is required, though
-//     -march=native lets the *scalar* paths vectorize too (see
-//     BUILDING.md);
-//   * run time: the first kernel call CPUID-probes the host
-//     (__builtin_cpu_supports) and caches the strongest supported
-//     backend; a machine without AVX2/SSE4.2 silently runs the portable
-//     SWAR/scalar fallback.
+// One choice, made by what the code observes: the first kernel call
+// CPUID-probes the host (__builtin_cpu_supports) and caches the result;
+// every entry below then runs its AVX2 body when the host reports AVX2
+// and its portable body otherwise (non-x86 hosts, x86 hosts without
+// AVX2, toolchains without gcc/clang function target attributes).  The
+// AVX2 bodies are compiled behind per-function target attributes, so
+// no -march flag is required.  No caller, Exec or Context can pin a
+// body: the dispatchers in simd.cpp are the only code that knows which
+// inner loop runs.
 //
-// Every integer helper is exact (OR / popcount-add are associative and
-// commutative), so each backend is bit-for-bit identical to the scalar
-// kernels; the float helper (semiring_row_fold) is bit-identical
-// because both of its bodies fold the same lane values in the same
-// order.  test_simd_parity asserts both over the oracle corpus.
-//
-// Kernel-variant plumbing: kernels take a trailing Exec
-// (platform/exec.hpp) whose variant defaults to kAuto — resolved
-// through the measured per-(kernel, dim) preference table below, NOT
-// through any process-wide setting.  There is no global variant state:
-// benchmarks ablate scalar vs SIMD by passing an explicit Exec, and two
-// concurrent queries can pin different sides through their Contexts.
+// Every integer entry is exact (OR / popcount-add are associative and
+// commutative), so the two bodies are bit-for-bit identical; the float
+// entry (semiring_row_fold) is bit-identical because both of its bodies
+// fold the same lane values in the same order.  The portable bodies
+// are exported as simd::portable::<entry>, the reference
+// test_simd_parity compares the dispatched entries against.
 #pragma once
 
 #include "core/semiring_ops.hpp"
@@ -48,71 +41,24 @@
 
 namespace bitgb {
 
-/// Which implementation of a hot kernel to run.  kAuto defers to the
-/// per-(kernel, dim) preference table (preferred_variant); the explicit
-/// values pin one side.
-enum class KernelVariant { kAuto = 0, kScalar, kSimd };
-
-/// The hot kernels that exist in both variants — the rows of the kAuto
-/// preference table (preferred_variant below).
-enum class HotKernel {
-  kBmvBinBinBin,
-  kBmvBinBinBinMasked,
-  kBmvBinBinFull,
-  kBmvBinBinFullMasked,
-  kBmmBinBinSum,
-  kBmmBinBinSumMasked,
-  kFrontierPull,
-  kFrontierPullMasked,
-  kPackScatter,
-  kSpgemmAccum,
-};
-
-/// The variant an unpinned process should run for one (kernel, tile
-/// dim) cell.  When the scalar paths were compiled under a wide ISA
-/// (-march=native on an AVX2+ host) the auto-vectorized scalar loops
-/// beat the hand-written engine in a few cells (the committed
-/// BENCH_kernels.json records which); this table encodes those
-/// measured winners instead of blanket-preferring SIMD.  On a default
-/// build (no -march) the engine wins every cell and the table is
-/// all-kSimd.  Never returns kAuto.
-[[nodiscard]] KernelVariant preferred_variant(HotKernel k, int dim);
-
-/// Resolve a requested variant to kScalar or kSimd.  Explicit values
-/// win; kAuto resolves through the per-(kernel, dim) preference table.
-/// The overload without kernel context keeps the historical blanket-
-/// kSimd default (for callers with no HotKernel row).  Pure functions
-/// of their arguments: no process state, no environment.
-[[nodiscard]] KernelVariant resolve_kernel_variant(KernelVariant requested);
-[[nodiscard]] KernelVariant resolve_kernel_variant(KernelVariant requested,
-                                                   HotKernel k, int dim);
-
-[[nodiscard]] const char* kernel_variant_name(KernelVariant v);
-
-/// Parse "scalar" / "simd" / "auto" (as Context::from_env accepts).
-/// Returns false on anything else.
-[[nodiscard]] bool parse_kernel_variant(const char* s, KernelVariant& out);
-
 namespace simd {
 
-/// Instruction-set backend of the engine, strongest first.
-enum class Backend { kAvx2, kSse42, kScalar };
+/// Instruction-set backend of the engine.
+enum class Backend { kAvx2, kPortable };
 
-/// Runtime-verified backend: the strongest compiled-in backend the host
-/// CPU actually supports (CPUID-checked once, then cached).
+/// Runtime-verified backend: kAvx2 when it is compiled in and the host
+/// CPU reports AVX2 (CPUID-checked once, then cached), else kPortable.
 [[nodiscard]] Backend active_backend();
 
 [[nodiscard]] const char* backend_name(Backend b);
-
-/// True when active_backend() is a vector backend (not kScalar).
-[[nodiscard]] bool vector_backend_available();
 
 // ---------------------------------------------------------------------
 // Tile-row inner loops.  All take raw pointers into the B2SR arrays:
 // `tiles` is the contiguous tile-word store (tile t occupies
 // tiles[t*Dim .. t*Dim+Dim)), `colind` the tile-column index array,
-// and [lo, hi) the tile range of one tile-row.  Results are exactly the
-// scalar kernels'.
+// and [lo, hi) the tile range of one tile-row.  Each entry runs the
+// AVX2 body on an AVX2 host and portable::<entry> elsewhere; both give
+// the same result.
 // ---------------------------------------------------------------------
 
 /// Boolean pull BMV inner loop: the output word of one tile-row,
@@ -149,7 +95,7 @@ template <int Dim>
 ///   acc[r] |= frows[colind[t]*Dim + j] for every set bit (r, j),
 /// where acc holds Dim batch words.  `nfrows` is the frontier row
 /// count; tail tile-columns whose block would read past it take the
-/// scalar per-bit path (set bits never point past nfrows).
+/// per-bit walk (set bits never point past nfrows).
 template <int Dim>
 void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
                         const vidx_t* colind, vidx_t lo, vidx_t hi,
@@ -168,12 +114,11 @@ void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
 /// (x -> x + c is monotone), so `offset` must be 0 for kAdd.  A row
 /// with no set bit gets the identity.
 ///
-/// `vector` false runs the scalar body, which walks the set bits into
-/// the same lane accumulators.  `vector` true runs the CPUID-dispatched
-/// AVX2 body (128-bit lanes at dim 4, 256-bit at dims 8-32; per bit-row
-/// and register: one table load, one select, one fold; no branch) and
-/// the scalar body on other backends.  Both bodies reach the same lane
-/// values and fold them in the same order, so out[] is bit-identical.
+/// The AVX2 body uses 128-bit lanes at dim 4 and 256-bit lanes at dims
+/// 8-32 (per bit-row and register: one table load, one select, one
+/// fold; no branch).  The portable body walks the set bits into the
+/// same lane accumulators.  Both reach the same lane values and fold
+/// them in the same order, so out[] is bit-identical.
 /// `x` holds `ncols` values; a tile column reaching past ncols is read
 /// through an identity-padded copy, never past x's end (its bits past
 /// ncols are zero by the B2SR invariant).
@@ -181,14 +126,14 @@ template <int Dim>
 void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
                        const vidx_t* colind, vidx_t lo, vidx_t hi,
                        const value_t* x, vidx_t ncols, LaneReduce reduce,
-                       value_t offset, bool vector, value_t* out);
+                       value_t offset, value_t* out);
 
 /// Ingest bit-scatter: consume the run of sorted CSR column indices
 /// cols[i..n) that fall inside one tile (base <= c < base + Dim), OR
 /// `1 << (c - base)` for each into `w`, and return the index one past
-/// the run.  The AVX2 path shifts eight columns per iteration
-/// (variable-shift + lane OR-reduce); the scalar body is the per-column
-/// loop.  Exact for any sorted input, including duplicates (OR is
+/// the run.  The AVX2 body shifts eight columns per iteration
+/// (variable-shift + lane OR-reduce); the portable body is the
+/// per-column loop.  Exact for any sorted input, including duplicates (OR is
 /// idempotent).
 template <int Dim>
 [[nodiscard]] std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i,
@@ -205,6 +150,56 @@ template <int Dim>
 void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
                        const typename TileTraits<Dim>::word_t* bwords,
                        typename TileTraits<Dim>::word_t* cacc);
+
+/// The portable bodies of the entries above, same signatures and
+/// results: what a host without AVX2 runs, and the reference the
+/// parity tests compare the dispatched entries against.
+namespace portable {
+
+template <int Dim>
+[[nodiscard]] typename TileTraits<Dim>::word_t bbb_row_or(
+    const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi);
+
+template <int Dim>
+void bbf_row_accum(const typename TileTraits<Dim>::word_t* tiles,
+                   const vidx_t* colind,
+                   const typename TileTraits<Dim>::word_t* xwords, vidx_t lo,
+                   vidx_t hi, std::int32_t* acc);
+
+template <int Dim>
+void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
+                    vidx_t hi, std::int32_t* pop);
+
+template <int Dim>
+[[nodiscard]] std::int64_t masked_pair_dot(
+    const typename TileTraits<Dim>::word_t* awords,
+    const typename TileTraits<Dim>::word_t* bwords,
+    const typename TileTraits<Dim>::word_t* mwords);
+
+template <int Dim>
+void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
+                        const vidx_t* colind, vidx_t lo, vidx_t hi,
+                        const std::uint64_t* frows, std::size_t nfrows,
+                        std::uint64_t* acc);
+
+template <int Dim>
+void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
+                       const vidx_t* colind, vidx_t lo, vidx_t hi,
+                       const value_t* x, vidx_t ncols, LaneReduce reduce,
+                       value_t offset, value_t* out);
+
+template <int Dim>
+[[nodiscard]] std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i,
+                                           std::size_t n, vidx_t base,
+                                           typename TileTraits<Dim>::word_t& w);
+
+template <int Dim>
+void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
+                       const typename TileTraits<Dim>::word_t* bwords,
+                       typename TileTraits<Dim>::word_t* cacc);
+
+}  // namespace portable
 
 }  // namespace simd
 }  // namespace bitgb

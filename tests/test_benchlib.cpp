@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 namespace bitgb::bench {
 namespace {
@@ -143,13 +145,29 @@ TEST(Reporting, AlgoTableRendersRows) {
   EXPECT_NE(std::string::npos, s.find("3.0x"));  // 1.5/0.5
 }
 
+// The trajectory writers must fail loudly: a bench that cannot write
+// its JSON has not produced its artifact and must not exit 0.
+TEST(Reporting, TrajectoryWritersThrowWhenPathIsUnwritable) {
+  const std::string dir = ::testing::TempDir() + "bitgb-no-such-dir";
+  ASSERT_FALSE(std::filesystem::exists(dir));
+  const std::string kernels = dir + "/BENCH_kernels.json";
+  EXPECT_THROW(write_kernel_bench_json(kernels, "avx2", 1, "fixture",
+                                       {{"bmv_bin_bin_bin", 8, 0.5, 1.0, 1}}),
+               std::runtime_error);
+  const std::string serving = dir + "/BENCH_serving.json";
+  EXPECT_THROW(write_serving_bench_json(serving, "g", 1, 1, 1, true, {}, 1.0,
+                                        1.0, {}, {}, {}, {}),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(DeviceProfile, ProfilesDescribeContexts) {
   const auto pascal = pascal_analog();
   const auto volta = volta_analog();
   EXPECT_EQ(1, pascal.num_threads);
   EXPECT_GE(volta.num_threads, 1);
   // A profile is descriptor material: context_for() carries its width
-  // and variant into a Context without touching any process state.
+  // into a Context without touching any process state.
   KernelTimeSink sink;
   const Context ctx = context_for(pascal, &sink);
   EXPECT_EQ(1, ctx.threads);

@@ -182,6 +182,13 @@ TEST_P(MaskedBmvTest, FullMaskEqualsUnmasked) {
     std::vector<value_t> masked(static_cast<std::size_t>(m.nrows), 0.0f);
     bmv_bin_full_full_masked<Dim, PlusTimesOp>(a, xf, all, false, masked);
     EXPECT_EQ(unmasked, masked);
+
+    const auto xb = PackedVecT<Dim>::from_values(xf);
+    std::vector<value_t> counts;
+    bmv_bin_bin_full(a, xb, counts);
+    std::vector<value_t> masked_counts(static_cast<std::size_t>(m.nrows), 0.0f);
+    bmv_bin_bin_full_masked(a, xb, all, false, masked_counts);
+    EXPECT_EQ(counts, masked_counts);
     return 0;
   });
 }

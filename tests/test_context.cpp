@@ -3,8 +3,8 @@
 //
 //   * Context::from_env() is the single, validating environment parser
 //     (garbage fails loudly; valid values land in the descriptor);
-//   * two Contexts with different kernel variants / thread budgets /
-//     backends can run concurrently over ONE shared Graph and produce
+//   * two Contexts with different thread budgets / backends / timer
+//     sinks can run concurrently over ONE shared Graph and produce
 //     results bit-identical to serial runs;
 //   * the Graph's lazy format caches are safe to hammer from many
 //     threads (the dedicated regression test for the pre-redesign
@@ -46,8 +46,8 @@ namespace {
 // ---------------------------------------------------------------------
 
 /// Scoped setenv: restores the previous value on destruction so the
-/// env-sensitive tests compose with the dual env-pinned ctest
-/// registrations of the parity/pipeline suites.
+/// env-sensitive tests compose with each other and with whatever the
+/// environment already holds.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -77,28 +77,19 @@ class ScopedEnv {
 };
 
 TEST(ContextFromEnv, DefaultsWhenUnset) {
-  const ScopedEnv v("BITGB_KERNEL_VARIANT", nullptr);
   const ScopedEnv t("BITGB_THREADS", nullptr);
   const ScopedEnv b("BITGB_BACKEND", nullptr);
   const Context ctx = Context::from_env();
-  EXPECT_EQ(KernelVariant::kAuto, ctx.variant);
   EXPECT_EQ(0, ctx.threads);
   EXPECT_EQ(Backend::kBit, ctx.backend);
 }
 
 TEST(ContextFromEnv, ParsesValidValues) {
-  const ScopedEnv v("BITGB_KERNEL_VARIANT", "scalar");
   const ScopedEnv t("BITGB_THREADS", "3");
   const ScopedEnv b("BITGB_BACKEND", "reference");
   const Context ctx = Context::from_env();
-  EXPECT_EQ(KernelVariant::kScalar, ctx.variant);
   EXPECT_EQ(3, ctx.threads);
   EXPECT_EQ(Backend::kReference, ctx.backend);
-}
-
-TEST(ContextFromEnv, RejectsGarbageVariant) {
-  const ScopedEnv v("BITGB_KERNEL_VARIANT", "turbo");
-  EXPECT_THROW((void)Context::from_env(), std::invalid_argument);
 }
 
 TEST(ContextFromEnv, RejectsGarbageThreads) {
@@ -115,14 +106,14 @@ TEST(ContextFromEnv, RejectsGarbageBackend) {
 }
 
 TEST(ContextFromEnv, ErrorNamesVariableAndValue) {
-  const ScopedEnv v("BITGB_KERNEL_VARIANT", "turbo");
+  const ScopedEnv b("BITGB_BACKEND", "gpu");
   try {
     (void)Context::from_env();
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(std::string::npos, msg.find("BITGB_KERNEL_VARIANT"));
-    EXPECT_NE(std::string::npos, msg.find("turbo"));
+    EXPECT_NE(std::string::npos, msg.find("BITGB_BACKEND"));
+    EXPECT_NE(std::string::npos, msg.find("gpu"));
   }
 }
 
@@ -130,17 +121,14 @@ TEST(Context, FluentCopiesCompose) {
   KernelTimeSink sink;
   const Context ctx = Context{}
                           .with_backend(Backend::kReference)
-                          .with_variant(KernelVariant::kScalar)
                           .with_threads(2)
                           .with_timer(&sink)
                           .with_seed(99);
   EXPECT_EQ(Backend::kReference, ctx.backend);
-  EXPECT_EQ(KernelVariant::kScalar, ctx.variant);
   EXPECT_EQ(2, ctx.threads);
   EXPECT_EQ(&sink, ctx.timer);
   EXPECT_EQ(99u, ctx.seed);
   const Exec e = ctx.exec();
-  EXPECT_EQ(KernelVariant::kScalar, e.variant);
   EXPECT_EQ(2, e.threads);
   // The original is untouched — descriptors are values.
   EXPECT_EQ(Backend::kBit, Context{}.backend);
@@ -222,9 +210,9 @@ TEST(GraphFormats, ConcurrentLazyMaterializationIsSafe) {
 // ---------------------------------------------------------------------
 
 // Serial ground truth, then 8 concurrent workers with DIFFERENT
-// descriptors (variants scalar/simd, thread budgets 1/2, both backends)
-// over the same Graph.  Every concurrent result must be bit-identical
-// to the serial result of the same backend.
+// descriptors (thread budgets 1/2, both backends, per-worker timer
+// sinks) over the same Graph.  Every concurrent result must be
+// bit-identical to the serial result of the same backend.
 TEST(ConcurrentContexts, MixedDescriptorsMatchSerialRuns) {
   const gb::Graph g = gb::Graph::from_coo(gen_rmat(10, 12000, 9));
   g.prewarm(gb::kAllFormats);
@@ -247,11 +235,7 @@ TEST(ConcurrentContexts, MixedDescriptorsMatchSerialRuns) {
       // Every worker gets a distinct descriptor mix.
       KernelTimeSink sink;  // per-query sink: no shared accumulator
       const Context ctx =
-          Context{}
-              .with_variant(t % 2 == 0 ? KernelVariant::kSimd
-                                       : KernelVariant::kScalar)
-              .with_threads(1 + t % 2)
-              .with_timer(&sink);
+          Context{}.with_threads(1 + t % 2).with_timer(&sink);
       for (int rep = 0; rep < 3; ++rep) {
         if (t % 4 == 3) {
           // Reference-backend worker among bit-backend workers.
@@ -278,7 +262,8 @@ TEST(ConcurrentContexts, MixedDescriptorsMatchSerialRuns) {
 
 // A cold Graph shared by concurrent queries: the first queries trigger
 // the lazy packing themselves, racing the caches through real
-// algorithm entry points (not just accessors).
+// algorithm entry points (not just accessors).  The workers mix thread
+// budgets, backends and timer sinks; BFS levels agree across backends.
 TEST(ConcurrentContexts, ColdGraphFirstQueriesRaceSafely) {
   const gb::Graph g = gb::Graph::from_coo(gen_banded(2048, 8, 0.7, 10));
   const Context serial = Context{}.with_threads(1);
@@ -289,8 +274,12 @@ TEST(ConcurrentContexts, ColdGraphFirstQueriesRaceSafely) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      const Context ctx = Context{}.with_threads(1).with_variant(
-          t % 2 == 0 ? KernelVariant::kScalar : KernelVariant::kSimd);
+      KernelTimeSink sink;
+      const Context ctx =
+          Context{}
+              .with_threads(1 + t % 2)
+              .with_backend(t % 4 == 3 ? Backend::kReference : Backend::kBit)
+              .with_timer(t % 2 == 0 ? &sink : nullptr);
       results[static_cast<std::size_t>(t)] =
           algo::bfs(ctx, g, {static_cast<vidx_t>(t)});
     });

@@ -1,14 +1,10 @@
 // Ingest-pipeline differential suite: the rewritten conversion path
 // (merge-based fused count+fill pack, COO-direct streaming pack,
 // two-phase flat-output bit SpGEMM) must be bit-for-bit identical to
-// the pre-rewrite reference implementations, under both kernel
-// variants, over the oracle corpus plus randomized tail-dim generator
-// graphs at all four tile dims.  bit_spgemm is additionally checked
-// against the float csrgemm baseline's structural product.
-//
-// ctest runs this binary twice, under both BITGB_KERNEL_VARIANT
-// values (an env-invariance regression — kernels take their variant
-// per call via Exec and read no environment), under the "pipeline"
+// the pre-rewrite reference implementations over the oracle corpus
+// plus randomized tail-dim generator graphs at all four tile dims.
+// bit_spgemm is additionally checked against the float csrgemm
+// baseline's structural product.  ctest runs it under the "pipeline"
 // label.
 #include "baseline/csrgemm.hpp"
 #include "core/bit_spgemm.hpp"
@@ -86,15 +82,6 @@ TEST_P(PackPipelineTest, RewrittenPackMatchesReferenceBitForBit) {
     const B2srT<Dim> now = pack_from_csr<Dim>(csr());
     expect_b2sr_equal(ref, now, name());
     EXPECT_TRUE(now.validate()) << name();
-  });
-}
-
-TEST_P(PackPipelineTest, PackVariantsAgree) {
-  dispatch_tile_dim(dim(), [&]<int Dim>() {
-    const B2srT<Dim> scalar =
-        pack_from_csr<Dim>(csr(), KernelVariant::kScalar);
-    const B2srT<Dim> simd = pack_from_csr<Dim>(csr(), KernelVariant::kSimd);
-    expect_b2sr_equal(scalar, simd, name());
   });
 }
 
