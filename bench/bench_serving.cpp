@@ -7,17 +7,19 @@
 //   saturation — every query submitted at once (a full backlog), once
 //     with max_batch = 1 (the worker pool alone) and once with the
 //     64-way auto-batcher.  The QPS ratio is the serving payoff of the
-//     batch engine: under backlog, pop_batch widens toward 64 and each
-//     wave's msbfs amortizes one BMM frontier sweep per level across
-//     the whole wave.
+//     batch engine: under backlog the wave rule finds a 64-wide wave
+//     cheaper than 64 single runs, so pop_batch hands over whole runs
+//     and each wave's msbfs amortizes one BMM frontier sweep per level
+//     across the whole wave.
 //
 //   open-loop — a Poisson arrival process at several rates bracketing
 //     the unbatched capacity, both modes at each rate.  Reported:
 //     submit-to-reply latency percentiles (p50/p99/p999), achieved
-//     QPS, and the admission-control shed counts.  Above unbatched
-//     capacity the batched server keeps answering (wider waves) where
-//     the unbatched one sheds at the door — latency degrades into
-//     throughput instead of collapse.
+//     QPS, and the admission-control shed counts.  Below the break-even
+//     width the batched server runs one request at a time, like the
+//     unbatched one; above unbatched capacity it keeps answering (wider
+//     waves) where the unbatched one sheds at the door — latency
+//     degrades into throughput instead of collapse.
 //
 //   multi-graph — the same closed-loop storm fired round-robin across
 //     a three-graph GraphRegistry: the batcher partitions each popped
@@ -26,13 +28,15 @@
 //
 //   mixed-kinds — one graph, the storm drawing uniformly from all four
 //     QueryKinds: per-kind completion counts plus the executed
-//     wave-width histogram, the adaptive batcher's decision record.
+//     wave-width histogram, the wave rule's decision record.
 //
 //   cancellation-overhead — the batched saturation burst run with no
 //     deadlines (no CancelToken armed: zero polling) vs with a
 //     far-future default deadline (every wave arms a token, polled at
-//     every level boundary).  The pair guards the hot path: the
-//     cooperative-cancellation poll must stay in the noise.
+//     every level boundary), over rounds that alternate which side runs
+//     first, so neither side always inherits the other's warm state.
+//     The pair guards the hot path: the cooperative-cancellation poll
+//     must stay inside the spread of its own rounds.
 //
 // Every single-graph cell serves the bench graph from one registry of
 // one built in main.  Before any measurement, every batched answer is
@@ -41,7 +45,7 @@
 // batched/unbatched saturation speedup is written beside its 2.9x
 // reference floor, and regression detection belongs to the end-to-end
 // benchmark's bounds.  Results go to BENCH_serving.json (schema
-// bitgb-serving-bench-v4, see BUILDING.md), including the persistence
+// bitgb-serving-bench-v5, see BUILDING.md), including the persistence
 // roundtrip cell (snapshot load vs MatrixMarket re-ingest + prewarm);
 // a file that cannot be written also fails the run (exit 1).
 #include "algorithms/bfs.hpp"
@@ -427,20 +431,35 @@ int main() {
   // Same batched burst, polling off (no deadline => no token armed)
   // vs polling on (a far-future default deadline arms a token on every
   // wave; bfs/msbfs poll it at every level boundary but it never
-  // fires).  The delta is the pure cost of the cooperative poll.
-  const auto cancel_off = run_saturation(reg, burst, FrontierBatch::kMaxBatch,
-                                         "polling-off");
-  const auto cancel_on =
-      run_saturation(reg, burst, FrontierBatch::kMaxBatch, "polling-on",
-                     std::chrono::milliseconds{3600 * 1000});
-  bench::ServingCancellation cancellation;
-  cancellation.polling_off_qps = cancel_off.qps;
-  cancellation.polling_on_qps = cancel_on.qps;
+  // fires).  The delta is the pure cost of the cooperative poll.  A
+  // fixed off-then-on order read "on" faster in every record, so the
+  // rounds alternate which side runs first.
+  constexpr int kCancelRounds = 6;
+  auto cancel_qps = [&](bool polling) {
+    return run_saturation(reg, burst, FrontierBatch::kMaxBatch,
+                          polling ? "polling-on" : "polling-off",
+                          std::chrono::milliseconds{polling ? 3600 * 1000
+                                                            : 0})
+        .qps;
+  };
+  std::vector<double> off_qps, on_qps;
+  for (int round = 0; round < kCancelRounds; ++round) {
+    const bool on_first = round % 2 == 1;
+    const double first = cancel_qps(on_first);
+    const double second = cancel_qps(!on_first);
+    off_qps.push_back(on_first ? second : first);
+    on_qps.push_back(on_first ? first : second);
+  }
+  const bench::ServingCancellation cancellation =
+      bench::summarize_cancellation(off_qps, on_qps);
   std::printf("\ncancellation overhead (batched burst, deadline token "
-              "armed vs not):\n");
-  std::printf("  %-12s %10.0f q/s\n", "polling off", cancel_off.qps);
-  std::printf("  %-12s %10.0f q/s   overhead %+.1f%%\n", "polling on",
-              cancel_on.qps, cancellation.overhead_pct());
+              "armed vs not, median of %d alternating rounds):\n",
+              cancellation.rounds);
+  std::printf("  %-12s %10.0f q/s\n", "polling off",
+              cancellation.polling_off_qps);
+  std::printf("  %-12s %10.0f q/s   overhead %+.1f%% (quartile spread "
+              "%.1f%%)\n", "polling on", cancellation.polling_on_qps,
+              cancellation.overhead_pct, cancellation.overhead_pct_spread);
 
   // --- Open-loop latency profile -------------------------------------
   // Rates bracket the unbatched capacity: comfortably under, at, and

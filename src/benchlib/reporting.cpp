@@ -179,6 +179,28 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
+ServingCancellation summarize_cancellation(const std::vector<double>& off_qps,
+                                           const std::vector<double>& on_qps) {
+  if (off_qps.size() != on_qps.size()) {
+    throw std::invalid_argument(
+        "summarize_cancellation: polling-off and polling-on rounds differ");
+  }
+  std::vector<double> overhead_pct;
+  for (std::size_t i = 0; i < off_qps.size(); ++i) {
+    overhead_pct.push_back(
+        off_qps[i] > 0.0 ? 100.0 * (off_qps[i] - on_qps[i]) / off_qps[i]
+                         : 0.0);
+  }
+  ServingCancellation cell;
+  cell.rounds = static_cast<int>(off_qps.size());
+  cell.polling_off_qps = percentile(off_qps, 50.0);
+  cell.polling_on_qps = percentile(on_qps, 50.0);
+  cell.overhead_pct = percentile(overhead_pct, 50.0);
+  cell.overhead_pct_spread =
+      percentile(overhead_pct, 75.0) - percentile(overhead_pct, 25.0);
+  return cell;
+}
+
 void write_serving_bench_json(const std::string& path,
                               const std::string& graph_name, vidx_t vertices,
                               eidx_t edges, int workers, bool verified,
@@ -190,7 +212,7 @@ void write_serving_bench_json(const std::string& path,
                               const ServingPersistence& persistence) {
   std::ofstream f = open_for_write(path);
   f << "{\n";
-  f << "  \"schema\": \"bitgb-serving-bench-v4\",\n";
+  f << "  \"schema\": \"bitgb-serving-bench-v5\",\n";
   f << "  \"graph\": {\"name\": \"" << graph_name
     << "\", \"vertices\": " << vertices << ", \"edges\": " << edges << "},\n";
   f << "  \"workers\": " << workers << ",\n";
@@ -206,10 +228,12 @@ void write_serving_bench_json(const std::string& path,
   f << "  ],\n";
   f << "  \"saturation_batched_speedup\": " << batched_speedup << ",\n";
   f << "  \"saturation_speedup_floor\": " << speedup_floor << ",\n";
-  f << "  \"cancellation_overhead\": {\"polling_off_qps\": "
-    << cancellation.polling_off_qps
+  f << "  \"cancellation_overhead\": {\"rounds\": " << cancellation.rounds
+    << ", \"polling_off_qps\": " << cancellation.polling_off_qps
     << ", \"polling_on_qps\": " << cancellation.polling_on_qps
-    << ", \"overhead_pct\": " << cancellation.overhead_pct() << "},\n";
+    << ", \"overhead_pct\": " << cancellation.overhead_pct
+    << ", \"overhead_pct_spread\": " << cancellation.overhead_pct_spread
+    << "},\n";
   f << "  \"persistence\": {\"snapshot_bytes\": " << persistence.snapshot_bytes
     << ", \"mm_bytes\": " << persistence.mm_bytes
     << ", \"save_ms\": " << persistence.save_ms

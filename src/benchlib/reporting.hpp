@@ -106,11 +106,11 @@ void print_kernel_bench(std::ostream& os,
 // registry, and a mixed stream of all four query kinds, each with
 // per-kind counts and the executed wave-width histogram), and the
 // cancellation-overhead cell (the batched saturation burst with the
-// per-wave deadline token armed vs unarmed — the guard that keeps the
-// cooperative-cancellation poll off the hot path's critical cost), and
-// the persistence roundtrip cell (snapshot load vs MatrixMarket
-// re-ingest + prewarm — the warm-restart payoff).
-// Schema "bitgb-serving-bench-v4", documented in BUILDING.md.
+// per-wave deadline token armed vs unarmed, over alternating rounds —
+// the guard that keeps the cooperative-cancellation poll off the hot
+// path's critical cost), and the persistence roundtrip cell (snapshot
+// load vs MatrixMarket re-ingest + prewarm — the warm-restart payoff).
+// Schema "bitgb-serving-bench-v5", documented in BUILDING.md.
 
 /// Tail-aware percentile with linear interpolation between order
 /// statistics; `p` in [0, 100].  Returns 0 for empty input.
@@ -155,20 +155,27 @@ struct ServingScenario {
   std::vector<std::uint64_t> wave_width_hist;
 };
 
-/// The cancellation-overhead cell (v3): the batched saturation burst
-/// run twice — once with no deadlines (no CancelToken armed, zero
-/// polling) and once with a far-future default deadline (every wave
-/// arms a token and polls it at every level boundary).  The polling
-/// cost must stay in the noise; overhead_pct is the trajectory metric.
+/// The cancellation-overhead cell (v5): the batched saturation burst
+/// run with no deadlines (no CancelToken armed, zero polling) and with
+/// a far-future default deadline (every wave arms a token and polls it
+/// at every level boundary), once each per round, the two sides
+/// alternating which runs first.  The qps fields are each side's
+/// median; overhead_pct is the median of the per-round overheads and
+/// overhead_pct_spread the distance between their quartiles — the
+/// noise band the polling cost is read against.
 struct ServingCancellation {
+  int rounds = 0;
   double polling_off_qps = 0.0;
   double polling_on_qps = 0.0;
-  [[nodiscard]] double overhead_pct() const {
-    return polling_off_qps > 0.0
-               ? 100.0 * (polling_off_qps - polling_on_qps) / polling_off_qps
-               : 0.0;
-  }
+  double overhead_pct = 0.0;
+  double overhead_pct_spread = 0.0;
 };
+
+/// Summarize paired rounds — round i measured `off_qps[i]` with polling
+/// off and `on_qps[i]` with it on — into the cancellation cell.
+/// Throws std::invalid_argument when the sides differ in length.
+[[nodiscard]] ServingCancellation summarize_cancellation(
+    const std::vector<double>& off_qps, const std::vector<double>& on_qps);
 
 /// The persistence roundtrip cell (v4): the warm-restart payoff.  The
 /// same graph is brought to serving readiness two ways — re-ingesting
@@ -187,7 +194,7 @@ struct ServingPersistence {
   }
 };
 
-/// Write the v4 JSON document.  `batched_speedup` is the saturation
+/// Write the v5 JSON document.  `batched_speedup` is the saturation
 /// headline (batched QPS / unbatched QPS) and `speedup_floor` the
 /// regression gate it is asserted against; `verified` records that the
 /// served answers were checked bit-identical against a serial pass;

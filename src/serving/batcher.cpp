@@ -6,6 +6,7 @@
 #include "core/frontier_batch.hpp"
 #include "platform/cancel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <exception>
@@ -66,25 +67,29 @@ struct WaveServed {
   int shed = 0;
 };
 
-/// Single-request traversal fast path: the plain single-source
-/// algorithms — also the execution model of the unbatched (max_batch =
-/// 1) ablation.
+/// Single-request traversal path: the plain single-source algorithms —
+/// what the wave rule picks below the slot's break-even width, and the
+/// execution model of the unbatched (max_batch = 1) ablation.  The
+/// request's own start stamp also times the run into the slot's
+/// single-run mean.
 WaveServed serve_single_traversal(const Context& ctx, Request& r,
-                                  algo::Workspace& ws,
-                                  clock::time_point started) {
+                                  algo::Workspace& ws) {
   CancelToken token(r.deadline);
   const Context wctx = r.deadline < clock::time_point::max()
                            ? ctx.with_cancel(&token)
                            : ctx;
   const gb::Graph& g = r.slot->graph();
   auto& out = ws.slot<algo::BfsResult>("serving.bfs_out");
+  const clock::time_point started = clock::now();
   algo::bfs(wctx, g, {r.source}, ws, out);
+  const clock::time_point done = clock::now();
   if (token.cancelled()) {
-    shed(r, Status::kShedDeadline, clock::now());
+    shed(r, Status::kShedDeadline, done);
     return {0, 1};
   }
+  r.slot->traversal_cost(r.kind).single.add(done - started);
 
-  Reply reply = make_reply(r, Status::kOk, started, clock::now(), 1);
+  Reply reply = make_reply(r, Status::kOk, started, done, 1);
   if (r.kind == QueryKind::kBfs) {
     reply.levels = out.levels;
   } else {
@@ -102,61 +107,51 @@ WaveServed serve_single_traversal(const Context& ctx, Request& r,
 /// msbfs / batched_reach sweep under a shared cancel token armed with
 /// the wave's LATEST deadline — the wave aborts mid-flight only once
 /// every rider has expired, so cancellation never discards work
-/// somebody is still waiting on.
+/// somebody is still waiting on.  The sweep is timed into the slot's
+/// wave mean.
 WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
-                                RequestIt last, algo::Workspace& ws,
-                                clock::time_point started) {
+                                RequestIt last, algo::Workspace& ws) {
   const auto width = static_cast<int>(last - first);
-  if (width == 1) {
-    return serve_single_traversal(ctx, **first, ws, started);
-  }
   const clock::time_point latest = wave_deadline(first, last);
   CancelToken token(latest);
   const Context wctx =
       latest < clock::time_point::max() ? ctx.with_cancel(&token) : ctx;
 
-  const gb::Graph& g = (*first)->slot->graph();
+  const GraphSlot& slot = *(*first)->slot;
   auto& sources = ws.slot<std::vector<vidx_t>>("serving.sources");
   sources.clear();
   for (auto it = first; it != last; ++it) sources.push_back((*it)->source);
 
   const QueryKind kind = (*first)->kind;
+  auto& levels = ws.slot<algo::MsBfsResult>("serving.msbfs_out");
+  const FrontierBatch* reached = nullptr;
+  const clock::time_point started = clock::now();
   if (kind == QueryKind::kBfs) {
     auto& params = ws.slot<algo::MsBfsParams>("serving.msbfs_params");
     params.sources = sources;
-    auto& out = ws.slot<algo::MsBfsResult>("serving.msbfs_out");
-    algo::msbfs(wctx, g, params, ws, out);
-    if (token.cancelled()) {
-      const clock::time_point now = clock::now();
-      for (auto it = first; it != last; ++it) {
-        shed(**it, Status::kShedDeadline, now);
-      }
-      return {0, width};
-    }
-    const clock::time_point done = clock::now();
-    for (auto it = first; it != last; ++it) {
-      Request& r = **it;
-      Reply reply = make_reply(r, Status::kOk, started, done, width);
-      algo::scatter_levels(out, static_cast<int>(it - first), reply.levels);
-      try_fulfill(r, std::move(reply));
-    }
+    algo::msbfs(wctx, slot.graph(), params, ws, levels);
   } else {
-    const FrontierBatch& reach = algo::batched_reach(wctx, g, sources, ws);
-    if (token.cancelled()) {
-      const clock::time_point now = clock::now();
-      for (auto it = first; it != last; ++it) {
-        shed(**it, Status::kShedDeadline, now);
-      }
-      return {0, width};
-    }
-    const clock::time_point done = clock::now();
+    reached = &algo::batched_reach(wctx, slot.graph(), sources, ws);
+  }
+  const clock::time_point done = clock::now();
+  if (token.cancelled()) {
     for (auto it = first; it != last; ++it) {
-      Request& r = **it;
-      Reply reply = make_reply(r, Status::kOk, started, done, width);
-      algo::scatter_reached(reach, static_cast<int>(it - first),
-                            reply.reached);
-      try_fulfill(r, std::move(reply));
+      shed(**it, Status::kShedDeadline, done);
     }
+    return {0, width};
+  }
+  slot.traversal_cost(kind).wave.add(done - started);
+
+  for (auto it = first; it != last; ++it) {
+    Request& r = **it;
+    Reply reply = make_reply(r, Status::kOk, started, done, width);
+    const auto column = static_cast<int>(it - first);
+    if (reached == nullptr) {
+      algo::scatter_levels(levels, column, reply.levels);
+    } else {
+      algo::scatter_reached(*reached, column, reply.reached);
+    }
+    try_fulfill(r, std::move(reply));
   }
   return {width, 0};
 }
@@ -169,8 +164,8 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
 /// — a throwing memo attempt is retryable (the slot treats it as not
 /// having run), so a poisoned attempt is never cached either.
 WaveServed serve_components_wave(const Context& ctx, RequestIt first,
-                                 RequestIt last, algo::Workspace& ws,
-                                 clock::time_point started) {
+                                 RequestIt last, algo::Workspace& ws) {
+  const clock::time_point started = clock::now();
   const auto width = static_cast<int>(last - first);
   const GraphSlot& slot = *(*first)->slot;
   const algo::BatchedCcResult& cc =
@@ -191,8 +186,9 @@ WaveServed serve_components_wave(const Context& ctx, RequestIt first,
 /// the next iteration boundary; the shed reply's `iterations` records
 /// how many iterations ran before the token fired (< the requested
 /// max — the proof the query stopped burning its budget).
-WaveServed serve_pagerank(const Context& ctx, Request& r, algo::Workspace& ws,
-                          clock::time_point started) {
+WaveServed serve_pagerank(const Context& ctx, Request& r,
+                          algo::Workspace& ws) {
+  const clock::time_point started = clock::now();
   CancelToken token(r.deadline);
   const Context wctx = r.deadline < clock::time_point::max()
                            ? ctx.with_cancel(&token)
@@ -249,12 +245,12 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
   // Deadline gate: anything that expired while queued is shed without
   // touching the graph — under overload the wave stays full of queries
   // someone is still waiting for.
-  const clock::time_point started = clock::now();
+  const clock::time_point now = clock::now();
   auto& live = ws.slot<std::vector<Request*>>("serving.live");
   live.clear();
   for (auto& r : batch) {
-    if (r.deadline < started) {
-      shed(r, Status::kShedDeadline, started);
+    if (r.deadline < now) {
+      shed(r, Status::kShedDeadline, now);
       ++outcome.shed_deadline;
     } else {
       live.push_back(&r);
@@ -262,25 +258,17 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
   }
   if (live.empty()) return;
 
-  // Partition by graph slot: a popped run is same-kind but may span
-  // registered graphs, and a wave can only sweep one adjacency.  FIFO
-  // order within each partition is preserved (stable partitioning by
-  // first-seen slot), so a graph's own queries still serve in order.
-  auto record_wave = [&](int width) {
-    ++outcome.waves;
-    outcome.widest = std::max(outcome.widest, width);
-    wave_widths.push_back(width);
-  };
   // Resolve one wave's WaveServed into the outcome + breaker: a wave
   // with at least one kOk answer is health evidence (close the
-  // breaker); a fully-shed wave judged nothing (release any probe).
+  // breaker) and is recorded as a wave; a fully-shed wave judged
+  // nothing (release any probe).
   auto settle_wave = [&](const WaveServed& served, CircuitBreaker& cb,
                          int width) {
     outcome.executed += served.ok;
     outcome.shed_deadline += served.shed;
     if (served.ok > 0) {
       cb.record_success();
-      record_wave(width);
+      wave_widths.push_back(width);
     } else {
       cb.abandon_probe();
     }
@@ -290,16 +278,32 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
   // breaker records the failure.
   auto settle_throw = [&](RequestIt first, RequestIt last,
                           CircuitBreaker& cb, const char* what) {
-    const clock::time_point now = clock::now();
+    const clock::time_point failed_at = clock::now();
     int errs = 0;
     for (auto it = first; it != last; ++it) {
-      if (fulfill_error(**it, what, now)) ++errs;
+      if (fulfill_error(**it, what, failed_at)) ++errs;
     }
     outcome.failed += errs;
     outcome.executed += static_cast<int>(last - first) - errs;
-    cb.record_failure(breaker, now);
+    cb.record_failure(breaker, failed_at);
+  };
+  // The one containment path: `serve` runs the failure domain
+  // [first, last) and whatever it throws stays inside that domain.
+  auto contain = [&](RequestIt first, RequestIt last, CircuitBreaker& cb,
+                     auto&& serve) {
+    try {
+      settle_wave(serve(), cb, static_cast<int>(last - first));
+    } catch (const std::exception& e) {
+      settle_throw(first, last, cb, e.what());
+    } catch (...) {
+      settle_throw(first, last, cb, "unknown exception");
+    }
   };
 
+  // Partition by graph slot: a popped run is same-kind but may span
+  // registered graphs, and a wave can only sweep one adjacency.  FIFO
+  // order within each partition is preserved (stable partitioning by
+  // first-seen slot), so a graph's own queries still serve in order.
   const QueryKind kind = live.front()->kind;
   auto begin = live.begin();
   while (begin != live.end()) {
@@ -315,9 +319,9 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
     // from eating worker time and caller deadlines.  allow() may claim
     // the half-open probe; every path below resolves it.
     if (!cb.allow(breaker, clock::now())) {
-      const clock::time_point now = clock::now();
+      const clock::time_point shed_at = clock::now();
       for (auto it = begin; it != end; ++it) {
-        shed(**it, Status::kShedCircuitOpen, now);
+        shed(**it, Status::kShedCircuitOpen, shed_at);
       }
       outcome.shed_circuit += width;
       begin = end;
@@ -329,49 +333,32 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
     // mid-flight cancellation path, not the pre-wave shed.
     if (ctx.fault != nullptr) ctx.fault->on_wave();
 
-    switch (kind) {
-      case QueryKind::kBfs:
-      case QueryKind::kReach:
-        try {
-          settle_wave(serve_traversal_wave(ctx, begin, end, ws, started),
-                      cb, width);
-        } catch (const std::exception& e) {
-          settle_throw(begin, end, cb, e.what());
-        } catch (...) {
-          settle_throw(begin, end, cb, "unknown exception");
+    if (kind == QueryKind::kComponents) {
+      contain(begin, end, cb,
+              [&] { return serve_components_wave(ctx, begin, end, ws); });
+    } else if (kind != QueryKind::kPagerank &&
+               slot->traversal_cost(kind).wave_pays(width)) {
+      contain(begin, end, cb,
+              [&] { return serve_traversal_wave(ctx, begin, end, ws); });
+    } else {
+      // One by one: pagerank (params differ per request, so nothing
+      // coalesces), or a traversal run the wave rule says is cheaper
+      // single.  Each request is its own width-1 wave and its own
+      // failure domain (one throwing run does not fail its partition
+      // neighbours), and the breaker re-gates each: K failures here
+      // trip it mid-partition and the remainder sheds fast.
+      for (auto it = begin; it != end; ++it) {
+        if (it != begin && !cb.allow(breaker, clock::now())) {
+          shed(**it, Status::kShedCircuitOpen, clock::now());
+          ++outcome.shed_circuit;
+          continue;
         }
-        break;
-      case QueryKind::kComponents:
-        try {
-          settle_wave(serve_components_wave(ctx, begin, end, ws, started),
-                      cb, width);
-        } catch (const std::exception& e) {
-          settle_throw(begin, end, cb, e.what());
-        } catch (...) {
-          settle_throw(begin, end, cb, "unknown exception");
-        }
-        break;
-      case QueryKind::kPagerank:
-        // Nothing to coalesce: params differ per request, so each one
-        // is its own width-1 wave — and its own failure domain (one
-        // throwing pagerank does not fail its partition neighbours).
-        // The breaker re-gates each request: K failures here trip it
-        // mid-partition and the remainder sheds fast.
-        for (auto it = begin; it != end; ++it) {
-          if (it != begin && !cb.allow(breaker, clock::now())) {
-            shed(**it, Status::kShedCircuitOpen, clock::now());
-            ++outcome.shed_circuit;
-            continue;
-          }
-          try {
-            settle_wave(serve_pagerank(ctx, **it, ws, started), cb, 1);
-          } catch (const std::exception& e) {
-            settle_throw(it, it + 1, cb, e.what());
-          } catch (...) {
-            settle_throw(it, it + 1, cb, "unknown exception");
-          }
-        }
-        break;
+        contain(it, it + 1, cb, [&] {
+          return kind == QueryKind::kPagerank
+                     ? serve_pagerank(ctx, **it, ws)
+                     : serve_single_traversal(ctx, **it, ws);
+        });
+      }
     }
     begin = end;
   }

@@ -5,12 +5,15 @@
 // already passed, partitions the survivors by graph slot (a popped run
 // may span registered graphs), and executes each partition:
 //
-//   kBfs / kReach — the partition's sources coalesce into ONE
-//     msbfs / batched_reach wave, with the per-source columns scattered
-//     back into each request's promise (algo::scatter_levels /
-//     scatter_reached).  A single-request partition skips the wave and
-//     runs the plain single-source path — which is also the whole
-//     execution story of the unbatched ablation (max_batch = 1).
+//   kBfs / kReach — the wave rule (serving/registry.hpp wave_pays)
+//     decides from the slot's measured costs: when width × single_ns ≥
+//     wave_ns the partition's sources coalesce into ONE msbfs /
+//     batched_reach wave, with the per-source columns scattered back
+//     into each request's promise (algo::scatter_levels /
+//     scatter_reached); otherwise each request runs the plain
+//     single-source path in turn — which is also the whole execution
+//     story of the unbatched ablation (max_batch = 1).  Both paths time
+//     their algorithm call into the slot's running means.
 //   kComponents — the whole partition shares the slot's memoized
 //     batched_cc labelling (computed by the first components query of
 //     the registration, from any worker; a registry re-add makes a new
@@ -19,6 +22,10 @@
 //     Workspace with the params it carried; two pagerank requests
 //     rarely describe the same computation, so there is nothing to
 //     coalesce.
+//
+// A request run on its own is a width-1 wave with its own start stamp,
+// so Reply::queue_ms includes the runs ahead of it and the server's
+// wave counters agree with Reply::batch_width.
 //
 // Batched and unbatched answers are bit-identical: msbfs's level
 // matrix equals independent bfs() runs column for column (test_batched
@@ -51,11 +58,6 @@
 
 #include "algorithms/workspace.hpp"
 
-#include "core/frontier_batch.hpp"
-
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
 #include <vector>
 
 namespace bitgb::serving {
@@ -67,20 +69,18 @@ struct BatchOutcome {
   int shed_circuit = 0;   ///< requests shed by an open circuit breaker
   int failed = 0;         ///< requests fulfilled kInternalError (their
                           ///< wave threw; the worker survived)
-  int waves = 0;          ///< execution waves run (>1 when the popped
-                          ///< run spanned graphs, or for pagerank)
-  int widest = 0;         ///< widest wave of this call (0 = none ran)
 };
 
 /// Serve `batch` (all the same QueryKind, 1..64 requests, possibly
 /// spanning graphs) on behalf of one worker: shed expired requests,
 /// partition by slot, gate each partition through its slot's circuit
 /// breaker (tuned by `breaker`), run each admitted partition as one
-/// cancellable wave, fulfill every promise.  Counts accumulate into
-/// `outcome` AS requests resolve — an out-parameter so a throw (see
-/// below) cannot discard the accounting of already-fulfilled requests.
-/// Each executed wave's width is appended to `wave_widths` (not
-/// cleared — the caller owns the scratch) for the server's histogram.
+/// cancellable wave or, where no wave pays, one request at a time, and
+/// fulfill every promise.  Counts accumulate into `outcome` AS requests
+/// resolve — an out-parameter so a throw (see below) cannot discard the
+/// accounting of already-fulfilled requests.  Each executed wave's
+/// width is appended to `wave_widths` (not cleared — the caller owns
+/// the scratch), the one record the server's wave counters read.
 /// `batch` is left in moved-from state.
 ///
 /// Exception safety: a throwing wave is contained inside this call —
@@ -110,60 +110,5 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
 /// sweep the whole batch after a serve_batch throw without knowing how
 /// far it got.  Never throws.
 int fail_unfulfilled(std::vector<Request>& batch, const char* what) noexcept;
-
-/// AdaptiveBatch — the depth-feedback coalescing-window policy.
-///
-/// Replaces the static max_batch knob: instead of always popping up to
-/// the cap, each worker sizes its next pop from an asymmetric EWMA of
-/// the load signal (queue depth at wave completion, and the width the
-/// wave actually ran at).  The signal attacks fast (a burst widens the
-/// window within a wave or two, so saturation throughput reaches the
-/// 64-way amortization almost immediately) and decays slow (an on/off
-/// arrival gap does not collapse the window between bursts); with no
-/// backlog the signal settles at 1 and the worker returns to latency-
-/// optimal single-query pops.
-///
-/// The policy is deliberately a pure, lock-free value — one instance
-/// per worker, no shared state, and therefore nothing for a GUARDED_BY
-/// annotation to guard (the thread-safety audit stops here by design) —
-/// and is property-tested in isolation
-/// (test_serving_adaptive) against recorded arrival traces: the window
-/// is monotone in sustained queue depth, never exceeds the cap, and
-/// decays back to 1 when the queue drains.
-class AdaptiveBatch {
- public:
-  explicit AdaptiveBatch(int cap = FrontierBatch::kMaxBatch)
-      : cap_(std::clamp(cap, 1, FrontierBatch::kMaxBatch)) {}
-
-  /// Record one wave's observation — the queue depth after the pop and
-  /// the widest wave the pop produced — and return the window for the
-  /// next pop.
-  int update(std::size_t queue_depth, int wave_width) {
-    const double x = static_cast<double>(
-        std::max<std::size_t>(queue_depth,
-                              static_cast<std::size_t>(
-                                  std::max(1, wave_width))));
-    const double alpha = x > signal_ ? kAttack : kDecay;
-    signal_ += alpha * (x - signal_);
-    // The deadband matters: the EWMA only asymptotes toward 1 on a
-    // drained queue, so a bare ceil() would pin the window at 2
-    // forever.  Subtracting a sliver lets the geometric decay land.
-    window_ = std::clamp(static_cast<int>(std::ceil(signal_ - kDeadband)),
-                         1, cap_);
-    return window_;
-  }
-
-  [[nodiscard]] int window() const { return window_; }
-  [[nodiscard]] int cap() const { return cap_; }
-
- private:
-  static constexpr double kAttack = 0.7;  ///< backlog: widen fast
-  static constexpr double kDecay = 0.3;   ///< drain: narrow smoothly
-  static constexpr double kDeadband = 1.0 / 16.0;  ///< lets decay reach 1
-
-  int cap_;
-  double signal_ = 1.0;
-  int window_ = 1;
-};
 
 }  // namespace bitgb::serving

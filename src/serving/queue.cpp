@@ -4,6 +4,22 @@
 
 namespace bitgb::serving {
 
+namespace {
+
+/// How many of the `run` requests heading one kind's FIFO a pop takes:
+/// a traversal run goes whole only when the wave rule says a wave of
+/// that width pays on the head request's slot, else one request; a
+/// pagerank runs alone (nothing coalesces); a components run goes whole
+/// (one memo read answers it).
+std::size_t pop_width(const Request& head, std::size_t run) {
+  if (head.kind == QueryKind::kPagerank) return 1;
+  if (head.kind == QueryKind::kComponents) return run;
+  const TraversalCost& cost = head.slot->traversal_cost(head.kind);
+  return cost.wave_pays(static_cast<int>(run)) ? run : 1;
+}
+
+}  // namespace
+
 RequestQueue::RequestQueue(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
@@ -39,7 +55,7 @@ std::size_t RequestQueue::pop_batch(std::vector<Request>& out, int max_batch) {
       q = &fifo;
     }
   }
-  const std::size_t count = std::min(take, q->size());
+  const std::size_t count = pop_width(q->front(), std::min(take, q->size()));
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(std::move(q->front()));
     q->pop_front();

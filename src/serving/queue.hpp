@@ -10,13 +10,15 @@
 // returns up to max_batch requests *of one kind* in a single lock hold.
 // Pending requests wait in one FIFO per QueryKind (all sharing the
 // capacity bound), so a worker's pop IS the auto-batcher's admission
-// step: the queue naturally hands over the longest same-kind run that
-// has accumulated while every worker was busy — deeper backlog, wider
-// msbfs waves, which is exactly the load-adaptive batching the bit
-// engine's 64-way amortization wants.  Across kinds, pop_batch serves
-// the FIFO whose head request has waited longest.  A popped run may
-// span graphs — the batcher partitions it per graph slot before
-// executing.
+// step, and it fixes the wave width: a traversal run that accumulated
+// while every worker was busy is handed over whole only when the wave
+// rule (serving/registry.hpp wave_pays) says a wave of that width pays
+// on the head request's slot; otherwise one request is popped and the
+// rest stay for the next free worker, so a run too narrow to pay is
+// spread across workers instead of serialized behind one.  Across
+// kinds, pop_batch serves the FIFO whose head request has waited
+// longest.  A popped run may span graphs — the batcher partitions it
+// per graph slot before executing.
 #pragma once
 
 #include "platform/thread_annotations.hpp"
@@ -48,8 +50,10 @@ class RequestQueue {
   [[nodiscard]] PushOutcome try_push(Request&& r) EXCLUDES(m_);
 
   /// Pop up to max_batch requests of one kind, appended to `out`
-  /// (which is cleared first).  Blocks while the queue is empty and
-  /// open; returns the number popped, 0 only when closed and drained.
+  /// (which is cleared first): a traversal run only if a wave of its
+  /// width pays, else one; one pagerank; a whole components run.
+  /// Blocks while the queue is empty and open; returns the number
+  /// popped, 0 only when closed and drained.
   std::size_t pop_batch(std::vector<Request>& out, int max_batch)
       EXCLUDES(m_);
 

@@ -23,6 +23,7 @@
 #include "platform/fault_injector.hpp"
 #include "platform/thread_annotations.hpp"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -119,8 +120,59 @@ class CircuitBreaker {
   std::atomic<std::uint64_t> trips_{0};
 };
 
-/// One registered graph: the handle, its registration identity, and the
-/// memoized whole-graph results every same-generation query shares.
+enum class QueryKind : std::uint8_t;  // serving/request.hpp
+
+/// The wave rule: `width` same-slot traversals of one kind go out as one
+/// batched wave only when running them one by one would cost at least
+/// as much, width × single_ns ≥ wave_ns.  A wave of one is a single
+/// run.  A side not yet measured (0 ns) counts as paying, so the first
+/// backlog measures the wave.
+[[nodiscard]] constexpr bool wave_pays(int width, double single_ns,
+                                       double wave_ns) {
+  if (width <= 1) return false;
+  if (single_ns <= 0.0 || wave_ns <= 0.0) return true;
+  return width * single_ns >= wave_ns;
+}
+
+/// A running mean of one run shape's wall time, fed by every worker of
+/// every server sharing the slot.  Sum and count are separate relaxed
+/// atomics: a reader racing a writer may pair the new sum with the old
+/// count (or the reverse), an error of one run the wave rule tolerates.
+class RunningMean {
+ public:
+  void add(std::chrono::nanoseconds d) {
+    sum_ns_.fetch_add(static_cast<std::uint64_t>(d.count()),
+                      std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Mean in ns; 0 until the first run is recorded.
+  [[nodiscard]] double ns() const {
+    const std::uint64_t n = count_.load(std::memory_order_relaxed);
+    return n == 0 ? 0.0
+                  : static_cast<double>(
+                        sum_ns_.load(std::memory_order_relaxed)) /
+                        static_cast<double>(n);
+  }
+
+ private:
+  std::atomic<std::uint64_t> sum_ns_{0};
+  std::atomic<std::uint64_t> count_{0};
+};
+
+/// What one traversal kind costs on a slot: a single-source run and a
+/// batched msbfs / batched_reach wave.  Cancelled and thrown runs are
+/// never recorded.
+struct TraversalCost {
+  RunningMean single;
+  RunningMean wave;
+  [[nodiscard]] bool wave_pays(int width) const {
+    return serving::wave_pays(width, single.ns(), wave.ns());
+  }
+};
+
+/// One registered graph: the handle, its registration identity, the
+/// memoized whole-graph results every same-generation query shares, and
+/// the measured traversal costs the wave rule reads.
 class GraphSlot {
  public:
   /// A slot co-owns its graph: a fresh registration moves its Graph in,
@@ -180,6 +232,13 @@ class GraphSlot {
   /// policy rides with each Server's options).
   [[nodiscard]] CircuitBreaker& breaker() const { return breaker_; }
 
+  /// The measured costs the wave rule compares for traversal kind
+  /// `kind` (kBfs or kReach; any other kind throws std::out_of_range).
+  /// Like the breaker, shared by every server on the registry.
+  [[nodiscard]] TraversalCost& traversal_cost(QueryKind kind) const {
+    return traversal_costs_.at(static_cast<std::size_t>(kind));
+  }
+
  private:
   /// The double-checked publication escape, in one audited spot: once
   /// cc_ready_ is observed true with acquire ordering, cc_ was fully
@@ -201,6 +260,7 @@ class GraphSlot {
   mutable std::atomic<bool> cc_ready_{false};
   mutable algo::BatchedCcResult cc_ GUARDED_BY(cc_mutex_);
   mutable CircuitBreaker breaker_;
+  mutable std::array<TraversalCost, 2> traversal_costs_;
 };
 
 using GraphRef = std::shared_ptr<const GraphSlot>;

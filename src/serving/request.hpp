@@ -50,6 +50,9 @@ static_assert(static_cast<std::size_t>(QueryKind::kComponents) + 1 ==
                   kNumQueryKinds,
               "QueryKind grew: bump kNumQueryKinds and extend every "
               "per-kind table (query_kind_name, queue FIFOs, stats)");
+static_assert(static_cast<std::size_t>(QueryKind::kBfs) == 0 &&
+                  static_cast<std::size_t>(QueryKind::kReach) == 1,
+              "GraphSlot::traversal_cost indexes the traversal kinds");
 
 [[nodiscard]] constexpr const char* query_kind_name(QueryKind k) {
   constexpr const char* kNames[] = {"bfs", "reach", "pagerank",

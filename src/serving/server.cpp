@@ -138,17 +138,14 @@ std::future<Reply> Server::submit_resolved(GraphRef slot, QueryKind kind,
 
 void Server::worker_main() {
   // The long-lived per-worker execution state: one descriptor, one
-  // scratch arena, one adaptive window.  Steady state allocates
-  // nothing on the wave path.
+  // scratch arena.  Steady state allocates nothing on the wave path.
   const Context ctx = opts_.context;
   algo::Workspace ws;
-  AdaptiveBatch adapt(opts_.max_batch);
   std::vector<Request> batch;
   std::vector<int> wave_widths;
   batch.reserve(static_cast<std::size_t>(opts_.max_batch));
   wave_widths.reserve(static_cast<std::size_t>(opts_.max_batch));
-  int window = opts_.adaptive ? adapt.window() : opts_.max_batch;
-  while (queue_.pop_batch(batch, window) > 0) {
+  while (queue_.pop_batch(batch, opts_.max_batch) > 0) {
     const QueryKind kind = batch.front().kind;
     wave_widths.clear();
     BatchOutcome outcome;
@@ -177,31 +174,17 @@ void Server::worker_main() {
     shed_circuit_open_.fetch_add(
         static_cast<std::uint64_t>(outcome.shed_circuit),
         std::memory_order_relaxed);
-    if (outcome.waves > 0) {
-      waves_.fetch_add(static_cast<std::uint64_t>(outcome.waves),
-                       std::memory_order_relaxed);
-      batched_queries_.fetch_add(static_cast<std::uint64_t>(outcome.executed),
-                                 std::memory_order_relaxed);
-      for (const int w : wave_widths) {
-        wave_hist_[wave_hist_bucket(w)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-      }
-      std::uint64_t prev = widest_wave_.load(std::memory_order_relaxed);
-      const auto width = static_cast<std::uint64_t>(outcome.widest);
-      while (prev < width && !widest_wave_.compare_exchange_weak(
-                                 prev, width, std::memory_order_relaxed)) {
-      }
+    std::uint64_t widest = 0;
+    for (const int w : wave_widths) {
+      const auto width = static_cast<std::uint64_t>(w);
+      waves_.fetch_add(1, std::memory_order_relaxed);
+      batched_queries_.fetch_add(width, std::memory_order_relaxed);
+      wave_hist_[wave_hist_bucket(w)].fetch_add(1, std::memory_order_relaxed);
+      widest = std::max(widest, width);
     }
-    if (opts_.adaptive) {
-      // Feed the window policy what this wave saw: the backlog left
-      // behind and the widest wave the pop actually produced.
-      const int next = adapt.update(queue_.depth(), outcome.widest);
-      if (next > window) {
-        window_grew_.fetch_add(1, std::memory_order_relaxed);
-      } else if (next < window) {
-        window_shrank_.fetch_add(1, std::memory_order_relaxed);
-      }
-      window = next;
+    std::uint64_t prev = widest_wave_.load(std::memory_order_relaxed);
+    while (prev < widest && !widest_wave_.compare_exchange_weak(
+                                prev, widest, std::memory_order_relaxed)) {
     }
   }
 }
@@ -238,8 +221,6 @@ ServerStats Server::stats() const {
   for (std::size_t b = 0; b < kWaveHistBuckets; ++b) {
     s.wave_width_hist[b] = wave_hist_[b].load(std::memory_order_relaxed);
   }
-  s.window_grew = window_grew_.load(std::memory_order_relaxed);
-  s.window_shrank = window_shrank_.load(std::memory_order_relaxed);
   s.registry_dedup_hits = registry_.dedup_hits();
   s.graphs_recovered = registry_.recovered_count();
   s.graphs_quarantined = registry_.quarantined_count();

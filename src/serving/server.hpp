@@ -22,13 +22,13 @@
 //   Server server(reg, opts);
 //   auto fut = server.submit("g", QueryKind::kBfs, source);
 //
-// Batching is adaptive by default: each worker sizes its next pop from
-// an AdaptiveBatch depth-feedback window (1..max_batch) instead of
-// always popping the cap — backlog widens the window toward the 64-way
-// amortization within a wave or two, a drained queue decays it back to
-// single-query pops.  ServerOptions::max_batch remains the override
-// cap, and adaptive = false restores the static knob exactly
-// (max_batch every pop — the ablation baseline uses max_batch = 1).
+// Waves form only where they pay: each slot keeps running means of a
+// single-source run and of a batched wave per traversal kind, and a run
+// of `width` traversals goes out as one wave only when width × single
+// ≥ wave (serving/registry.hpp wave_pays) — the queue applies the rule
+// at pop time, the batcher again per graph partition.  Backlog still
+// forms 64-wide waves; light load runs one request at a time.
+// ServerOptions::max_batch caps the width (1 = the unbatched ablation).
 //
 // Serving workers default to serial (threads = 1) Contexts: the worker
 // pool itself is the parallelism, and the batch dimension — not the
@@ -59,14 +59,8 @@ struct ServerOptions {
   /// Bounded queue depth; admission sheds beyond it.
   std::size_t queue_capacity = 1024;
   /// Widest wave a worker may form (clamped to
-  /// FrontierBatch::kMaxBatch) — the adaptive window's cap, or the
-  /// fixed pop width when adaptive = false (1 = unbatched, the
-  /// ablation baseline).
+  /// FrontierBatch::kMaxBatch; 1 = unbatched, the ablation baseline).
   int max_batch = FrontierBatch::kMaxBatch;
-  /// Depth-feedback window sizing (serving/batcher.hpp AdaptiveBatch).
-  /// false = the pre-adaptive static knob: every pop asks for
-  /// max_batch.
-  bool adaptive = true;
   /// Per-worker execution descriptor.  Serial thread budget by
   /// default — a serving worker's parallelism axis is the batch, and
   /// the worker pool supplies the concurrency.
@@ -122,14 +116,10 @@ struct ServerStats {
   std::array<std::uint64_t, kNumQueryKinds> submitted_by_kind{};
   std::array<std::uint64_t, kNumQueryKinds> completed_by_kind{};
 
-  /// Executed wave widths, bucketed (see wave_hist_bucket) — the
-  /// adaptive batcher's observable decision record.
+  /// Executed wave widths, bucketed (see wave_hist_bucket) — the wave
+  /// rule's observable decision record (a request run alone is a
+  /// width-1 wave).
   std::array<std::uint64_t, kWaveHistBuckets> wave_width_hist{};
-
-  /// Adaptive-window transitions: pops whose window grew / shrank
-  /// relative to the worker's previous one (0/0 when adaptive = false).
-  std::uint64_t window_grew = 0;
-  std::uint64_t window_shrank = 0;
 
   /// Registry durability counters, mirrored from the backing
   /// GraphRegistry at stats() time (shared by every Server on that
@@ -241,8 +231,6 @@ class Server {
   std::array<std::atomic<std::uint64_t>, kNumQueryKinds> submitted_by_kind_{};
   std::array<std::atomic<std::uint64_t>, kNumQueryKinds> completed_by_kind_{};
   std::array<std::atomic<std::uint64_t>, kWaveHistBuckets> wave_hist_{};
-  std::atomic<std::uint64_t> window_grew_{0};
-  std::atomic<std::uint64_t> window_shrank_{0};
 };
 
 }  // namespace bitgb::serving

@@ -161,6 +161,21 @@ TEST(Reporting, TrajectoryWritersThrowWhenPathIsUnwritable) {
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
+// The cancellation cell is each side's median plus the quartile spread
+// of the per-round overheads, so a noisy or order-biased round widens
+// the spread instead of moving the overhead.
+TEST(Reporting, CancellationCellIsMediansAndSpreadOfRounds) {
+  // Per-round overheads: +10%, 0%, -10%, +5%.
+  const ServingCancellation cell =
+      summarize_cancellation({100, 200, 100, 200}, {90, 200, 110, 190});
+  EXPECT_EQ(4, cell.rounds);
+  EXPECT_DOUBLE_EQ(150.0, cell.polling_off_qps);
+  EXPECT_DOUBLE_EQ(150.0, cell.polling_on_qps);
+  EXPECT_DOUBLE_EQ(2.5, cell.overhead_pct);
+  EXPECT_DOUBLE_EQ(8.75, cell.overhead_pct_spread);
+  EXPECT_THROW((void)summarize_cancellation({1.0}, {}), std::invalid_argument);
+}
+
 TEST(DeviceProfile, ProfilesDescribeContexts) {
   const auto pascal = pascal_analog();
   const auto volta = volta_analog();

@@ -5,7 +5,7 @@
 // concurrent submission, the kPagerank/kComponents differentials over
 // the oracle corpus (including memo invalidation across a registry
 // re-add), deadline-shed accounting, queue-full shedding, bad-graph
-// routing, adaptive-window accounting, reply telemetry on every
+// routing, the wave rule and its accounting, reply telemetry on every
 // resolution path, and drain-on-shutdown.  Single-graph cases serve a
 // registry of one.
 #include "serving/server.hpp"
@@ -23,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <numeric>
@@ -63,10 +65,16 @@ struct OneGraph {
   const gb::Graph& g = slot->graph();
 };
 
+/// The queue tests' requests: each rides a slot with no graph and no
+/// measured costs, so every traversal wave pays and pop_batch takes
+/// whole runs (the queue never touches the graph).
 Request make_request(QueryKind kind, vidx_t source) {
+  static const serving::GraphRef unmeasured =
+      std::make_shared<const serving::GraphSlot>("queue", 1, nullptr);
   Request r;
   r.kind = kind;
   r.source = source;
+  r.slot = unmeasured;
   r.submitted = serving::clock::now();
   return r;
 }
@@ -798,73 +806,230 @@ TEST(ServingKinds, AllFourKindsMixedUnderLoadStayCorrect) {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive batching through the server
+// The wave rule: a traversal run goes out as one wave only where the
+// slot's measured costs say it pays
 // ---------------------------------------------------------------------
 
-TEST(AdaptiveServing, BacklogWidensWavesAndDrainNarrowsThem) {
-  const OneGraph served;
-  const gb::Graph& g = served.g;
+TEST(WaveRule, NeverPaysAtWidthOne) {
+  EXPECT_FALSE(serving::wave_pays(1, 1e9, 1.0));
+  EXPECT_FALSE(serving::wave_pays(1, 0.0, 0.0));
+  EXPECT_FALSE(serving::wave_pays(0, 1e9, 1.0));
+}
+
+TEST(WaveRule, AnUnmeasuredSidePays) {
+  EXPECT_TRUE(serving::wave_pays(2, 0.0, 1e12));
+  EXPECT_TRUE(serving::wave_pays(2, 1.0, 0.0));
+  EXPECT_TRUE(serving::wave_pays(64, 0.0, 0.0));
+}
+
+TEST(WaveRule, MonotoneInWidthAndExactAtBreakEven) {
+  for (const double single : {1.0, 72.0, 6100.0}) {
+    for (const double wave : {1.0, 1700.0, 103000.0, 2.9e6}) {
+      bool paid = false;
+      for (int width = 1; width <= FrontierBatch::kMaxBatch; ++width) {
+        const bool pays = serving::wave_pays(width, single, wave);
+        EXPECT_TRUE(!paid || pays)
+            << "stopped paying at width " << width << " (single " << single
+            << " ns, wave " << wave << " ns)";
+        paid = pays;
+      }
+    }
+  }
+  // width × single == wave pays; a hair more wave does not.
+  EXPECT_TRUE(serving::wave_pays(17, 100.0, 1700.0));
+  EXPECT_FALSE(serving::wave_pays(17, 100.0, 1700.5));
+  EXPECT_FALSE(serving::wave_pays(16, 100.0, 1700.0));
+}
+
+/// One worker whose every wave start stalls `delay`: whatever is
+/// submitted while the first pop stalls queues up behind it.
+ServerOptions stalled_worker(FaultInjector& injector) {
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 1024;
-  ASSERT_TRUE(opts.adaptive);  // the default
-  Server server(served.reg, opts);
-  std::vector<std::future<Reply>> futs;
-  for (int i = 0; i < 512; ++i) {
-    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
-                                 static_cast<vidx_t>(i * 11) %
-                                     g.num_vertices()));
-  }
-  for (auto& f : futs) EXPECT_EQ(Status::kOk, f.get().status);
-  server.shutdown();
-  const auto st = server.stats();
-  // A 512-deep backlog against one worker must have widened the window
-  // well past 1 (the depth signal saturates the 64 cap within a wave
-  // or two) and recorded the growth decisions.
-  EXPECT_GT(st.widest_wave, 8u);
-  EXPECT_GT(st.window_grew, 0u);
-  EXPECT_GT(st.mean_wave_width(), 4.0);
+  opts.context = opts.context.with_fault(&injector);
+  return opts;
 }
 
-TEST(AdaptiveServing, OverrideCapStillPinsTheWindow) {
+TEST(WaveRule, PopTakesThePredicatesAnswerOnAPrimedSlot) {
   const OneGraph served;
-  const gb::Graph& g = served.g;
+  const vidx_t n = served.g.num_vertices();
+  {
+    // Lone requests measure single runs.  Then backlogs queue up behind
+    // a stalled pop, so waves form (the first on a slot whose wave side
+    // is still unmeasured: it pays, and measures it).  Several samples
+    // a side keep one preempted run from deciding the means.
+    FaultPlan plan;
+    plan.wave_delay = 10ms;
+    FaultInjector injector(plan);
+    Server server(served.reg, stalled_worker(injector));
+    for (vidx_t s = 0; s < 16; ++s) {
+      ASSERT_EQ(Status::kOk,
+                server.submit(kGraph, QueryKind::kBfs, s).get().status);
+    }
+    for (int backlog = 0; backlog < 4; ++backlog) {
+      std::vector<std::future<Reply>> futs;
+      for (int i = 0; i < 64; ++i) {
+        futs.push_back(server.submit(kGraph, QueryKind::kBfs,
+                                     static_cast<vidx_t>(i * 5 + backlog) % n));
+      }
+      for (auto& f : futs) ASSERT_EQ(Status::kOk, f.get().status);
+    }
+  }
+  const serving::TraversalCost& cost =
+      served.slot->traversal_cost(QueryKind::kBfs);
+  const double single = cost.single.ns();
+  const double wave = cost.wave.ns();
+  ASSERT_GT(single, 0.0);
+  ASSERT_GT(wave, 0.0);
+  // The first width that pays, and the one just below it, straddle the
+  // measured break-even wherever it lies; the engine's widths cover
+  // the rest.
+  const int first_paying =
+      std::max(2, static_cast<int>(std::ceil(wave / single)));
+  SCOPED_TRACE(::testing::Message() << "single " << single << " ns, wave "
+                                    << wave << " ns, first paying width "
+                                    << first_paying);
+  std::vector<int> widths = {first_paying - 1, first_paying};
+  for (int width = 1; width <= FrontierBatch::kMaxBatch; ++width) {
+    widths.push_back(width);
+  }
+  for (const int width : widths) {
+    RequestQueue q(static_cast<std::size_t>(width));
+    for (int i = 0; i < width; ++i) {
+      Request r = make_request(QueryKind::kBfs, i);
+      r.slot = served.slot;
+      ASSERT_EQ(PushOutcome::kAccepted, q.try_push(std::move(r)));
+    }
+    std::vector<Request> batch;
+    const bool pays = serving::wave_pays(width, single, wave);
+    EXPECT_EQ(pays ? static_cast<std::size_t>(width) : 1u,
+              q.pop_batch(batch, width))
+        << "width " << width;
+  }
+}
+
+TEST(WaveRule, BacklogOnOneWorkerFormsWideWavesUpToTheCap) {
+  for (const int max_batch : {FrontierBatch::kMaxBatch, 4}) {
+    SCOPED_TRACE(::testing::Message() << "max_batch " << max_batch);
+    const OneGraph served;
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.queue_capacity = 1024;
+    opts.max_batch = max_batch;
+    Server server(served.reg, opts);
+    std::vector<std::future<Reply>> futs;
+    for (int i = 0; i < 512; ++i) {
+      futs.push_back(server.submit(kGraph, QueryKind::kBfs,
+                                   static_cast<vidx_t>(i * 11) %
+                                       served.g.num_vertices()));
+    }
+    for (auto& f : futs) EXPECT_EQ(Status::kOk, f.get().status);
+    server.shutdown();
+    const auto st = server.stats();
+    if (max_batch == FrontierBatch::kMaxBatch) {
+      EXPECT_GT(st.widest_wave, 8u);
+      EXPECT_GT(st.mean_wave_width(), 4.0);
+    } else {
+      EXPECT_LE(st.widest_wave, 4u);
+    }
+  }
+}
+
+TEST(WaveRule, WaveCountersAgreeWithReplyWidths) {
+  const OneGraph served;
+  const vidx_t n = served.g.num_vertices();
   ServerOptions opts;
-  opts.workers = 1;
-  opts.queue_capacity = 512;
-  opts.max_batch = 4;  // the override: adaptive may never exceed it
+  opts.workers = 2;
+  opts.queue_capacity = 1024;
   Server server(served.reg, opts);
+  // A backlog (wide waves), then a trickle (one request at a time).
+  std::vector<Reply> replies;
   std::vector<std::future<Reply>> futs;
   for (int i = 0; i < 256; ++i) {
-    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
-                                 static_cast<vidx_t>(i * 7) %
-                                     g.num_vertices()));
+    futs.push_back(server.submit(kGraph, i % 2 == 0 ? QueryKind::kBfs
+                                                    : QueryKind::kReach,
+                                 static_cast<vidx_t>(i * 7) % n));
   }
-  for (auto& f : futs) EXPECT_EQ(Status::kOk, f.get().status);
-  server.shutdown();
-  EXPECT_LE(server.stats().widest_wave, 4u);
-}
-
-TEST(AdaptiveServing, StaticKnobStillAvailable) {
-  const OneGraph served;
-  const gb::Graph& g = served.g;
-  ServerOptions opts;
-  opts.workers = 1;
-  opts.queue_capacity = 256;
-  opts.adaptive = false;  // the pre-adaptive static pop width
-  opts.max_batch = 1;     // the unbatched ablation
-  Server server(served.reg, opts);
-  std::vector<std::future<Reply>> futs;
-  for (int i = 0; i < 64; ++i) {
-    futs.push_back(server.submit(kGraph, QueryKind::kBfs,
-                                 static_cast<vidx_t>(i) %
-                                     g.num_vertices()));
+  for (auto& f : futs) replies.push_back(f.get());
+  for (int i = 0; i < 32; ++i) {
+    replies.push_back(
+        server.submit(kGraph, QueryKind::kBfs, static_cast<vidx_t>(i) % n)
+            .get());
   }
-  for (auto& f : futs) EXPECT_EQ(Status::kOk, f.get().status);
   server.shutdown();
   const auto st = server.stats();
-  EXPECT_EQ(1u, st.widest_wave);
-  EXPECT_EQ(0u, st.window_grew + st.window_shrank);
+  double waves = 0.0;
+  int widest = 0;
+  for (const Reply& r : replies) {
+    ASSERT_EQ(Status::kOk, r.status);
+    ASSERT_GE(r.batch_width, 1);
+    waves += 1.0 / r.batch_width;
+    widest = std::max(widest, r.batch_width);
+  }
+  EXPECT_NEAR(static_cast<double>(st.waves), waves, 1e-6);
+  EXPECT_EQ(replies.size(), st.batched_queries);
+  EXPECT_EQ(static_cast<std::uint64_t>(widest), st.widest_wave);
+  EXPECT_EQ(st.waves, std::accumulate(st.wave_width_hist.begin(),
+                                      st.wave_width_hist.end(),
+                                      std::uint64_t{0}));
+}
+
+TEST(WaveRule, QueuedOneByOneRepliesEachGetTheirOwnStartStamp) {
+  // Two graphs: "a" is unmeasured (its waves pay), "b" is primed so no
+  // wave pays.  A stalled first pop lets a mixed a/b BFS run and three
+  // PageRanks queue behind it; the BFS run pops whole (it pays on "a",
+  // the head's slot), and the batcher then runs b's partition one by
+  // one.  One worker serializes everything, so every reply run alone
+  // started after the reply before it completed.
+  GraphRegistry reg;
+  reg.add("a", serving_graph());
+  const serving::GraphRef b = reg.add("b", serving_graph());
+  b->traversal_cost(QueryKind::kBfs).single.add(1ns);
+  b->traversal_cost(QueryKind::kBfs).wave.add(1h);
+
+  FaultPlan plan;
+  plan.wave_delay = 20ms;
+  FaultInjector injector(plan);
+  Server server(reg, stalled_worker(injector));
+  struct Sent {
+    serving::clock::time_point after;  ///< just after submit returned
+    std::future<Reply> reply;
+  };
+  std::vector<Sent> sent;
+  auto send = [&](std::future<Reply> f) {
+    sent.push_back({serving::clock::now(), std::move(f)});
+  };
+  send(server.submit("a", QueryKind::kBfs, 0));
+  for (vidx_t s = 1; s <= 8; ++s) {
+    send(server.submit(s % 2 == 1 ? "a" : "b", QueryKind::kBfs, s));
+  }
+  for (int i = 0; i < 3; ++i) send(server.submit_pagerank("a"));
+
+  struct Done {
+    serving::clock::time_point latest_start;  ///< bound on its start stamp
+    Reply reply;
+  };
+  std::vector<Done> done;
+  for (auto& s : sent) {
+    Reply r = s.reply.get();
+    ASSERT_EQ(Status::kOk, r.status);
+    const auto queued = std::chrono::duration_cast<serving::clock::duration>(
+        std::chrono::duration<double, std::milli>(r.queue_ms));
+    done.push_back({s.after + queued, std::move(r)});
+  }
+  std::sort(done.begin(), done.end(), [](const Done& x, const Done& y) {
+    return x.reply.completed < y.reply.completed;
+  });
+  int singles = 0;
+  for (std::size_t k = 1; k < done.size(); ++k) {
+    if (done[k].reply.batch_width != 1) continue;
+    ++singles;
+    EXPECT_GE(done[k].latest_start, done[k - 1].reply.completed)
+        << "reply " << k << " (" << serving::query_kind_name(done[k].reply.kind)
+        << ") shares a start stamp with a run ahead of it";
+  }
+  EXPECT_GE(singles, 7);  // b's four BFS and the three PageRanks
 }
 
 }  // namespace
