@@ -1,11 +1,14 @@
 // Ablation: masking strategy for masked vxm (paper §V BFS discussion).
 //
 // GraphBLAST early-exits per output element on the mask; the paper
-// argues that inside a warp-per-tile-row kernel early exit only causes
-// divergence, and instead ANDs the bitmask right before the output
-// store.  The host analog of "divergence" is a per-row branch in the
-// inner loop vs a branch-free word-AND at store time.  This bench
-// compares the shipped bitmask-at-store kernel against an early-exit
+// argues that inside a warp-per-tile-row kernel a per-row early exit
+// only causes divergence, and instead ANDs the bitmask right before the
+// output store.  A tile-row's mask is uniform for the warp that owns
+// it, so both kernels here skip a closed tile-row whole; they differ
+// inside an open row, where the host analog of "divergence" is a
+// per-row branch in the inner loop vs a branch-free word-AND at store
+// time.  This bench compares the shipped kernel (closed tile-rows
+// skipped, mask AND-ed at the store) against a per-row early-exit
 // variant implemented here, across visited-fraction levels.
 #include "core/bmv.hpp"
 #include "core/pack.hpp"
@@ -19,8 +22,9 @@
 namespace bitgb {
 namespace {
 
-// Early-exit variant: checks the mask per bit-row *inside* the tile
-// loop (the strategy the paper rejects for warp kernels).
+// Early-exit variant: skips closed tile-rows like the shipped kernel,
+// then checks the mask per bit-row *inside* the tile loop (the
+// strategy the paper rejects for warp kernels).
 template <int Dim>
 void bmv_bbb_masked_early_exit(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                                const PackedVecT<Dim>& mask, bool complement,
@@ -98,7 +102,9 @@ int main() {
     std::printf("%-18.2f %14.3f %16.3f %9.2fx\n", visited_frac, t_store,
                 t_early, t_early / t_store);
   }
-  std::printf("\n(the paper's rationale: in warp kernels the early exit "
-              "only adds divergence; the at-store AND is branch-free)\n");
+  std::printf("\n(the paper's rationale: in warp kernels a per-row early "
+              "exit only adds divergence; a closed tile-row is skipped "
+              "whole, and inside an open row the at-store AND is "
+              "branch-free)\n");
   return 0;
 }

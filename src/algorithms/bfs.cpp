@@ -46,8 +46,9 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
     ++level;
     // Direction optimization, as in GraphBLAST: push (frontier-
     // proportional, active-list) while the frontier is sparse, pull
-    // (full masked mxv over A^T) once it densifies.  Both apply the
-    // visited mask at the output store (§V).
+    // (masked mxv over A^T, skipping the tile-rows visited has closed)
+    // once it densifies.  Both apply the visited mask at the output
+    // store (§V).
     // `next` is all-zero here: the scatter loop below clears every word
     // it reads, and the pull kernel rewrites the whole vector.
     const bool push = frontier_count < n / gb::kPushPullDenominator;

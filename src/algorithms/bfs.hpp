@@ -1,11 +1,14 @@
 // Breadth-First Search — Boolean semiring (paper §V).
 //
 // Per iteration, vxm() expands the frontier one hop; the visited mask is
-// applied to drop already-seen vertices.  The bit backend uses
-// bmv_bin_bin_bin_masked with the mask AND-ed at the output store (no
-// early exit — §V explains early exit would diverge the warp that owns
-// a tile-row).  The reference backend is the GraphBLAST-style
-// direction-optimized push/pull with early exit.
+// applied to drop already-seen vertices.  The bit backend pushes sparse
+// frontiers through the active-list bmv_bin_bin_bin_push_masked and
+// pulls dense ones through bmv_bin_bin_bin_masked.  The pull skips a
+// tile-row the visited mask has closed whole; inside an open row the
+// mask is AND-ed at the output store (no per-row early exit — §V
+// explains it would diverge the warp that owns a tile-row).  The
+// reference backend is the GraphBLAST-style direction-optimized
+// push/pull with early exit.
 //
 // API shape (all algorithms follow it): `Result run(const Context&,
 // const Graph&, Params)`, plus a Workspace + out-parameter overload

@@ -17,7 +17,11 @@ int density_bucket(double density) {
 }
 
 std::string bucket_label(int bucket) {
-  return "E" + std::to_string(bucket);
+  // Appended rather than `"E" + std::to_string(bucket)`: gcc 12 at -O3
+  // raises a false -Wrestrict on that operator+ overload.
+  std::string label = "E";
+  label += std::to_string(bucket);
+  return label;
 }
 
 double geomean(const std::vector<double>& xs) {
@@ -205,14 +209,14 @@ void write_serving_bench_json(const std::string& path,
                               const std::string& graph_name, vidx_t vertices,
                               eidx_t edges, int workers, bool verified,
                               const std::vector<ServingSaturation>& saturation,
-                              double batched_speedup, double speedup_floor,
+                              double batched_speedup,
                               const std::vector<ServingRatePoint>& rates,
                               const std::vector<ServingScenario>& scenarios,
                               const ServingCancellation& cancellation,
                               const ServingPersistence& persistence) {
   std::ofstream f = open_for_write(path);
   f << "{\n";
-  f << "  \"schema\": \"bitgb-serving-bench-v5\",\n";
+  f << "  \"schema\": \"bitgb-serving-bench-v6\",\n";
   f << "  \"graph\": {\"name\": \"" << graph_name
     << "\", \"vertices\": " << vertices << ", \"edges\": " << edges << "},\n";
   f << "  \"workers\": " << workers << ",\n";
@@ -227,7 +231,6 @@ void write_serving_bench_json(const std::string& path,
   }
   f << "  ],\n";
   f << "  \"saturation_batched_speedup\": " << batched_speedup << ",\n";
-  f << "  \"saturation_speedup_floor\": " << speedup_floor << ",\n";
   f << "  \"cancellation_overhead\": {\"rounds\": " << cancellation.rounds
     << ", \"polling_off_qps\": " << cancellation.polling_off_qps
     << ", \"polling_on_qps\": " << cancellation.polling_on_qps

@@ -110,7 +110,7 @@ void print_kernel_bench(std::ostream& os,
 // the guard that keeps the cooperative-cancellation poll off the hot
 // path's critical cost), and the persistence roundtrip cell (snapshot
 // load vs MatrixMarket re-ingest + prewarm — the warm-restart payoff).
-// Schema "bitgb-serving-bench-v5", documented in BUILDING.md.
+// Schema "bitgb-serving-bench-v6", documented in BUILDING.md.
 
 /// Tail-aware percentile with linear interpolation between order
 /// statistics; `p` in [0, 100].  Returns 0 for empty input.
@@ -194,9 +194,8 @@ struct ServingPersistence {
   }
 };
 
-/// Write the v5 JSON document.  `batched_speedup` is the saturation
-/// headline (batched QPS / unbatched QPS) and `speedup_floor` the
-/// regression gate it is asserted against; `verified` records that the
+/// Write the v6 JSON document.  `batched_speedup` is the saturation
+/// headline (batched QPS / unbatched QPS); `verified` records that the
 /// served answers were checked bit-identical against a serial pass;
 /// `scenarios` holds the multi-tenant cells (empty is valid — the
 /// array is still emitted, so consumers can rely on the key);
@@ -207,7 +206,7 @@ void write_serving_bench_json(const std::string& path,
                               const std::string& graph_name, vidx_t vertices,
                               eidx_t edges, int workers, bool verified,
                               const std::vector<ServingSaturation>& saturation,
-                              double batched_speedup, double speedup_floor,
+                              double batched_speedup,
                               const std::vector<ServingRatePoint>& rates,
                               const std::vector<ServingScenario>& scenarios,
                               const ServingCancellation& cancellation,

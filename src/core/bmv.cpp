@@ -6,10 +6,11 @@ namespace bitgb {
 
 namespace detail {
 
-/// The tile-row loop both Boolean kernels share: OR every non-empty
-/// tile-row through simd::bbb_row_or, then store its word AND-ed with
-/// `mask` (null = keep all).  Empty tile-rows keep the zero resize()
-/// wrote.
+/// The tile-row loop both Boolean kernels share: take each tile-row's
+/// store mask (`mask`, complemented if asked, clipped to Dim bits; null
+/// = keep all), skip the row when that mask is zero, else OR the row
+/// through simd::bbb_row_or and store its word AND-ed with the mask.
+/// Empty and closed tile-rows store the zero resize() wrote.
 template <int Dim>
 void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                        const PackedVecT<Dim>* mask, bool complement,
@@ -23,6 +24,9 @@ void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
   const word_t* xw = x.words.data();
   const word_t* mw = mask != nullptr ? mask->words.data() : nullptr;
   word_t* yw = y.words.data();
+  // A B2SR-4 word is a uint8_t: a complemented mask sets its four spare
+  // bits, so the closed-row test must only see the tile's Dim rows.
+  constexpr word_t row_bits = low_mask<word_t>(Dim);
   // Value captures only: a by-reference capture would tie the lambda to
   // the caller's stack and force the serial path's loads through memory
   // (see parallel.hpp on closure escape).
@@ -30,15 +34,19 @@ void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
     const vidx_t lo = rowptr[tr];
     const vidx_t hi = rowptr[tr + 1];
     if (lo == hi) return;
-    word_t out = simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi);
-    // Paper §V: no early exit (it would diverge the warp); instead the
-    // bitmask is AND-ed right before the output store.
+    // Paper §V, mask first: a tile-row's mask is uniform for the warp
+    // that owns it, so a closed tile-row is skipped whole; inside an
+    // open row there is no per-row early exit (it would diverge the
+    // warp) and the mask is AND-ed right before the output store.
+    word_t keep = row_bits;
     if (mw != nullptr) {
-      word_t mword = mw[static_cast<std::size_t>(tr)];
-      if (complement) mword = static_cast<word_t>(~mword);
-      out = static_cast<word_t>(out & mword);
+      keep = mw[static_cast<std::size_t>(tr)];
+      if (complement) keep = static_cast<word_t>(~keep);
+      keep = static_cast<word_t>(keep & row_bits);
+      if (keep == 0) return;
     }
-    yw[static_cast<std::size_t>(tr)] = out;
+    const word_t out = simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi);
+    yw[static_cast<std::size_t>(tr)] = static_cast<word_t>(out & keep);
   });
   // Clamp tail bits beyond nrows (complemented masks set them).
   if (a.nrows % Dim != 0 && !y.words.empty()) {
@@ -61,48 +69,6 @@ void bmv_bin_bin_bin_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                             PackedVecT<Dim>& y, Exec exec) {
   assert(mask.n == a.nrows);
   detail::boolean_tile_rows<Dim>(a, x, &mask, complement, y, exec);
-}
-
-template <int Dim>
-void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
-                                 const PackedVecT<Dim>& x,
-                                 const PackedVecT<Dim>& mask, bool complement,
-                                 PackedVecT<Dim>& y, Exec exec) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  assert(x.n == a.nrows);  // vxm: x selects rows of A
-  assert(mask.n == a.ncols);
-  y.resize(a.ncols);
-  const bool concurrent = resolve_width(exec.threads) > 1;
-  const vidx_t* rowptr = a.tile_rowptr.data();
-  const vidx_t* colind = a.tile_colind.data();
-  const word_t* tiles = a.bits.data();
-  const word_t* fx = x.words.data();
-  const word_t* mw = mask.words.data();
-  word_t* yw = y.words.data();
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    const word_t fw = fx[static_cast<std::size_t>(tr)];
-    if (fw == 0) return;  // no frontier vertex in this tile-row
-    const vidx_t lo = rowptr[tr];
-    const vidx_t hi = rowptr[tr + 1];
-    for (vidx_t t = lo; t < hi; ++t) {
-      const word_t* words = tiles + static_cast<std::size_t>(t) * Dim;
-      word_t out = 0;
-      for_each_set_bit(fw, [&](int r) {
-        out = static_cast<word_t>(out | words[r]);
-      });
-      if (out == 0) continue;
-      const auto j = static_cast<std::size_t>(colind[t]);
-      word_t mword = mw[j];
-      if (complement) mword = static_cast<word_t>(~mword);
-      out = static_cast<word_t>(out & mword);
-      if (out != 0) atomic_or_word(&yw[j], out, concurrent);
-    }
-  });
-  // Clamp tail bits beyond ncols (complemented masks set them).
-  if (a.ncols % Dim != 0 && !y.words.empty()) {
-    y.words.back() =
-        static_cast<word_t>(y.words.back() & low_mask<word_t>(a.ncols % Dim));
-  }
 }
 
 template <int Dim>
@@ -259,9 +225,6 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
   template void bmv_bin_bin_bin_masked<Dim>(                                \
       const B2srT<Dim>&, const PackedVecT<Dim>&, const PackedVecT<Dim>&,    \
       bool, PackedVecT<Dim>&, Exec);                               \
-  template void bmv_bin_bin_bin_push_masked<Dim>(                           \
-      const B2srT<Dim>&, const PackedVecT<Dim>&, const PackedVecT<Dim>&,    \
-      bool, PackedVecT<Dim>&, Exec);                                              \
   template void bmv_bin_bin_bin_push_masked<Dim>(                           \
       const B2srT<Dim>&, const PackedVecT<Dim>&, const std::vector<vidx_t>&,\
       const PackedVecT<Dim>&, bool, PackedVecT<Dim>&,                       \

@@ -11,6 +11,8 @@
 //                            store, having bit-wise AND with the negation
 //                            of [the] visited vertex vector", §V) —
 //                            masked-off positions keep their prior value.
+//                            The Boolean pull reads the mask first and
+//                            skips a tile-row it closes whole.
 //
 // Parallelization: one tile-row per task (the paper's one-warp-per-
 // tile-row mapping, §IV "warp-consolidation model"); output rows of
@@ -69,24 +71,15 @@ void bmv_bin_bin_bin_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                             PackedVecT<Dim>& y, Exec exec = {});
 
 /// Push-direction boolean vxm: y = x^T (.) A == OR of A's bit-rows
-/// selected by x, visiting only tile-rows whose frontier word is
-/// non-zero.  This is the sparse-frontier dual of bmv_bin_bin_bin (the
-/// same vxm() traversal the paper's BFS performs, §V) and costs work
-/// proportional to the frontier's tiles rather than the whole matrix —
-/// the direction-optimized BFS uses it while the frontier is sparse.
-/// The mask is applied at the output store exactly as in the pull form.
-template <int Dim>
-void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
-                                 const PackedVecT<Dim>& x,
-                                 const PackedVecT<Dim>& mask, bool complement,
-                                 PackedVecT<Dim>& y, Exec exec = {});
-
-/// Active-list push: like bmv_bin_bin_bin_push_masked, but the caller
-/// supplies the indices of x's non-zero words (`active`), and the
-/// kernel appends to `touched` the indices of y's words it turned
+/// selected by x.  This is the sparse-frontier dual of bmv_bin_bin_bin
+/// (the same vxm() traversal the paper's BFS performs, §V); the
+/// direction-optimized BFS uses it while the frontier is sparse.  The
+/// caller supplies the indices of x's non-zero words (`active`), and
+/// the kernel appends to `touched` the indices of y's words it turned
 /// non-zero — so a BFS level costs O(frontier tiles), independent of
-/// the matrix size.  `y` must arrive all-zero and correctly sized;
-/// duplicate-free `touched` is guaranteed.
+/// the matrix size.  The mask is applied at the output store.  `y` must
+/// arrive all-zero and correctly sized; duplicate-free `touched` is
+/// guaranteed.
 template <int Dim>
 void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
                                  const PackedVecT<Dim>& x,

@@ -12,9 +12,11 @@
 // masked pull — the optimizations §II credits GraphBLAST with
 // ("exploiting input and output sparsity" / push-pull).
 //
-// The bit backend routes to the B2SR kernels of src/core; masking is
-// applied at the output store (no early exit — the paper's §V design
-// choice, because consecutive rows of a tile-row share a warp).
+// The bit backend routes to the B2SR kernels of src/core.  Its Boolean
+// pull reads the mask per tile-row: a closed tile-row is skipped whole,
+// and inside an open row the mask is AND-ed at the output store (no
+// per-row early exit — the paper's §V design choice, because the rows
+// of a tile-row share a warp).
 //
 // Every operation contributes to the Context's kernel-time sink (when
 // set), which is how the bench harness splits "algorithm" from
@@ -147,19 +149,6 @@ void bit_vxm_bool_masked(const Context& ctx, const B2srT<Dim>& at,
   // vxm(f, A) == mxv(A^T, f); mask = complement(visited).
   bmv_bin_bin_bin_masked(at, frontier, visited, /*complement=*/true, next,
                          ctx.exec());
-}
-
-/// Push-direction bit vxm: work proportional to the frontier's tiles.
-/// Takes A itself (vxm selects A's rows); pairs with the pull form
-/// above for GraphBLAST-style direction optimization.
-template <int Dim>
-void bit_vxm_bool_masked_push(const Context& ctx, const B2srT<Dim>& a,
-                              const PackedVecT<Dim>& frontier,
-                              const PackedVecT<Dim>& visited,
-                              PackedVecT<Dim>& next) {
-  KernelTimerScope timer(ctx.timer);
-  bmv_bin_bin_bin_push_masked(a, frontier, visited, /*complement=*/true,
-                              next, ctx.exec());
 }
 
 template <int Dim, typename Op>

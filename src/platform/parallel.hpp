@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -189,21 +188,5 @@ void atomic_add_float(float* cell, float v) noexcept;
 
 /// Atomic OR on a packed bit-vector word (frontier updates).
 void atomic_or_u32(std::uint32_t* cell, std::uint32_t v) noexcept;
-
-/// Atomic OR on any packing word (uint8/16/32) — the push-mode boolean
-/// vxm scatters frontier words into the output, and distinct tile-rows
-/// may hit the same output word concurrently.  `concurrent` is whether
-/// the surrounding parallel region actually runs more than one worker;
-/// a serial region has no concurrency, so the plain RMW is safe and
-/// skips the lock prefix.
-template <typename W>
-void atomic_or_word(W* cell, W v, bool concurrent) noexcept {
-  if (concurrent) {
-    std::atomic_ref<W> ref(*cell);
-    ref.fetch_or(v, std::memory_order_relaxed);
-  } else {
-    *cell = static_cast<W>(*cell | v);
-  }
-}
 
 }  // namespace bitgb

@@ -5,6 +5,7 @@
 #include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/tc.hpp"
+#include "graphblas/ops.hpp"
 #include "sparse/convert.hpp"
 
 #include "test_util.hpp"
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <random>
 #include <vector>
 
 namespace bitgb {
@@ -123,6 +125,65 @@ TEST(Bfs, SourceOnlyGraph) {
   const auto res = algo::bfs(test::ctx(gb::Backend::kBit), g, {2});
   EXPECT_EQ(0, res.levels[2]);
   EXPECT_EQ(algo::kUnreached, res.levels[0]);
+}
+
+TEST(Bfs, PullLevelsThatCloseMostTileRowsMatchGold) {
+  // Layered graph on n = 4099 vertices (not a multiple of 4): the source
+  // reaches layer 1 (vertices 1..2999), layer 2 is every v >= 3000 with
+  // v % 5 != 0, layer 3 those with v % 5 == 0 but v % 25 != 0, and
+  // layer 4 the rest.  Each vertex links to two random vertices of the
+  // layer before it.  Levels 2-4 pull dense frontiers while layer 1's
+  // tile-rows stay closed; from level 3 on, the open tile-rows are open
+  // in one or two rows.
+  constexpr vidx_t n = 4099;
+  const auto layer = [](vidx_t v) {
+    if (v == 0) return 0;
+    if (v < 3000) return 1;
+    return v % 5 != 0 ? 2 : v % 25 != 0 ? 3 : 4;
+  };
+  std::vector<std::vector<vidx_t>> layers(5);
+  for (vidx_t v = 0; v < n; ++v) layers[layer(v)].push_back(v);
+  std::mt19937 rng(7);
+  Coo coo{n, n, {}, {}, {}};
+  for (vidx_t v = 1; v < n; ++v) {
+    const auto& prev = layers[layer(v) - 1];
+    std::uniform_int_distribution<std::size_t> pick(0, prev.size() - 1);
+    for (int e = 0; e < 2; ++e) coo.push(v, prev[pick(rng)]);
+  }
+  for (const int dim : {4, 8}) {
+    SCOPED_TRACE(dim);
+    gb::GraphOptions opts;
+    opts.tile_dim = dim;
+    const gb::Graph g = gb::Graph::from_coo(coo, opts);
+    const auto gold = algo::bfs_gold(g.adjacency(), 0);
+
+    // The premise: some level pulls (frontier >= n / 32) while more than
+    // half of the tile-rows hold only vertices already visited.
+    double most_closed = 0.0;
+    for (std::int32_t level = 1; level <= 4; ++level) {
+      const auto frontier = std::count(gold.begin(), gold.end(), level - 1);
+      if (frontier < n / gb::kPushPullDenominator) continue;
+      const vidx_t tile_rows = (n + dim - 1) / dim;
+      vidx_t closed = 0;
+      for (vidx_t tr = 0; tr < tile_rows; ++tr) {
+        bool all_visited = true;
+        for (vidx_t v = tr * dim; v < std::min(n, (tr + 1) * dim); ++v) {
+          const auto l = gold[static_cast<std::size_t>(v)];
+          all_visited = all_visited && l != algo::kUnreached && l < level;
+        }
+        closed += all_visited ? 1 : 0;
+      }
+      most_closed = std::max(most_closed,
+                             static_cast<double>(closed) / tile_rows);
+    }
+    EXPECT_GT(most_closed, 0.5);
+
+    for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
+      const auto res = algo::bfs(test::ctx(backend), g, {0});
+      EXPECT_EQ(gold, res.levels) << gb::backend_name(backend);
+      EXPECT_EQ(4, res.iterations) << gb::backend_name(backend);
+    }
+  }
 }
 
 TEST(Sssp, UnitWeightsEqualBfsLevels) {

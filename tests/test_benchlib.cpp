@@ -156,7 +156,7 @@ TEST(Reporting, TrajectoryWritersThrowWhenPathIsUnwritable) {
                std::runtime_error);
   const std::string serving = dir + "/BENCH_serving.json";
   EXPECT_THROW(write_serving_bench_json(serving, "g", 1, 1, 1, true, {}, 1.0,
-                                        1.0, {}, {}, {}, {}),
+                                        {}, {}, {}, {}),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(dir));
 }

@@ -1,5 +1,7 @@
-// Masked BMV tests — the paper's §V masking design (bitmask AND-ed at
-// the output store; complement masks for "unvisited" filtering).
+// Masked BMV tests — the paper's §V masking design (the Boolean pull
+// skips a closed tile-row whole, and inside an open row the bitmask is
+// AND-ed at the output store; complement masks for "unvisited"
+// filtering).
 #include "core/bmv.hpp"
 #include "core/pack.hpp"
 #include "sparse/convert.hpp"
@@ -8,10 +10,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 namespace bitgb {
 namespace {
 
 class MaskedBmvTest : public ::testing::TestWithParam<int> {};
+
+/// The active-list push as BFS drives it: `active` lists the frontier's
+/// non-zero words and `y` arrives all-zero, sized to A's columns.  Also
+/// checks that `touched` names each of y's non-zero words exactly once.
+template <int Dim>
+PackedVecT<Dim> push_from_frontier(const B2srT<Dim>& a,
+                                   const PackedVecT<Dim>& frontier,
+                                   const PackedVecT<Dim>& visited) {
+  std::vector<vidx_t> active;
+  for (std::size_t w = 0; w < frontier.words.size(); ++w) {
+    if (frontier.words[w] != 0) active.push_back(static_cast<vidx_t>(w));
+  }
+  PackedVecT<Dim> y(a.ncols);
+  std::vector<vidx_t> touched;
+  bmv_bin_bin_bin_push_masked(a, frontier, active, visited,
+                              /*complement=*/true, y, touched);
+  std::vector<vidx_t> nonzero;
+  for (std::size_t w = 0; w < y.words.size(); ++w) {
+    if (y.words[w] != 0) nonzero.push_back(static_cast<vidx_t>(w));
+  }
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(nonzero, touched);
+  return y;
+}
 
 TEST_P(MaskedBmvTest, BinBinBinMaskedDropsMaskedRows) {
   const int dim = GetParam();
@@ -37,6 +67,68 @@ TEST_P(MaskedBmvTest, BinBinBinMaskedDropsMaskedRows) {
         const bool want =
             pass && expected_unmasked[static_cast<std::size_t>(r)];
         EXPECT_EQ(want, y.get(r)) << "row " << r << " comp=" << complement;
+      }
+    }
+    return 0;
+  });
+}
+
+TEST_P(MaskedBmvTest, BinBinBinMaskedClusteredMasksMatchReference) {
+  // Late-BFS masks, where the pull skips every tile-row the mask closes.
+  // Full tile-row tr takes pattern tr % (Dim + 2): 0 = closed, k in
+  // 1..Dim = open only in row k - 1 (bit Dim - 1 included), Dim + 1 =
+  // open.  The tail tile-row (n % Dim rows) is closed or open only in
+  // its last row.  x holds the even columns: every row has an even
+  // neighbour except every third row of the open tile-rows, and the
+  // odd-column edges only add tiles to walk.
+  const int dim = GetParam();
+  dispatch_tile_dim(dim, [&]<int Dim>() {
+    const vidx_t full = 2 * (Dim + 2);
+    const vidx_t n = full * Dim + Dim / 2 + 1;
+    const auto pattern = [&](vidx_t r) { return (r / Dim) % (Dim + 2); };
+    std::mt19937 rng(static_cast<std::uint32_t>(Dim));
+    std::uniform_int_distribution<vidx_t> odd(0, n / 2 - 1);
+    Coo coo{n, n, {}, {}, {}};
+    for (vidx_t r = 0; r < n; ++r) {
+      if (r / Dim >= full || pattern(r) != Dim + 1 || r % 3 != 0) {
+        coo.push(r, 2 * (r / 2));
+      }
+      for (int e = 0; e < 3; ++e) coo.push(r, 2 * odd(rng) + 1);
+    }
+    const Csr m = coo_to_csr(coo);
+    std::vector<bool> xbool(static_cast<std::size_t>(n));
+    for (vidx_t c = 0; c < n; c += 2) xbool[static_cast<std::size_t>(c)] = true;
+    const auto unmasked = test::ref_bool_mxv(m, xbool);
+    const B2srT<Dim> a = pack_from_csr<Dim>(m);
+    const auto x = PackedVecT<Dim>::from_bools(xbool);
+
+    for (const bool tail_open : {false, true}) {
+      std::vector<bool> pass(static_cast<std::size_t>(n));
+      for (vidx_t r = 0; r < n; ++r) {
+        const vidx_t k = pattern(r);
+        pass[static_cast<std::size_t>(r)] =
+            r / Dim >= full ? tail_open && r == n - 1
+                            : k == Dim + 1 || (k > 0 && r % Dim == k - 1);
+      }
+      std::vector<bool> want(static_cast<std::size_t>(n));
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        want[r] = pass[r] && unmasked[r];
+      }
+      const auto want_words = PackedVecT<Dim>::from_bools(want).words;
+      for (const bool complement : {false, true}) {
+        std::vector<bool> mbits = pass;
+        if (complement) mbits.flip();
+        const auto mask = PackedVecT<Dim>::from_bools(mbits);
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tail_open=" << tail_open << " comp=" << complement
+                       << " threads=" << threads);
+          PackedVecT<Dim> y(n);
+          for (vidx_t r = 0; r < n; ++r) y.set(r);  // must be overwritten
+          bmv_bin_bin_bin_masked(a, x, mask, complement, y,
+                                 Exec{.threads = threads});
+          EXPECT_EQ(want_words, y.words);
+        }
       }
     }
     return 0;
@@ -117,9 +209,7 @@ TEST_P(MaskedBmvTest, PushEqualsPullOnSymmetricMatrices) {
 
     PackedVecT<Dim> pull;
     bmv_bin_bin_bin_masked(a, frontier, visited, true, pull);
-    PackedVecT<Dim> push;
-    bmv_bin_bin_bin_push_masked(a, frontier, visited, true, push);
-    EXPECT_EQ(pull.words, push.words);
+    EXPECT_EQ(pull.words, push_from_frontier(a, frontier, visited).words);
     return 0;
   });
 }
@@ -146,9 +236,7 @@ TEST_P(MaskedBmvTest, PushOnAsymmetricMatchesReference) {
     const B2srT<Dim> a = pack_from_csr<Dim>(m);
     const auto frontier = PackedVecT<Dim>::from_values(fb);
     const auto visited = PackedVecT<Dim>::from_values(vb);
-    PackedVecT<Dim> y;
-    bmv_bin_bin_bin_push_masked(a, frontier, visited, true, y);
-    EXPECT_EQ(expected, y.to_bools());
+    EXPECT_EQ(expected, push_from_frontier(a, frontier, visited).to_bools());
     return 0;
   });
 }
@@ -160,9 +248,7 @@ TEST_P(MaskedBmvTest, PushWithEmptyFrontierIsEmpty) {
     const B2srT<Dim> a = pack_from_csr<Dim>(m);
     const PackedVecT<Dim> frontier(m.nrows);
     const PackedVecT<Dim> visited(m.ncols);
-    PackedVecT<Dim> y;
-    bmv_bin_bin_bin_push_masked(a, frontier, visited, true, y);
-    EXPECT_FALSE(y.any());
+    EXPECT_FALSE(push_from_frontier(a, frontier, visited).any());
     return 0;
   });
 }
