@@ -28,6 +28,7 @@
 #include "platform/simd.hpp"
 #include "platform/timer.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 
 #include "benchlib/reporting.hpp"
@@ -58,6 +59,18 @@ const Csr& fixture_matrix() {
 template <int Dim>
 const B2srT<Dim>& fixture_packed() {
   static const B2srT<Dim> b = pack_from_csr<Dim>(fixture_matrix());
+  return b;
+}
+
+/// Triangle counting's operand on a power-law graph, the second
+/// fixture of the masked BMM sum: the lower triangle of
+/// gen_rmat(12, 1 << 15, 42).  Its tile-rows are long and its tiles
+/// hold few bits, which the banded fixture (3-9 dense tiles per
+/// tile-row) cannot show.
+template <int Dim>
+const B2srT<Dim>& powerlaw_lower_packed() {
+  static const B2srT<Dim> b = pack_from_csr<Dim>(
+      lower_triangle(coo_to_csr(gen_rmat(12, 1 << 15, 42))));
   return b;
 }
 
@@ -189,6 +202,10 @@ void bench_dim() {
           [&](Exec e) { g_bmm_sink = bmm_bin_bin_sum(a, a, e); });
     track("bmm_bin_bin_sum_masked", Dim, nnz,
           [&](Exec e) { g_bmm_sink = bmm_bin_bin_sum_masked(a, a, a, e); });
+    const auto& l = powerlaw_lower_packed<Dim>();
+    track("bmm_bin_bin_sum_masked_powerlaw", Dim,
+          static_cast<double>(l.nnz()),
+          [&](Exec e) { g_bmm_sink = bmm_bin_bin_sum_masked(l, l, l, e); });
   }
   {
     const FrontierBatch f = fixture_frontier();

@@ -23,8 +23,9 @@ struct TcResult {
   std::int64_t triangles = 0;
 };
 
-/// Workspace form for API uniformity (TC's reduction is a scalar; it
-/// carries no reusable scratch, so `ws` is accepted and unused).
+/// Workspace form for API uniformity (TC's reduction is a scalar, and
+/// the masked BMM owns its dense A rows, so `ws` is accepted and
+/// unused).
 void triangle_count(const Context& ctx, const gb::Graph& g,
                     const TcParams& params, Workspace& ws, TcResult& out);
 

@@ -1,8 +1,28 @@
 #include "core/b2sr.hpp"
 
+#include "platform/simd.hpp"
+
 #include <algorithm>
+#include <cstdint>
 
 namespace bitgb {
+
+template <int Dim>
+eidx_t B2srT<Dim>::nnz() const {
+  // simd::rows_pop_accum's per-row counters are int32: a chunk of 2^20
+  // tiles adds at most 2^20 * Dim <= 2^25 to each.
+  constexpr vidx_t kChunk = vidx_t{1} << 20;
+  const auto ntiles = static_cast<vidx_t>(bits.size() / Dim);
+  eidx_t n = 0;
+  for (vidx_t lo = 0; lo < ntiles;) {
+    const vidx_t hi = ntiles - lo > kChunk ? lo + kChunk : ntiles;
+    std::int32_t pop[Dim] = {};
+    simd::rows_pop_accum<Dim>(bits.data(), lo, hi, pop);
+    for (const std::int32_t c : pop) n += c;
+    lo = hi;
+  }
+  return n;
+}
 
 template <int Dim>
 bool B2srT<Dim>::validate() const {

@@ -67,12 +67,9 @@ struct B2srT {
             static_cast<std::size_t>(Dim)};
   }
 
-  /// Number of nonzero elements (popcount over all tiles).
-  [[nodiscard]] eidx_t nnz() const {
-    eidx_t n = 0;
-    for (const word_t w : bits) n += popcount(w);
-    return n;
-  }
+  /// Number of nonzero elements (popcount over all tiles, through the
+  /// SIMD engine).
+  [[nodiscard]] eidx_t nnz() const;
 
   /// Bytes the format occupies: the two index arrays plus the packed
   /// tiles — the numerator of the paper's compression ratio (§VI-B).

@@ -3,8 +3,11 @@
 #include "platform/parallel.hpp"
 #include "platform/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstring>
+#include <vector>
 
 namespace bitgb {
 
@@ -70,45 +73,62 @@ std::int64_t bmm_bin_bin_sum_masked(const B2srT<Dim>& a, const B2srT<Dim>& b,
   const vidx_t* m_rowptr = mask.tile_rowptr.data();
   const vidx_t* m_colind = mask.tile_colind.data();
   const word_t* m_tiles = mask.bits.data();
+  const auto row_words = static_cast<std::size_t>(a.n_tile_cols()) * Dim;
+  constexpr std::size_t kTileBytes = sizeof(word_t) * Dim;
+
+  // Contiguous tile-row ranges, one per worker, holding about the same
+  // number of mask tiles: range i starts at the first tile-row whose
+  // mask tiles begin at or past i/n of the total.
+  const vidx_t ntr = mask.n_tile_rows();
+  if (ntr == 0) return 0;
+  const int nranges = resolve_width(exec.threads);
+  std::vector<vidx_t> first(static_cast<std::size_t>(nranges) + 1, ntr);
+  for (int i = 0; i < nranges; ++i) {
+    const auto target = static_cast<vidx_t>(
+        static_cast<std::int64_t>(m_rowptr[ntr]) * i / nranges);
+    first[static_cast<std::size_t>(i)] = static_cast<vidx_t>(
+        std::lower_bound(m_rowptr, m_rowptr + ntr, target) - m_rowptr);
+  }
+  const vidx_t* firstp = first.data();
+
   std::atomic<std::int64_t> total{0};
   std::atomic<std::int64_t>* totalp = &total;
-  parallel_for(exec.threads, vidx_t{0}, mask.n_tile_rows(), [=](vidx_t tr) {
-    // Empty-tile-row early-outs: no mask tiles or no A tiles in this
-    // tile-row means no (i, j) pair can contribute.
-    const vidx_t mlo = m_rowptr[tr];
-    const vidx_t mhi = m_rowptr[tr + 1];
-    if (mlo == mhi) return;
-    const vidx_t alo = a_rowptr[tr];
-    const vidx_t ahi = a_rowptr[tr + 1];
-    if (alo == ahi) return;
+  // Value captures only (see parallel.hpp on closure escape).
+  parallel_for_static(nranges, 0, nranges, [=](int range) {
+    const vidx_t trlo = firstp[range];
+    const vidx_t trhi = firstp[range + 1];
+    if (trlo == trhi) return;
+    // A's tile-row as a dense row of tiles, all-zero between rows.
+    typename B2srT<Dim>::bits_vector dense(row_words);
+    word_t* drow = dense.data();
     std::int64_t sum = 0;
-    for (vidx_t tm = mlo; tm < mhi; ++tm) {
-      const vidx_t j = m_colind[tm];
-      const vidx_t blo = b_rowptr[j];
-      const vidx_t bhi = b_rowptr[j + 1];
-      if (blo == bhi) continue;  // B's tile-row j is empty
-      const word_t* mwords = m_tiles + static_cast<std::size_t>(tm) * Dim;
-      // Merge-join A's tile-row tr with B's tile-row j on tile column.
-      vidx_t pa = alo;
-      vidx_t pb = blo;
-      while (pa < ahi && pb < bhi) {
-        const vidx_t ca = a_colind[pa];
-        const vidx_t cb = b_colind[pb];
-        if (ca < cb) {
-          ++pa;
-        } else if (cb < ca) {
-          ++pb;
-        } else {
-          const word_t* awords = a_tiles + static_cast<std::size_t>(pa) * Dim;
-          const word_t* bwords = b_tiles + static_cast<std::size_t>(pb) * Dim;
-          // For each mask bit (r, c): (A*B^T) block entry (r, c) gets
-          // popc(Arow_r & Brow_c) from this aligned tile pair — the
-          // Listing-2 bit-dot (r0 & shfl(r1, k)), mask applied before
-          // the atomicAdd as in bmm_bin_bin_sum_masked (paper §V TC).
-          sum += simd::masked_pair_dot<Dim>(awords, bwords, mwords);
-          ++pa;
-          ++pb;
-        }
+    for (vidx_t tr = trlo; tr < trhi; ++tr) {
+      const vidx_t mlo = m_rowptr[tr];
+      const vidx_t mhi = m_rowptr[tr + 1];
+      const vidx_t alo = a_rowptr[tr];
+      const vidx_t ahi = a_rowptr[tr + 1];
+      if (mlo == mhi || alo == ahi) continue;
+      for (vidx_t ta = alo; ta < ahi; ++ta) {
+        std::memcpy(drow + static_cast<std::size_t>(a_colind[ta]) * Dim,
+                    a_tiles + static_cast<std::size_t>(ta) * Dim, kTileBytes);
+      }
+      // Mask tile (tr, j) against B's whole tile-row j: for each mask
+      // bit (r, c), (A*B^T) block entry (r, c) gets popc(Arow_r &
+      // Brow_c) from every B tile whose column A also holds — the
+      // Listing-2 bit-dot (r0 & shfl(r1, k)), mask applied before the
+      // atomicAdd as in bmm_bin_bin_sum_masked (paper §V TC).
+      for (vidx_t tm = mlo; tm < mhi; ++tm) {
+        const vidx_t j = m_colind[tm];
+        const vidx_t blo = b_rowptr[j];
+        const vidx_t bhi = b_rowptr[j + 1];
+        if (blo == bhi) continue;  // B's tile-row j is empty
+        sum += simd::masked_row_dot<Dim>(
+            drow, b_colind, b_tiles, blo, bhi,
+            m_tiles + static_cast<std::size_t>(tm) * Dim);
+      }
+      for (vidx_t ta = alo; ta < ahi; ++ta) {
+        std::memset(drow + static_cast<std::size_t>(a_colind[ta]) * Dim, 0,
+                    kTileBytes);
       }
     }
     totalp->fetch_add(sum, std::memory_order_relaxed);

@@ -13,9 +13,16 @@
 // what Listing 2 computes at the bit level — popc(r0 & shfl(r1,k)) dots
 // a bit-row of A against a bit-row of B — and what triangle counting
 // needs: with A = B = M = L (strict lower triangle), the result is
-// sum((L*L^T) .* L) = the triangle count (paper §V, TC).  It merge-joins
-// the tile rows of A and B on tile-column index, so no transposition is
-// materialized.
+// sum((L*L^T) .* L) = the triangle count (paper §V, TC).  No
+// transposition is materialized: A's tile-row tr is scattered once into
+// a zeroed dense row of a.n_tile_cols() tiles, each mask tile (tr, j)
+// makes one engine call (simd::masked_row_dot) over B's whole tile-row
+// j, reading A's tile for each B tile column straight from the dense
+// row (a missing one is all-zero), and the same tiles are cleared
+// before the next tile-row.  The tile-rows split into one contiguous
+// range per worker, balanced by mask-tile count; each range owns one
+// dense row of about ncols * sizeof(word_t) bytes (64 KiB for a
+// 65536-column B2SR-4 matrix).
 //
 // The unmasked scheme computes the conventional A*B (Gustavson over
 // tiles).  Its inner loop uses the identity

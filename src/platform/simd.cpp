@@ -66,16 +66,16 @@ Backend detect_backend() {
   return static_cast<std::uint32_t>(((hi >> 7) * 0x0102040810204080ull) >> 56);
 }
 
-/// Expand bit c of `bits` (c < 8) into byte c = 0xFF / 0x00.
-[[gnu::always_inline]] inline std::uint64_t swar_bits_to_byte_mask(
-    unsigned bits) {
-  const std::uint64_t spread =
-      (bits * 0x0101010101010101ull) & 0x8040201008040201ull;
-  const std::uint64_t hi =
-      (spread | ((spread & 0x7F7F7F7F7F7F7F7Full) + 0x7F7F7F7F7F7F7F7Full)) &
-      0x8080808080808080ull;
-  return (hi - (hi >> 7)) | hi;  // 0x80 -> 0xFF per selected byte
-}
+/// Byte selects: byte c of entry m is 0xFF when m has bit c.
+constexpr std::array<std::uint64_t, 256> kByteSelect = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (unsigned m = 0; m < 256; ++m) {
+    for (int c = 0; c < 8; ++c) {
+      if ((m >> c) & 1u) t[m] |= std::uint64_t{0xFF} << (8 * c);
+    }
+  }
+  return t;
+}();
 
 /// Load one B2SR-8 tile (8 bytes) as a word, byte r = bit-row r.
 [[gnu::always_inline]] inline std::uint64_t load_tile8(
@@ -259,42 +259,148 @@ template <int Dim>
   }
 }
 
+/// A B2SR-16/32 mask tile as masked_row_dot hoists it.  Set bits (r, c)
+/// become pairs, summed 64/Dim pairs per popcount (the list is padded
+/// to whole popcount words with zero-mask pairs): every bit of a tile
+/// with at most four, else the bits of rows with at most Dim/16 (one
+/// bit costs about as much as a row of the vector dot at dim 16).
+/// The other rows stay whole for the per-row dot.  Entries past
+/// npairs / nrows are never read.
 template <int Dim>
-[[gnu::always_inline]] inline std::int64_t masked_pair_dot_body(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
+struct MaskHoist {
+  using word_t = typename TileTraits<Dim>::word_t;
+  static constexpr int kPerWord = 64 / Dim;
+  static constexpr int kMaxPairs = Dim * Dim / 16;
+  int npairs = 0;
+  int pr[kMaxPairs];
+  int pc[kMaxPairs];
+  word_t pm[kMaxPairs];
+  int nrows = 0;
+  int rows[Dim];
+
+  explicit MaskHoist(const word_t* mwords) {
+    int bits = 0;
+    for (int r = 0; r < Dim; ++r) bits += popcount(mwords[r]);
+    const int pair_row_bits = bits <= 4 ? 4 : Dim / 16;
+    for (int r = 0; r < Dim; ++r) {
+      const word_t m = mwords[r];
+      if (m == 0) continue;
+      if (popcount(m) > pair_row_bits) {
+        rows[nrows++] = r;
+        continue;
+      }
+      for (word_t b = m; b != 0; b = static_cast<word_t>(b & (b - 1))) {
+        push(r, ctz(b), static_cast<word_t>(~word_t{0}));
+      }
+    }
+    while (npairs % kPerWord != 0) push(0, 0, 0);
+  }
+
+  /// At most four set bits: summed over every B tile, branch-free.
+  [[nodiscard]] bool sparse() const { return nrows == 0 && npairs <= 4; }
+
+  void push(int r, int c, word_t mask) {
+    pr[npairs] = r;
+    pc[npairs] = c;
+    pm[npairs] = mask;
+    ++npairs;
+  }
+
+  /// Sum of popc(a[r] & b[c]) over the hoisted pairs.
+  [[gnu::always_inline]] std::int64_t pairs_dot(const word_t* a,
+                                                const word_t* b) const {
+    std::int64_t sum = 0;
+    for (int p0 = 0; p0 < npairs; p0 += kPerWord) {
+      std::uint64_t w = 0;
+      for (int i = 0; i < kPerWord; ++i) {
+        const int p = p0 + i;
+        w |= static_cast<std::uint64_t>(a[pr[p]] & b[pc[p]] & pm[p])
+             << (Dim * i);
+      }
+      sum += popcount(w);
+    }
+    return sum;
+  }
+};
+
+template <int Dim>
+[[gnu::always_inline]] inline std::int64_t masked_row_dot_body(
+    const typename TileTraits<Dim>::word_t* dense_a, const vidx_t* colind,
+    const typename TileTraits<Dim>::word_t* tiles, vidx_t lo, vidx_t hi,
     const typename TileTraits<Dim>::word_t* mwords) {
   using word_t = typename TileTraits<Dim>::word_t;
   std::int64_t sum = 0;
   if constexpr (Dim == 8 || Dim == 4) {
-    // Whole-row dot in one word: broadcast A's bit-row over the byte
-    // lanes, AND with the B tile (byte c = B bit-row c), knock out the
-    // unmasked lanes, popcount once.
-    std::uint64_t btile;
-    if constexpr (Dim == 8) {
-      btile = load_tile8(bwords);
-    } else {
-      btile = static_cast<std::uint64_t>(load_tile4(bwords));
-    }
+    // Whole-row dot in one word: A's row broadcast over the byte lanes,
+    // ANDed with the B tile (byte c = B bit-row c) and the row's byte
+    // select, popcounted once.  The set rows come from one movemask of
+    // the mask tile.
     constexpr std::uint64_t ones =
         Dim == 8 ? 0x0101010101010101ull : 0x0000000001010101ull;
-    for (int r = 0; r < Dim; ++r) {
-      const word_t mrow = mwords[r];
-      if (mrow == 0) continue;
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      const std::uint64_t sel = swar_bits_to_byte_mask(mrow);
-      sum += popcount((static_cast<std::uint64_t>(arow) * ones) & btile & sel);
+    const auto load_tile = [](const word_t* p) -> std::uint64_t {
+      if constexpr (Dim == 8) {
+        return load_tile8(p);
+      } else {
+        return load_tile4(p);
+      }
+    };
+    const auto arows = [&](vidx_t t) {
+      return dense_a + static_cast<std::size_t>(colind[t]) * Dim;
+    };
+    std::uint32_t set_rows = swar_bytes_nonzero_mask(load_tile(mwords));
+    if ((set_rows & (set_rows - 1)) == 0) {  // at most one set row
+      if (set_rows == 0) return 0;
+      const int r = ctz(set_rows);
+      const std::uint64_t sel = kByteSelect[mwords[r]];
+      for (vidx_t t = lo; t < hi; ++t) {
+        sum += popcount(static_cast<std::uint64_t>(arows(t)[r]) * ones &
+                        load_tile(tiles + static_cast<std::size_t>(t) * Dim) &
+                        sel);
+      }
+      return sum;
+    }
+    int rows[Dim];
+    std::uint64_t sels[Dim];
+    int nrows = 0;
+    for (; set_rows != 0; set_rows &= set_rows - 1) {
+      rows[nrows] = ctz(set_rows);
+      sels[nrows] = kByteSelect[mwords[rows[nrows]]];
+      ++nrows;
+    }
+    for (vidx_t t = lo; t < hi; ++t) {
+      const word_t* a = arows(t);
+      const std::uint64_t b =
+          load_tile(tiles + static_cast<std::size_t>(t) * Dim);
+      for (int i = 0; i < nrows; ++i) {
+        sum += popcount(static_cast<std::uint64_t>(a[rows[i]]) * ones & b &
+                        sels[i]);
+      }
     }
   } else {
-    for (int r = 0; r < Dim; ++r) {
-      const word_t mrow = mwords[r];
-      if (mrow == 0) continue;
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      for_each_set_bit(mrow, [&](int c) {
-        sum += popcount(static_cast<word_t>(arow & bwords[c]));
-      });
+    const MaskHoist<Dim> h(mwords);
+    const auto arows = [&](vidx_t t) {
+      return dense_a + static_cast<std::size_t>(colind[t]) * Dim;
+    };
+    const auto btile = [&](vidx_t t) {
+      return tiles + static_cast<std::size_t>(t) * Dim;
+    };
+    if (h.sparse()) {
+      for (vidx_t t = lo; t < hi; ++t) sum += h.pairs_dot(arows(t), btile(t));
+      return sum;
+    }
+    for (vidx_t t = lo; t < hi; ++t) {
+      const word_t* a = arows(t);
+      word_t any = 0;
+      for (int r = 0; r < Dim; ++r) any = static_cast<word_t>(any | a[r]);
+      if (any == 0) continue;  // A has no tile at this column
+      const word_t* b = btile(t);
+      sum += h.pairs_dot(a, b);
+      for (int i = 0; i < h.nrows; ++i) {
+        const word_t arow = a[h.rows[i]];
+        for_each_set_bit(mwords[h.rows[i]], [&](int c) {
+          sum += popcount(static_cast<word_t>(arow & b[c]));
+        });
+      }
     }
   }
   return sum;
@@ -504,10 +610,12 @@ void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
 }
 
 template <int Dim>
-std::int64_t masked_pair_dot(const typename TileTraits<Dim>::word_t* awords,
-                             const typename TileTraits<Dim>::word_t* bwords,
-                             const typename TileTraits<Dim>::word_t* mwords) {
-  return masked_pair_dot_body<Dim>(awords, bwords, mwords);
+std::int64_t masked_row_dot(const typename TileTraits<Dim>::word_t* dense_a,
+                            const vidx_t* colind,
+                            const typename TileTraits<Dim>::word_t* tiles,
+                            vidx_t lo, vidx_t hi,
+                            const typename TileTraits<Dim>::word_t* mwords) {
+  return masked_row_dot_body<Dim>(dense_a, colind, tiles, lo, hi, mwords);
 }
 
 template <int Dim>
@@ -585,15 +693,6 @@ BITGB_TGT_AVX2 inline __m256i avx2_popcnt_epi32(__m256i v) {
   const __m256i c8 = avx2_popcnt_epi8(v);
   const __m256i c16 = _mm256_maddubs_epi16(c8, _mm256_set1_epi8(1));
   return _mm256_madd_epi16(c16, _mm256_set1_epi16(1));
-}
-
-/// Horizontal sum of 8 32-bit lanes.
-BITGB_TGT_AVX2 inline std::int32_t avx2_hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
 }
 
 /// Horizontal OR of 4 64-bit lanes.
@@ -877,89 +976,102 @@ BITGB_TGT_AVX2 void rows_pop_accum_avx2(
   }
 }
 
+/// Lane selects of one B2SR-16/32 mask row: lane c of the tile's
+/// vector(s) all-ones when `mrow` has bit c (16-bit lanes in one
+/// vector at dim 16, 32-bit lanes over four vectors at dim 32).
 template <int Dim>
-BITGB_TGT_AVX2 std::int64_t masked_pair_dot_avx2(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
+BITGB_TGT_AVX2 inline void avx2_lane_selects(
+    typename TileTraits<Dim>::word_t mrow, __m256i* sel) {
+  if constexpr (Dim == 16) {
+    const __m256i bit = _mm256_setr_epi16(
+        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
+        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
+        static_cast<short>(1u << 15));
+    sel[0] = _mm256_cmpeq_epi16(
+        _mm256_and_si256(_mm256_set1_epi16(static_cast<short>(mrow)), bit),
+        bit);
+  } else {
+    const __m256i m = _mm256_set1_epi32(static_cast<int>(mrow));
+    const __m256i shift = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (int q = 0; q < 4; ++q) {
+      const __m256i bit = _mm256_sllv_epi32(_mm256_set1_epi32(1 << (8 * q)),
+                                            shift);
+      sel[q] = _mm256_cmpeq_epi32(_mm256_and_si256(m, bit), bit);
+    }
+  }
+}
+
+template <int Dim>
+BITGB_TGT_AVX2 std::int64_t masked_row_dot_avx2(
+    const typename TileTraits<Dim>::word_t* dense_a, const vidx_t* colind,
+    const typename TileTraits<Dim>::word_t* tiles, vidx_t lo, vidx_t hi,
     const typename TileTraits<Dim>::word_t* mwords) {
   using word_t = typename TileTraits<Dim>::word_t;
-  if constexpr (Dim == 16) {
-    const __m256i bv =
-        loadu256(bwords);
-    __m256i bitsel = _mm256_setr_epi16(
-        static_cast<short>(1u << 0), static_cast<short>(1u << 1),
-        static_cast<short>(1u << 2), static_cast<short>(1u << 3),
-        static_cast<short>(1u << 4), static_cast<short>(1u << 5),
-        static_cast<short>(1u << 6), static_cast<short>(1u << 7),
-        static_cast<short>(1u << 8), static_cast<short>(1u << 9),
-        static_cast<short>(1u << 10), static_cast<short>(1u << 11),
-        static_cast<short>(1u << 12), static_cast<short>(1u << 13),
-        static_cast<short>(1u << 14), static_cast<short>(1u << 15));
-    __m256i acc16 = _mm256_setzero_si256();  // per-column sums (<= 256)
-    std::int64_t scalar_sum = 0;
-    for (int r = 0; r < 16; ++r) {
-      const word_t mrow = mwords[r];
-      if (mrow == 0) continue;
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      if (popcount(mrow) < 4) {
-        for_each_set_bit(mrow, [&](int c) {
-          scalar_sum += popcount(static_cast<word_t>(arow & bwords[c]));
-        });
-        continue;
-      }
-      const __m256i sel = _mm256_cmpeq_epi16(
-          _mm256_and_si256(_mm256_set1_epi16(static_cast<short>(mrow)),
-                           bitsel),
-          bitsel);
-      const __m256i anded =
-          _mm256_and_si256(_mm256_set1_epi16(static_cast<short>(arow)), bv);
-      const __m256i c16 =
-          _mm256_maddubs_epi16(avx2_popcnt_epi8(anded), _mm256_set1_epi8(1));
-      acc16 = _mm256_add_epi16(acc16, _mm256_and_si256(c16, sel));
+  if constexpr (Dim == 16 || Dim == 32) {
+    const MaskHoist<Dim> h(mwords);
+    const auto arows = [&](vidx_t t) {
+      return dense_a + static_cast<std::size_t>(colind[t]) * Dim;
+    };
+    const auto btile = [&](vidx_t t) {
+      return tiles + static_cast<std::size_t>(t) * Dim;
+    };
+    std::int64_t sum = 0;
+    if (h.sparse()) {
+      for (vidx_t t = lo; t < hi; ++t) sum += h.pairs_dot(arows(t), btile(t));
+      return sum;
     }
-    return scalar_sum +
-           avx2_hsum_epi32(_mm256_madd_epi16(acc16, _mm256_set1_epi16(1)));
-  } else if constexpr (Dim == 32) {
-    __m256i bv[4];
-    __m256i bitsel[4];
-    for (int k = 0; k < 4; ++k) {
-      bv[k] = loadu256(bwords + 8 * k);
-      bitsel[k] = _mm256_setr_epi32(
-          static_cast<int>(1u << (8 * k + 0)),
-          static_cast<int>(1u << (8 * k + 1)),
-          static_cast<int>(1u << (8 * k + 2)),
-          static_cast<int>(1u << (8 * k + 3)),
-          static_cast<int>(1u << (8 * k + 4)),
-          static_cast<int>(1u << (8 * k + 5)),
-          static_cast<int>(1u << (8 * k + 6)),
-          static_cast<int>(1u << (8 * k + 7)));
+    // One tile is kVecs vectors.  Each dense row adds at most 8 to a
+    // byte of a count vector, so 16 rows fit before the counts widen
+    // into 64-bit lanes (sad against zero).
+    constexpr int kVecs = Dim * static_cast<int>(sizeof(word_t)) / 32;
+    constexpr int kWordsPerVec = 32 / static_cast<int>(sizeof(word_t));
+    __m256i sel[Dim][kVecs];
+    for (int i = 0; i < h.nrows; ++i) {
+      avx2_lane_selects<Dim>(mwords[h.rows[i]], sel[i]);
     }
-    __m256i acc32 = _mm256_setzero_si256();
-    std::int64_t scalar_sum = 0;
-    for (int r = 0; r < 32; ++r) {
-      const word_t mrow = mwords[r];
-      if (mrow == 0) continue;
-      const word_t arow = awords[r];
-      if (arow == 0) continue;
-      if (popcount(mrow) < 8) {
-        for_each_set_bit(mrow, [&](int c) {
-          scalar_sum += popcount(static_cast<word_t>(arow & bwords[c]));
-        });
-        continue;
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i acc = zero;
+    for (vidx_t t = lo; t < hi; ++t) {
+      const word_t* a = arows(t);
+      __m256i any = loadu256(a);
+      for (int q = 1; q < kVecs; ++q) {
+        any = _mm256_or_si256(any, loadu256(a + q * kWordsPerVec));
       }
-      const __m256i av = _mm256_set1_epi32(static_cast<int>(arow));
-      const __m256i mv = _mm256_set1_epi32(static_cast<int>(mrow));
-      for (int k = 0; k < 4; ++k) {
-        const __m256i sel = _mm256_cmpeq_epi32(
-            _mm256_and_si256(mv, bitsel[k]), bitsel[k]);
-        const __m256i dot = avx2_popcnt_epi32(_mm256_and_si256(av, bv[k]));
-        acc32 = _mm256_add_epi32(acc32, _mm256_and_si256(dot, sel));
+      if (_mm256_testz_si256(any, any)) continue;  // no A tile here
+      const word_t* b = btile(t);
+      sum += h.pairs_dot(a, b);
+      __m256i bv[kVecs];
+      for (int q = 0; q < kVecs; ++q) bv[q] = loadu256(b + q * kWordsPerVec);
+      for (int i0 = 0; i0 < h.nrows; i0 += 16) {
+        __m256i cnt[kVecs];
+        for (int q = 0; q < kVecs; ++q) cnt[q] = zero;
+        const int i1 = h.nrows < i0 + 16 ? h.nrows : i0 + 16;
+        for (int i = i0; i < i1; ++i) {
+          __m256i arow;
+          if constexpr (Dim == 16) {
+            arow = _mm256_set1_epi16(static_cast<short>(a[h.rows[i]]));
+          } else {
+            arow = _mm256_set1_epi32(static_cast<int>(a[h.rows[i]]));
+          }
+          for (int q = 0; q < kVecs; ++q) {
+            const __m256i x = _mm256_and_si256(_mm256_and_si256(arow, bv[q]),
+                                               sel[i][q]);
+            cnt[q] = _mm256_add_epi8(cnt[q], avx2_popcnt_epi8(x));
+          }
+        }
+        for (int q = 0; q < kVecs; ++q) {
+          acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt[q], zero));
+        }
       }
     }
-    return scalar_sum + avx2_hsum_epi32(acc32);
+    const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
+                                    _mm256_extracti128_si256(acc, 1));
+    return sum +
+           _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s)));
   } else {
-    return masked_pair_dot_body<Dim>(awords, bwords, mwords);
+    // Dims 4 and 8: the scalar word-per-tile body, compiled here with
+    // the popcnt instruction.
+    return masked_row_dot_body<Dim>(dense_a, colind, tiles, lo, hi, mwords);
   }
 }
 
@@ -1407,15 +1519,18 @@ void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
 }
 
 template <int Dim>
-std::int64_t masked_pair_dot(const typename TileTraits<Dim>::word_t* awords,
-                             const typename TileTraits<Dim>::word_t* bwords,
-                             const typename TileTraits<Dim>::word_t* mwords) {
+std::int64_t masked_row_dot(const typename TileTraits<Dim>::word_t* dense_a,
+                            const vidx_t* colind,
+                            const typename TileTraits<Dim>::word_t* tiles,
+                            vidx_t lo, vidx_t hi,
+                            const typename TileTraits<Dim>::word_t* mwords) {
 #if BITGB_SIMD_X86
   if (active_backend() == Backend::kAvx2) {
-    return masked_pair_dot_avx2<Dim>(awords, bwords, mwords);
+    return masked_row_dot_avx2<Dim>(dense_a, colind, tiles, lo, hi, mwords);
   }
 #endif
-  return portable::masked_pair_dot<Dim>(awords, bwords, mwords);
+  return portable::masked_row_dot<Dim>(dense_a, colind, tiles, lo, hi,
+                                       mwords);
 }
 
 template <int Dim>
@@ -1489,8 +1604,9 @@ void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
                                        vidx_t, vidx_t, std::int32_t*);       \
   template void ns::rows_pop_accum<Dim>(const TileTraits<Dim>::word_t*,      \
                                         vidx_t, vidx_t, std::int32_t*);      \
-  template std::int64_t ns::masked_pair_dot<Dim>(                            \
-      const TileTraits<Dim>::word_t*, const TileTraits<Dim>::word_t*,        \
+  template std::int64_t ns::masked_row_dot<Dim>(                             \
+      const TileTraits<Dim>::word_t*, const vidx_t*,                        \
+      const TileTraits<Dim>::word_t*, vidx_t, vidx_t,                        \
       const TileTraits<Dim>::word_t*);                                       \
   template void ns::frontier_row_accum<Dim>(                                 \
       const TileTraits<Dim>::word_t*, const vidx_t*, vidx_t, vidx_t,         \

@@ -82,13 +82,32 @@ template <int Dim>
 void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
                     vidx_t hi, std::int32_t* pop);
 
-/// Masked BMM tile-pair dot: sum over rows r and set bits c of
-/// mwords[r] of popc(awords[r] & bwords[c]) — one aligned (A, B^T, M)
-/// tile triple of bmm_bin_bin_sum_masked.
+/// Masked BMM over one B tile-row — bmm_bin_bin_sum_masked's inner
+/// loop for one mask tile (tr, j).  `dense_a` is A's tile-row tr
+/// scattered into a zeroed row of a.n_tile_cols() tiles (tile k at
+/// dense_a[k*Dim .. k*Dim+Dim), all-zero where A has no tile), `tiles`
+/// / `colind` / [lo, hi) are B's tile-row j, and `mwords` the mask
+/// tile.  Returns the mask tile's share of sum((A * B^T) .* M):
+///   sum over B tiles t and set bits (r, c) of mwords of
+///   popc(dense_a[colind[t]][r] & tiles[t][c]).
+/// The mask tile's set rows (and their lane selects) are hoisted once
+/// per call; the loop over B's tiles runs inside the entry.
+///   * Dims 4 and 8: per B tile and set row r, one popcount of A's row
+///     broadcast over the byte lanes, ANDed with the whole B tile and
+///     row r's byte select.  Branch-free: a missing A tile is all-zero
+///     and adds 0.  A mask tile with one set row runs its own loop.
+///   * Dims 16 and 32: a mask tile with at most four set bits sums its
+///     hoisted (r, c) pairs branch-free, packed into 64-bit popcounts.
+///     A denser one skips B tiles whose dense A tile is all-zero (every
+///     word tested).  It sums the bits of its rows with at most Dim/16
+///     set bits as pairs, and runs the per-row dot on the other rows:
+///     the AVX2 body ANDs A's broadcast row with the whole B tile and
+///     the row's lane select and counts bytes into 64-bit lanes; the
+///     portable body walks the row's set bits.
 template <int Dim>
-[[nodiscard]] std::int64_t masked_pair_dot(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
+[[nodiscard]] std::int64_t masked_row_dot(
+    const typename TileTraits<Dim>::word_t* dense_a, const vidx_t* colind,
+    const typename TileTraits<Dim>::word_t* tiles, vidx_t lo, vidx_t hi,
     const typename TileTraits<Dim>::word_t* mwords);
 
 /// FrontierBatch pull accumulation over one tile-row:
@@ -172,9 +191,9 @@ void rows_pop_accum(const typename TileTraits<Dim>::word_t* tiles, vidx_t lo,
                     vidx_t hi, std::int32_t* pop);
 
 template <int Dim>
-[[nodiscard]] std::int64_t masked_pair_dot(
-    const typename TileTraits<Dim>::word_t* awords,
-    const typename TileTraits<Dim>::word_t* bwords,
+[[nodiscard]] std::int64_t masked_row_dot(
+    const typename TileTraits<Dim>::word_t* dense_a, const vidx_t* colind,
+    const typename TileTraits<Dim>::word_t* tiles, vidx_t lo, vidx_t hi,
     const typename TileTraits<Dim>::word_t* mwords);
 
 template <int Dim>

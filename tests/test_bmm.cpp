@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 namespace bitgb {
 namespace {
 
@@ -74,6 +78,157 @@ TEST_P(BmmTest, MaskedSumWithDistinctOperands) {
                                                pack_from_csr<Dim>(b),
                                                pack_from_csr<Dim>(mask)));
     return 0;
+  });
+}
+
+// Masked-sum cases below run at 1 thread and at 3 and 4 workers, so
+// the tile-rows split into contiguous ranges with dense rows of their
+// own; the sum is an integer and must not depend on the split.
+constexpr int kMaskedThreads[] = {1, 3, 4};
+
+template <int Dim>
+void expect_masked_sum(const Csr& a, const Csr& b, const Csr& mask,
+                       const std::string& what) {
+  const std::int64_t expected = test::ref_abt_masked_sum(a, b, mask);
+  const B2srT<Dim> ab = pack_from_csr<Dim>(a);
+  const B2srT<Dim> bb = pack_from_csr<Dim>(b);
+  const B2srT<Dim> mb = pack_from_csr<Dim>(mask);
+  for (const int threads : kMaskedThreads) {
+    EXPECT_EQ(expected,
+              bmm_bin_bin_sum_masked(ab, bb, mb, Exec{.threads = threads}))
+        << what << " dim=" << Dim << " threads=" << threads;
+  }
+}
+
+// Triangle counting's operands on a power-law graph: gen_rmat(12)'s
+// 4096 vertices spread in reverse over 4099 (v -> 4098 - v - v/1024),
+// so the hubs sit in the last tile-row, which is partial at every dim;
+// L, L, L is the lower triangle of the symmetrized graph.
+TEST_P(BmmTest, MaskedSumOfPowerLawLowerTriangle) {
+  const int dim = GetParam();
+  const Coo r = gen_rmat(12, 1 << 15, 88);
+  Coo sym{4099, 4099, {}, {}, {}};
+  const auto fold = [](vidx_t v) { return 4098 - v - v / 1024; };
+  for (std::size_t e = 0; e < r.row.size(); ++e) {
+    sym.push(fold(r.row[e]), fold(r.col[e]));
+    sym.push(fold(r.col[e]), fold(r.row[e]));
+  }
+  const Csr l = lower_triangle(coo_to_csr(sym));
+  ASSERT_GT(l.row_cols(4098).size(), 0u);  // the tail tile-row is not empty
+  ASSERT_GT(test::ref_abt_masked_sum(l, l, l), 0);
+  dispatch_tile_dim(dim, [&]<int Dim>() {
+    expect_masked_sum<Dim>(l, l, l, "rmat12 folded onto 4099");
+    return 0;
+  });
+}
+
+// Consecutive tile-rows of A use disjoint tile columns (even tile
+// columns in even tile-rows, odd in odd), so a dense row left holding
+// the previous tile-row's tiles changes the sum.
+TEST_P(BmmTest, MaskedSumClearsTheDenseRowBetweenTileRows) {
+  const int dim = GetParam();
+  dispatch_tile_dim(dim, [&]<int Dim>() {
+    std::mt19937_64 rng(89);
+    const vidx_t n = 203;
+    const vidx_t inner = 190;
+    const vidx_t nb = 170;
+    Coo ac{n, inner, {}, {}, {}};
+    Coo leak{n, inner, {}, {}, {}};  // A plus the previous tile-row's rows
+    for (vidx_t i = 0; i < n; ++i) {
+      for (int k = 0; k < 12; ++k) {
+        const auto c = static_cast<vidx_t>(rng() % inner);
+        if ((c / Dim) % 2 != (i / Dim) % 2) continue;
+        ac.push(i, c);
+        leak.push(i, c);
+        if (i + Dim < n) leak.push(i + Dim, c);
+      }
+    }
+    Coo bc{nb, inner, {}, {}, {}};
+    for (int e = 0; e < 6000; ++e) {
+      bc.push(static_cast<vidx_t>(rng() % nb),
+              static_cast<vidx_t>(rng() % inner));
+    }
+    Coo mc{n, nb, {}, {}, {}};
+    for (int e = 0; e < 5000; ++e) {
+      mc.push(static_cast<vidx_t>(rng() % n), static_cast<vidx_t>(rng() % nb));
+    }
+    const Csr a = coo_to_csr(ac);
+    const Csr b = coo_to_csr(bc);
+    const Csr mask = coo_to_csr(mc);
+    ASSERT_NE(test::ref_abt_masked_sum(a, b, mask),
+              test::ref_abt_masked_sum(coo_to_csr(leak), b, mask));
+    expect_masked_sum<Dim>(a, b, mask, "disjoint tile columns per tile-row");
+  });
+}
+
+// Mask tiles of three shapes, in runs of Dim tiles: one set row at
+// position idx % Dim (a full row or a single bit), a full tile, or
+// none.  Every fifth B tile-row is empty, so mask tiles of both kinds
+// meet empty B tile-rows.  A is sparse, so many of its tiles are
+// present with word 0 zero.
+TEST_P(BmmTest, MaskedSumOverSingleRowFullAndEmptyRowMaskTiles) {
+  const int dim = GetParam();
+  dispatch_tile_dim(dim, [&]<int Dim>() {
+    using word_t = typename TileTraits<Dim>::word_t;
+    std::mt19937_64 rng(90);
+    const vidx_t n = 317;
+    const vidx_t inner = 250;
+    const vidx_t nb = 290;
+    std::bernoulli_distribution a_on(0.05);
+    std::bernoulli_distribution b_on(0.3);
+    Coo ac{n, inner, {}, {}, {}};
+    for (vidx_t i = 0; i < n; ++i) {
+      for (vidx_t c = 0; c < inner; ++c) {
+        if (a_on(rng)) ac.push(i, c);
+      }
+    }
+    Coo bc{nb, inner, {}, {}, {}};
+    for (vidx_t j = 0; j < nb; ++j) {
+      if ((j / Dim) % 5 == 3) continue;
+      for (vidx_t c = 0; c < inner; ++c) {
+        if (b_on(rng)) bc.push(j, c);
+      }
+    }
+    const vidx_t ntr = (n + Dim - 1) / Dim;
+    const vidx_t ntc = (nb + Dim - 1) / Dim;
+    Coo mc{n, nb, {}, {}, {}};
+    std::vector<bool> single_row_at(Dim, false);
+    for (vidx_t idx = 0; idx < ntr * ntc; ++idx) {
+      const vidx_t tr = idx / ntc;
+      const vidx_t j = idx % ntc;
+      const auto cell = [&](vidx_t r, vidx_t c) {
+        const vidx_t i = tr * Dim + r;
+        const vidx_t col = j * Dim + c;
+        if (i < n && col < nb) mc.push(i, col);
+      };
+      const int kind = static_cast<int>((idx / Dim) % 3);
+      if (kind == 0) {
+        const vidx_t r = idx % Dim;
+        if (tr * Dim + r >= n) continue;
+        single_row_at[static_cast<std::size_t>(r)] = true;
+        if (idx % 2 == 0) {
+          for (vidx_t c = 0; c < Dim; ++c) cell(r, c);
+        } else {
+          cell(r, (idx * 7) % Dim);
+        }
+      } else if (kind == 1) {
+        for (vidx_t r = 0; r < Dim; ++r) {
+          for (vidx_t c = 0; c < Dim; ++c) cell(r, c);
+        }
+      }
+    }
+    for (int r = 0; r < Dim; ++r) {
+      ASSERT_TRUE(single_row_at[static_cast<std::size_t>(r)]) << "row " << r;
+    }
+    const Csr a = coo_to_csr(ac);
+    const B2srT<Dim> ab = pack_from_csr<Dim>(a);
+    bool word0_zero = false;
+    for (vidx_t t = 0; t < ab.nnz_tiles(); ++t) {
+      word0_zero = word0_zero || ab.tile(t)[0] == word_t{0};
+    }
+    ASSERT_TRUE(word0_zero);
+    expect_masked_sum<Dim>(a, coo_to_csr(bc), coo_to_csr(mc),
+                           "single-row, full and empty-row mask tiles");
   });
 }
 

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -192,29 +193,38 @@ TEST_P(SimdParityTest, RowsPopAccum) {
   });
 }
 
-TEST_P(SimdParityTest, MaskedPairDot) {
+// (A, B, M) = (a, a, a): every mask tile (tr, j) against B's tile-row
+// j, over A's tile-row tr scattered into a dense row.  Word 0 of every
+// other scattered tile is cleared, so the dense rows hold present A
+// tiles whose first word is zero (every tile of fuzz_complete_45 stays
+// present).
+TEST_P(SimdParityTest, MaskedRowDot) {
   dispatch_tile_dim(dim(), [&]<int Dim>() {
+    using word_t = typename TileTraits<Dim>::word_t;
     const auto a = pack_from_csr<Dim>(csr());
-    const vidx_t ntiles = a.nnz_tiles();
-    const auto* tiles = a.bits.data();
-    const auto tile = [&](vidx_t t) {
-      return tiles + static_cast<std::size_t>(t % ntiles) * Dim;
-    };
-    // Per tile: the (A, B^T, M) = (t, t, t) triple — dense masks on the
-    // dense fixtures, so the vector path runs — and a mixed triple of
-    // unrelated tiles.
+    std::vector<word_t> dense(static_cast<std::size_t>(a.n_tile_cols()) * Dim);
     for_each_tile_row(a, [&](vidx_t tr, vidx_t lo, vidx_t hi) {
       for (vidx_t t = lo; t < hi; ++t) {
-        EXPECT_EQ(simd::portable::masked_pair_dot<Dim>(tile(t), tile(t),
-                                                       tile(t)),
-                  simd::masked_pair_dot<Dim>(tile(t), tile(t), tile(t)))
-            << where(tr) << " tile " << t;
-        EXPECT_EQ(simd::portable::masked_pair_dot<Dim>(
-                      tile(t), tile(t * 7 + 3), tile(t + 1)),
-                  simd::masked_pair_dot<Dim>(tile(t), tile(t * 7 + 3),
-                                             tile(t + 1)))
-            << where(tr) << " tile " << t << " mixed";
+        const auto words = a.tile(t);
+        word_t* d = dense.data() +
+                    static_cast<std::size_t>(a.tile_colind[t]) * Dim;
+        std::copy(words.begin(), words.end(), d);
+        if ((t - lo) % 2 == 1) d[0] = 0;
       }
+      for (vidx_t tm = lo; tm < hi; ++tm) {
+        const vidx_t j = a.tile_colind[tm];
+        if (j >= a.n_tile_rows()) continue;
+        const vidx_t blo = a.tile_rowptr[static_cast<std::size_t>(j)];
+        const vidx_t bhi = a.tile_rowptr[static_cast<std::size_t>(j) + 1];
+        const word_t* mwords = a.tile(tm).data();
+        EXPECT_EQ(simd::portable::masked_row_dot<Dim>(
+                      dense.data(), a.tile_colind.data(), a.bits.data(), blo,
+                      bhi, mwords),
+                  simd::masked_row_dot<Dim>(dense.data(), a.tile_colind.data(),
+                                            a.bits.data(), blo, bhi, mwords))
+            << where(tr) << " mask tile " << tm;
+      }
+      std::fill(dense.begin(), dense.end(), word_t{0});
     });
   });
 }

@@ -28,6 +28,13 @@ encode THIS project's architecture (see BUILDING.md "Static analysis"):
                        kernel scratch lives in caller-owned Workspaces
                        and std::vector, so the wave path stays
                        allocation-free and exception-safe.
+  kernel-popcount      No popcount( (with or without template
+                       arguments) in src/core/*.cpp: the library builds
+                       without -mpopcnt, so each one is a libgcc call.
+                       Bit counting in a kernel loop belongs in a simd::
+                       entry, whose AVX2 body gets the instruction.  The
+                       warp-sim transcriptions (bmm_sim.cpp,
+                       bmv_sim.cpp) are the rule's home.
 
 Findings print as `path:line: rule-id: message` and exit non-zero.
 Suppressions live in tools/lint_allowlist.txt, one per line:
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fnmatch
 import pathlib
 import re
 import sys
@@ -64,7 +72,7 @@ class Rule:
     # BY DESIGN — the rule's own home, not case-by-case exemptions
     # (those go in the allow-list with justifications).
     home: tuple = ()
-    # If non-empty, only these path prefixes are scanned.
+    # If non-empty, only paths matching one of these globs are scanned.
     scope: tuple = ()
 
 
@@ -102,7 +110,16 @@ RULES = (
             r"\bnew\s+[A-Za-z_][\w:<>, ]*\[|\b(?:m|c|re)alloc\s*\("),
         message="kernel hot paths allocate through caller-owned "
                 "Workspaces / std::vector, never naked new[]/malloc",
-        scope=("src/core/", "src/platform/simd.cpp"),
+        scope=("src/core/*", "src/platform/simd.cpp"),
+    ),
+    Rule(
+        rule_id="kernel-popcount",
+        pattern=re.compile(r"\bpopcount\s*(?:<[^<>()]*>\s*)?\("),
+        message="bit counting in a kernel loop belongs in a simd:: entry: "
+                "the library builds without -mpopcnt, so popcount() here "
+                "is a libgcc call",
+        home=("src/core/bmm_sim.cpp", "src/core/bmv_sim.cpp"),
+        scope=("src/core/*.cpp",),
     ),
 )
 
@@ -182,7 +199,7 @@ def lint(root: pathlib.Path) -> int:
         rel = path.relative_to(root).as_posix()
         code = scrub(path.read_text(errors="replace"))
         for rule in RULES:
-            if rule.scope and not any(rel.startswith(s)
+            if rule.scope and not any(fnmatch.fnmatchcase(rel, s)
                                       for s in rule.scope):
                 continue
             if rel in rule.home:
@@ -220,6 +237,7 @@ _VIOLATIONS = {
     "no-ambient-rng": "int x = rand();\n",
     "punning-audit": "auto* p = reinterpret_cast<int*>(q);\n",
     "hot-path-alloc": "int* p = new int[16];\n",
+    "kernel-popcount": "n += popcount(w);\n",
 }
 
 
@@ -250,7 +268,19 @@ def self_test() -> int:
         if lint(root) != 0:
             failures.append("matched inside a comment or string literal")
 
-        # 4. A justified allow-list entry suppresses; a stale one fails.
+        # 4. kernel-popcount also fires with template arguments, and
+        #    only in src/core/*.cpp.
+        probe.write_text("n += popcount<std::uint32_t>(w);\n")
+        if lint(root) == 0:
+            failures.append("kernel-popcount missed popcount<T>(...)")
+        probe.write_text("int ok() { return 1; }\n")
+        header = core / "probe.hpp"
+        header.write_text("n += popcount(w);\n")
+        if lint(root) != 0:
+            failures.append("kernel-popcount fired outside src/core/*.cpp")
+        header.unlink()
+
+        # 5. A justified allow-list entry suppresses; a stale one fails.
         probe.write_text(_VIOLATIONS["punning-audit"])
         allow = root / ALLOWLIST
         allow.write_text(
