@@ -74,6 +74,16 @@ const B2srT<Dim>& powerlaw_lower_packed() {
   return b;
 }
 
+/// The msbfs wave's operand on a power-law graph, the second fixture
+/// of the frontier pull: the symmetrized gen_rmat(12, 1 << 15, 42),
+/// whose tiles mostly hold one bit.
+template <int Dim>
+const B2srT<Dim>& powerlaw_packed() {
+  static const B2srT<Dim> b = pack_from_csr<Dim>(
+      symmetrize(coo_to_csr(gen_rmat(12, 1 << 15, 42))));
+  return b;
+}
+
 std::vector<value_t> fixture_vector() {
   std::vector<value_t> x(static_cast<std::size_t>(fixture_matrix().ncols));
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -82,8 +92,9 @@ std::vector<value_t> fixture_vector() {
   return x;
 }
 
-FrontierBatch fixture_frontier() {
-  FrontierBatch f(fixture_matrix().ncols, 64);
+/// A 64-lane frontier over n vertices, each bit set with p = 0.2.
+FrontierBatch fixture_frontier(vidx_t n) {
+  FrontierBatch f(n, 64);
   std::mt19937_64 rng(7);
   std::bernoulli_distribution on(0.2);
   for (vidx_t v = 0; v < f.n; ++v) {
@@ -208,13 +219,18 @@ void bench_dim() {
           [&](Exec e) { g_bmm_sink = bmm_bin_bin_sum_masked(l, l, l, e); });
   }
   {
-    const FrontierBatch f = fixture_frontier();
+    const FrontierBatch f = fixture_frontier(a.ncols);
     FrontierBatch next;
     track("bmm_frontier", Dim, nnz,
           [&](Exec e) { bmm_frontier(a, f, next, e); });
     FrontierBatch mask(a.nrows, 64);
     track("bmm_frontier_masked", Dim, nnz,
           [&](Exec e) { bmm_frontier_masked(a, f, mask, true, next, e); });
+    const auto& p = powerlaw_packed<Dim>();
+    const FrontierBatch pf = fixture_frontier(p.ncols);
+    FrontierBatch pmask(p.nrows, 64);
+    track("bmm_frontier_masked_powerlaw", Dim, static_cast<double>(p.nnz()),
+          [&](Exec e) { bmm_frontier_masked(p, pf, pmask, true, next, e); });
   }
 }
 

@@ -3,6 +3,8 @@
 #include "graphblas/ops.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 
 namespace bitgb::algo {
 
@@ -158,13 +160,22 @@ FrontierBatch batched_reach(const Context& ctx, const gb::Graph& g,
   return batched_reach(ctx, g, sources, ws);
 }
 
-void scatter_levels(const MsBfsResult& res, int b,
-                    std::vector<std::int32_t>& out) {
+void scatter_levels(const MsBfsResult& res, int first,
+                    std::span<std::vector<std::int32_t>* const> outs) {
+  const std::size_t lanes = outs.size();
+  assert(lanes >= 1 && lanes <= static_cast<std::size_t>(kScatterLanes));
+  assert(first >= 0 && first + static_cast<int>(lanes) <= res.batch);
   const auto batch = static_cast<std::size_t>(res.batch);
   const std::size_t n = batch == 0 ? 0 : res.levels.size() / batch;
-  out.resize(n);
-  const std::int32_t* col = res.levels.data() + static_cast<std::size_t>(b);
-  for (std::size_t v = 0; v < n; ++v) out[v] = col[v * batch];
+  std::array<std::int32_t*, kScatterLanes> dst{};
+  for (std::size_t k = 0; k < lanes; ++k) {
+    outs[k]->resize(n);
+    dst[k] = outs[k]->data();
+  }
+  const std::int32_t* row = res.levels.data() + static_cast<std::size_t>(first);
+  for (std::size_t v = 0; v < n; ++v, row += batch) {
+    for (std::size_t k = 0; k < lanes; ++k) dst[k][v] = row[k];
+  }
 }
 
 void scatter_reached(const FrontierBatch& reach, int b,

@@ -7,8 +7,8 @@
 // same §V output-store masking as single-source BFS, lifted from a bit
 // vector to a bit matrix.  One traversal of the adjacency structure is
 // thereby amortized across the whole batch: the bit backend's cost per
-// level is one 64-bit OR per adjacency bit regardless of how many of
-// the 64 frontiers are live — the "serve many concurrent queries"
+// level follows the tiles it sweeps regardless of how many of the 64
+// frontiers are live — the "serve many concurrent queries"
 // scaling batched frameworks (Gunrock's batched workloads, GraphBLAST's
 // frontier-matrix mxm) get from batching, executed at the bit level.
 //
@@ -25,6 +25,7 @@
 #include "platform/context.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bitgb::algo {
@@ -44,14 +45,11 @@ struct MsBfsResult {
                       static_cast<std::size_t>(batch) +
                   static_cast<std::size_t>(b)];
   }
-
-  /// Extract column b as a single-source bfs()-shaped level vector.
-  [[nodiscard]] std::vector<std::int32_t> column(vidx_t n, int b) const {
-    std::vector<std::int32_t> out(static_cast<std::size_t>(n));
-    for (vidx_t v = 0; v < n; ++v) out[static_cast<std::size_t>(v)] = level(v, b);
-    return out;
-  }
 };
+
+/// Lanes one scatter_levels call fills: 16 int32 levels are one
+/// 64-byte line of a level-matrix row.
+inline constexpr int kScatterLanes = 16;
 
 /// Batched BFS from 1..64 sources (throws std::invalid_argument on an
 /// empty or oversized batch, or an out-of-range source).  Zero-
@@ -78,12 +76,15 @@ const FrontierBatch& batched_reach(const Context& ctx, const gb::Graph& g,
                                    const std::vector<vidx_t>& sources,
                                    Workspace& ws);
 
-/// Scatter column b of the level matrix into a bfs()-shaped level
-/// vector, reusing `out`'s capacity — the serving auto-batcher's
-/// per-query result path (one call per coalesced query, no per-vertex
-/// level() indexing arithmetic in the caller).
-void scatter_levels(const MsBfsResult& res, int b,
-                    std::vector<std::int32_t>& out);
+/// Scatter columns [first, first + outs.size()) of the level matrix
+/// into bfs()-shaped level vectors (*outs[k] gets column first + k,
+/// reusing its capacity), 1..kScatterLanes of them in one row-major
+/// pass: each row's lanes are read as one contiguous run, so a wave
+/// pays one read of the level matrix per lane group rather than one
+/// per column.  The only column extraction there is — the serving
+/// auto-batcher calls it once per group of coalesced queries.
+void scatter_levels(const MsBfsResult& res, int first,
+                    std::span<std::vector<std::int32_t>* const> outs);
 
 /// Scatter reach column b of a batched_reach bit-matrix into a dense
 /// byte vector: out[v] = 1 iff sources[b] reaches v.

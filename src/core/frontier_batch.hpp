@@ -7,9 +7,13 @@
 // -vector sweeps into one bit-matrix-matrix (BMM) sweep over the same
 // B2SR tiles (§IV Listing 2 is the sum-only instance; here the product
 // matrix itself is the result).  Row v holds one machine word whose bit
-// b answers "is vertex v in frontier b?", so expanding all B frontiers
-// costs one 64-bit OR per adjacency bit — the traversal of the
-// adjacency structure is amortized across the whole batch.
+// b answers "is vertex v in frontier b?", so a pull expands all B
+// frontiers in one pass over A's tiles — the traversal of the
+// adjacency structure is amortized across the whole batch.  At dims 4
+// and 8 that pass is a branch-free column sweep: per tile column one
+// broadcast frontier word, OR-ed under a lane select into the four
+// rows of a register (simd::frontier_row_accum), so its cost follows
+// the tile count, not the bit count.
 //
 // The layout is row-major by vertex (one std::uint64_t per vertex)
 // rather than tile-packed by Dim: the batch word is the *inner*
@@ -131,7 +135,7 @@ struct FrontierBatch {
 
 /// The pull kernels take a trailing Exec (platform/exec.hpp) carrying
 /// the thread budget and accumulate through the SIMD engine's
-/// frontier_row_accum (a 64-bit OR, exact in either CPUID-picked body).
+/// frontier_row_accum (64-bit ORs, exact in either CPUID-picked body).
 /// The push kernel is a frontier-proportional scatter and stays a
 /// plain loop by design.
 template <int Dim>

@@ -1075,6 +1075,20 @@ BITGB_TGT_AVX2 std::int64_t masked_row_dot_avx2(
   }
 }
 
+/// One tile column j at dims 4 and 8: every row whose bit j is set
+/// (lane select cmpeq(rows & colbit, colbit)) ORs the broadcast
+/// frontier word f in.
+template <int kGroups>
+BITGB_TGT_AVX2 inline void frontier_column_or(__m256i* racc,
+                                              const __m256i* rows,
+                                              __m256i colbit, __m256i f) {
+  for (int g = 0; g < kGroups; ++g) {
+    const __m256i sel =
+        _mm256_cmpeq_epi64(_mm256_and_si256(rows[g], colbit), colbit);
+    racc[g] = _mm256_or_si256(racc[g], _mm256_and_si256(f, sel));
+  }
+}
+
 template <int Dim>
 BITGB_TGT_AVX2 void frontier_row_accum_avx2(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
@@ -1085,7 +1099,10 @@ BITGB_TGT_AVX2 void frontier_row_accum_avx2(
     // 32 batch words per tile block; per-bit OR is already competitive
     // and the block gather would dominate — keep the portable walk.
     frontier_row_accum_body<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
-  } else {
+  } else if constexpr (Dim == 16) {
+    // Per set row: select the frontier words of its set bits and OR
+    // them horizontally.  The column sweep below spills its 16 column
+    // constants here and measured slower (simd.hpp).
     constexpr int kGroups = Dim / 4;  // 64-bit lanes per 256-bit register
     __m256i bitsel[kGroups];
     for (int g = 0; g < kGroups; ++g) {
@@ -1127,6 +1144,55 @@ BITGB_TGT_AVX2 void frontier_row_accum_avx2(
         acc[r] |= avx2_hor_epi64(red);
       }
     }
+  } else {
+    // Dims 4 and 8, branch-free column sweep.  Register g holds the
+    // accumulator words of rows 4g..4g+3 (one 64-bit lane each) for the
+    // whole tile range.  A tile's four rows 4g..4g+3 are four
+    // contiguous bytes, broadcast into every lane; lane i of colbit[j]
+    // holds row 4g+i's bit j.  Per tile column the frontier word is
+    // broadcast once and lands in every row whose bit j is set: no
+    // per-row branch, no horizontal reduction.
+    constexpr int kGroups = Dim / 4;
+    __m256i colbit[Dim];
+    for (int j = 0; j < Dim; ++j) {
+      const auto bit = [&](int i) {
+        return static_cast<long long>(std::uint64_t{1} << (8 * i + j));
+      };
+      colbit[j] = _mm256_set_epi64x(bit(3), bit(2), bit(1), bit(0));
+    }
+    __m256i racc[kGroups];
+    for (int g = 0; g < kGroups; ++g) racc[g] = loadu256(acc + 4 * g);
+    for (vidx_t t = lo; t < hi; ++t) {
+      const auto base = static_cast<std::size_t>(colind[t]) *
+                        static_cast<std::size_t>(Dim);
+      const word_t* w = tiles + static_cast<std::size_t>(t) * Dim;
+      __m256i rows[kGroups];
+      for (int g = 0; g < kGroups; ++g) {
+        std::int32_t four;
+        std::memcpy(&four, w + 4 * g, sizeof four);
+        rows[g] = _mm256_set1_epi32(four);
+      }
+      const std::uint64_t* f = frows + base;
+      if (base + Dim <= nfrows) {
+#pragma GCC unroll 8
+        for (int j = 0; j < Dim; ++j) {
+          frontier_column_or<kGroups>(
+              racc, rows, colbit[j],
+              _mm256_set1_epi64x(static_cast<long long>(f[j])));
+        }
+      } else {
+        // Tail tile-column: the frontier block is cut short; its bits
+        // past nfrows are zero (B2SR zero-tail invariant), so only its
+        // valid columns run.
+        const auto valid = static_cast<int>(nfrows - base);
+        for (int j = 0; j < valid; ++j) {
+          frontier_column_or<kGroups>(
+              racc, rows, colbit[j],
+              _mm256_set1_epi64x(static_cast<long long>(f[j])));
+        }
+      }
+    }
+    for (int g = 0; g < kGroups; ++g) store256(acc + 4 * g, racc[g]);
   }
 }
 

@@ -10,8 +10,9 @@
 //     (the whole tile-row output word materializes as a mask register),
 //   * byte-lane popcount via the Mula pshufb nibble-LUT approach with
 //     per-row accumulation in integer lanes for the counting kernels,
-//   * bit-to-lane mask expansion + lane-wise OR for the 64-wide
-//     FrontierBatch accumulation,
+//   * per-column lane selects + lane-wise OR for the 64-wide
+//     FrontierBatch accumulation (a tile column's frontier word lands in
+//     every row whose bit is set, no per-row branch),
 //   * bit-row word -> lane select + lane-wise add / min / max for the
 //     semiring BMV (one float lane per tile column).
 //
@@ -112,9 +113,22 @@ template <int Dim>
 
 /// FrontierBatch pull accumulation over one tile-row:
 ///   acc[r] |= frows[colind[t]*Dim + j] for every set bit (r, j),
-/// where acc holds Dim batch words.  `nfrows` is the frontier row
-/// count; tail tile-columns whose block would read past it take the
-/// per-bit walk (set bits never point past nfrows).
+/// where acc holds Dim batch words; their incoming bits are kept (OR,
+/// never overwrite).  `nfrows` is the frontier row count; set bits
+/// never point past it (B2SR zero-tail invariant).
+///   * Dims 4 and 8 (AVX2): a branch-free column sweep.  The Dim
+///     accumulator words stay in registers (one __m256i per four rows)
+///     for the whole tile range.  Per tile column j, frows[base + j] is
+///     broadcast once and OR-ed into the rows whose bit j is set,
+///     selected by cmpeq(and(tile rows, colbit_j), colbit_j): no
+///     per-row branch, no horizontal reduction.  A tail tile-column
+///     sweeps its valid columns only.
+///   * Dim 16 (AVX2): per set row, a select over the tile's 16
+///     frontier words and one horizontal OR.  The column sweep needs
+///     16 column constants beside its 8 row and accumulator registers;
+///     with AVX2's 16 vector registers it spills and measured 1.3-1.8x
+///     slower.  A tail tile-column walks its set bits.
+///   * Dim 32, and the portable body at every dim: the per-bit walk.
 template <int Dim>
 void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
                         const vidx_t* colind, vidx_t lo, vidx_t hi,

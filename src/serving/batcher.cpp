@@ -7,9 +7,11 @@
 #include "platform/cancel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <exception>
+#include <span>
 #include <utility>
 
 namespace bitgb::serving {
@@ -142,16 +144,30 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
   }
   slot.traversal_cost(kind).wave.add(done - started);
 
-  for (auto it = first; it != last; ++it) {
-    Request& r = **it;
-    Reply reply = make_reply(r, Status::kOk, started, done, width);
-    const auto column = static_cast<int>(it - first);
-    if (reached == nullptr) {
-      algo::scatter_levels(levels, column, reply.levels);
-    } else {
-      algo::scatter_reached(*reached, column, reply.reached);
+  // Reply a lane group at a time: one scatter_levels pass fills the
+  // group's level vectors, and the group is fulfilled before the next
+  // one is staged, so a worker stages at most kScatterLanes replies.
+  constexpr int kGroup = algo::kScatterLanes;
+  std::array<Reply, kGroup> staged;
+  std::array<std::vector<std::int32_t>*, kGroup> outs{};
+  for (int g0 = 0; g0 < width; g0 += kGroup) {
+    const int count = std::min(kGroup, width - g0);
+    for (int k = 0; k < count; ++k) {
+      staged[k] = make_reply(*first[g0 + k], Status::kOk, started, done,
+                             width);
+      outs[k] = &staged[k].levels;
     }
-    try_fulfill(r, std::move(reply));
+    if (reached == nullptr) {
+      algo::scatter_levels(
+          levels, g0, std::span(outs.data(), static_cast<std::size_t>(count)));
+    } else {
+      for (int k = 0; k < count; ++k) {
+        algo::scatter_reached(*reached, g0 + k, staged[k].reached);
+      }
+    }
+    for (int k = 0; k < count; ++k) {
+      try_fulfill(*first[g0 + k], std::move(staged[k]));
+    }
   }
   return {width, 0};
 }

@@ -8,12 +8,15 @@
 //   kBfs / kReach — the wave rule (serving/registry.hpp wave_pays)
 //     decides from the slot's measured costs: when width × single_ns ≥
 //     wave_ns the partition's sources coalesce into ONE msbfs /
-//     batched_reach wave, with the per-source columns scattered back
-//     into each request's promise (algo::scatter_levels /
-//     scatter_reached); otherwise each request runs the plain
-//     single-source path in turn — which is also the whole execution
-//     story of the unbatched ablation (max_batch = 1).  Both paths time
-//     their algorithm call into the slot's running means.
+//     batched_reach wave, whose riders are answered a lane group
+//     (algo::kScatterLanes = 16) at a time: one algo::scatter_levels
+//     pass fills the group's level vectors (scatter_reached one reach
+//     vector per rider), and the group is fulfilled before the next is
+//     staged, so a worker holds at most 16 staged replies.  Otherwise
+//     each request runs the plain single-source path in turn — which
+//     is also the whole execution story of the unbatched ablation
+//     (max_batch = 1).  Both paths time their algorithm call into the
+//     slot's running means.
 //   kComponents — the whole partition shares the slot's memoized
 //     batched_cc labelling (computed by the first components query of
 //     the registration, from any worker; a registry re-add makes a new

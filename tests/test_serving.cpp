@@ -909,6 +909,53 @@ TEST(WaveRule, PopTakesThePredicatesAnswerOnAPrimedSlot) {
   }
 }
 
+// A wave replies a lane group (algo::kScatterLanes riders) at a time:
+// runs that fill one group, end one short or one past it, span three,
+// and fill the engine, on a B2SR-4 and a B2SR-8 graph.
+TEST(WaveRule, EveryRiderOfEveryLaneGroupGetsItsOwnColumn) {
+  const Context serial_ctx = Context{}.with_threads(1);
+  for (const int dim : {4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "tile dim " << dim);
+    gb::GraphOptions opts;
+    opts.tile_dim = dim;
+    GraphRegistry reg;
+    const serving::GraphRef slot =
+        reg.add(kGraph, gb::Graph::from_coo(gen_rmat(10, 4096, 7), opts));
+    ASSERT_EQ(dim, slot->graph().tile_dim());
+    // Every run of two or more goes out as one wave.
+    slot->traversal_cost(QueryKind::kBfs).single.add(1h);
+    slot->traversal_cost(QueryKind::kBfs).wave.add(1ns);
+    const gb::Graph& g = slot->graph();
+    const vidx_t n = g.num_vertices();
+
+    FaultPlan plan;
+    plan.wave_delay = 20ms;
+    FaultInjector injector(plan);
+    Server server(reg, stalled_worker(injector));
+    for (const int width : {1, 15, 16, 17, 33, 64}) {
+      SCOPED_TRACE(::testing::Message() << "width " << width);
+      // The older PageRank pops alone (a pop never mixes kinds) and
+      // stalls the worker while the whole BFS run queues behind it.
+      std::future<Reply> plug = server.submit_pagerank(kGraph);
+      std::vector<vidx_t> sources;
+      std::vector<std::future<Reply>> futs;
+      for (int i = 0; i < width; ++i) {
+        const auto s = static_cast<vidx_t>(i * 37 + width) % n;
+        sources.push_back(s);
+        futs.push_back(server.submit(kGraph, QueryKind::kBfs, s));
+      }
+      ASSERT_EQ(Status::kOk, plug.get().status);
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const Reply r = futs[i].get();
+        ASSERT_EQ(Status::kOk, r.status) << "rider " << i;
+        EXPECT_EQ(width, r.batch_width) << "rider " << i;
+        EXPECT_EQ(algo::bfs(serial_ctx, g, {sources[i]}).levels, r.levels)
+            << "rider " << i << " from " << sources[i];
+      }
+    }
+  }
+}
+
 TEST(WaveRule, BacklogOnOneWorkerFormsWideWavesUpToTheCap) {
   for (const int max_batch : {FrontierBatch::kMaxBatch, 4}) {
     SCOPED_TRACE(::testing::Message() << "max_batch " << max_batch);

@@ -3,13 +3,15 @@
 // host runs) exactly, tile-row by tile-row — over the small_matrices()
 // oracle corpus plus randomized tail-dim graphs (sizes deliberately not
 // multiples of any tile dim) and an all-ones complete graph, at all
-// four tile dims.  The integer entries (OR / popcount-add) are exact,
-// and the semiring entry's two bodies fold the same float lanes in the
-// same order, so every comparison is ==, not a tolerance.  The
-// kernels' own semantics are pinned against dense references in
-// test_bmv, test_bmm and test_bmv_masked; this suite pins the two
-// engine bodies to each other, plus the semiring kernel's thread-count
-// invariance and the batched push/pull duality.
+// four tile dims.  frontier_row_accum also runs on synthetic tile-rows
+// (every B2SR-4 tile pattern, a long random B2SR-8 row, tail tile
+// columns of every width).  The integer entries (OR / popcount-add)
+// are exact, and the semiring entry's two bodies fold the same float
+// lanes in the same order, so every comparison is ==, not a
+// tolerance.  The kernels' own semantics are pinned against dense
+// references in test_bmv, test_bmm and test_bmv_masked; this suite
+// pins the two engine bodies to each other, plus the semiring kernel's
+// thread-count invariance and the batched push/pull duality.
 #include "core/bmv.hpp"
 #include "core/frontier_batch.hpp"
 #include "core/pack.hpp"
@@ -73,6 +75,19 @@ const std::pair<std::string, Csr>& parity_matrix(int mi) {
 const int kParityMatrixCount =
     test::kSmallMatrixCount + static_cast<int>(fuzz_graphs().size());
 
+FrontierBatch random_batch(vidx_t n, int batch, std::uint64_t seed,
+                           double density) {
+  FrontierBatch f(n, batch);
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution on(density);
+  for (vidx_t v = 0; v < n; ++v) {
+    for (int b = 0; b < batch; ++b) {
+      if (on(rng)) f.set(v, b);
+    }
+  }
+  return f;
+}
+
 class SimdParityTest : public ::testing::TestWithParam<std::tuple<int, int>> {
  protected:
   int dim() const { return std::get<0>(GetParam()); }
@@ -118,19 +133,6 @@ class SimdParityTest : public ::testing::TestWithParam<std::tuple<int, int>> {
       }
     }
     return x;
-  }
-
-  FrontierBatch random_batch(vidx_t n, int batch, std::uint64_t seed,
-                             double density) const {
-    FrontierBatch f(n, batch);
-    std::mt19937_64 rng(seed);
-    std::bernoulli_distribution on(density);
-    for (vidx_t v = 0; v < n; ++v) {
-      for (int b = 0; b < batch; ++b) {
-        if (on(rng)) f.set(v, b);
-      }
-    }
-    return f;
   }
 };
 
@@ -229,6 +231,17 @@ TEST_P(SimdParityTest, MaskedRowDot) {
   });
 }
 
+/// Non-zero starting accumulator words: both frontier_row_accum bodies
+/// OR into acc, so a body that overwrites it loses these bits.
+template <int Dim>
+std::array<std::uint64_t, Dim> seeded_acc() {
+  std::array<std::uint64_t, Dim> acc{};
+  for (int r = 0; r < Dim; ++r) {
+    acc[static_cast<std::size_t>(r)] = std::uint64_t{1} << (7 * r % 64);
+  }
+  return acc;
+}
+
 TEST_P(SimdParityTest, FrontierRowAccum) {
   dispatch_tile_dim(dim(), [&]<int Dim>() {
     const auto a = pack_from_csr<Dim>(csr());
@@ -236,7 +249,8 @@ TEST_P(SimdParityTest, FrontierRowAccum) {
     for (const int batch : {3, 64}) {
       const FrontierBatch f = random_batch(a.ncols, batch, 31 + dim(), 0.3);
       for_each_tile_row(a, [&](vidx_t tr, vidx_t lo, vidx_t hi) {
-        std::array<std::uint64_t, Dim> want{}, got{};
+        auto want = seeded_acc<Dim>();
+        auto got = want;
         simd::portable::frontier_row_accum<Dim>(
             a.bits.data(), a.tile_colind.data(), lo, hi, f.rows.data(),
             f.rows.size(), want.data());
@@ -247,6 +261,105 @@ TEST_P(SimdParityTest, FrontierRowAccum) {
       });
     }
   });
+}
+
+/// A synthetic tile-row for frontier_row_accum: tile t holds
+/// tiles[t*Dim .. t*Dim+Dim) and sits in tile column colind[t] of a
+/// 64-lane frontier of `nfrows` rows.
+template <int Dim>
+struct FrontierTileRow {
+  std::vector<typename TileTraits<Dim>::word_t> tiles;
+  std::vector<vidx_t> colind;
+  FrontierBatch f;
+};
+
+/// The dispatched frontier_row_accum against the portable body on `row`:
+/// tile by tile, then over the whole range, each from seeded_acc.
+template <int Dim>
+void expect_frontier_accum_parity(const FrontierTileRow<Dim>& row,
+                                  const std::string& what) {
+  const auto ntiles = static_cast<vidx_t>(row.colind.size());
+  const auto run = [&](vidx_t lo, vidx_t hi) {
+    auto want = seeded_acc<Dim>();
+    auto got = want;
+    simd::portable::frontier_row_accum<Dim>(
+        row.tiles.data(), row.colind.data(), lo, hi, row.f.rows.data(),
+        row.f.rows.size(), want.data());
+    simd::frontier_row_accum<Dim>(row.tiles.data(), row.colind.data(), lo,
+                                  hi, row.f.rows.data(), row.f.rows.size(),
+                                  got.data());
+    return want == got;
+  };
+  vidx_t mismatches = 0;
+  vidx_t first = -1;
+  for (vidx_t t = 0; t < ntiles; ++t) {
+    if (!run(t, t + 1)) {
+      if (mismatches++ == 0) first = t;
+    }
+  }
+  EXPECT_EQ(0, mismatches) << what << ": first differing tile " << first;
+  EXPECT_TRUE(run(0, ntiles)) << what << ": whole tile-row";
+}
+
+// Every one of the 2^16 B2SR-4 tile patterns, each in its own tile.
+TEST(SimdFrontierRowAccum, Dim4EveryTilePattern) {
+  constexpr vidx_t kTileCols = 61;
+  FrontierTileRow<4> row;
+  row.f = random_batch(4 * kTileCols, 64, 83, 0.5);
+  for (std::uint32_t p = 0; p < (1u << 16); ++p) {
+    for (int r = 0; r < 4; ++r) {
+      row.tiles.push_back(static_cast<std::uint8_t>((p >> (4 * r)) & 0xFu));
+    }
+    row.colind.push_back(static_cast<vidx_t>(p * 7 % kTileCols));
+  }
+  expect_frontier_accum_parity(row, "dim 4, all tile patterns");
+}
+
+// A long random B2SR-8 tile-row against a 64-lane frontier.
+TEST(SimdFrontierRowAccum, Dim8RandomTileRow) {
+  constexpr vidx_t kTileCols = 40;
+  FrontierTileRow<8> row;
+  row.f = random_batch(8 * kTileCols, 64, 89, 0.5);
+  std::mt19937_64 rng(97);
+  std::uniform_int_distribution<vidx_t> col(0, kTileCols - 1);
+  for (int t = 0; t < 4096; ++t) {
+    std::uint64_t bits = rng();
+    if (t % 3 == 0) bits &= rng();  // sparser tiles too
+    for (int r = 0; r < 8; ++r) {
+      row.tiles.push_back(static_cast<std::uint8_t>(bits >> (8 * r)));
+    }
+    row.colind.push_back(col(rng));
+  }
+  expect_frontier_accum_parity(row, "dim 8, random tile-row");
+}
+
+// A tail tile-column at every ncols % Dim in 1..Dim-1: its frontier
+// block is cut short, and its tiles hold bits only in the valid
+// columns (the B2SR zero-tail invariant).
+TEST(SimdFrontierRowAccum, TailTileColumnsAtEveryWidth) {
+  for (const int dim : {4, 8, 16, 32}) {
+    dispatch_tile_dim(dim, [&]<int Dim>() {
+      using word_t = typename TileTraits<Dim>::word_t;
+      for (int valid = 1; valid < Dim; ++valid) {
+        constexpr vidx_t kFull = 3;  // tile columns 0..2 full, 3 the tail
+        FrontierTileRow<Dim> row;
+        row.f = random_batch(kFull * Dim + valid, 64,
+                             static_cast<std::uint64_t>(101 + valid), 0.5);
+        std::mt19937_64 rng(static_cast<std::uint64_t>(103 * Dim + valid));
+        for (int t = 0; t < 64; ++t) {
+          const auto c = static_cast<vidx_t>(t % (kFull + 1));
+          const word_t keep = low_mask<word_t>(c == kFull ? valid : Dim);
+          for (int r = 0; r < Dim; ++r) {
+            row.tiles.push_back(static_cast<word_t>(rng() & keep));
+          }
+          row.colind.push_back(c);
+        }
+        expect_frontier_accum_parity(
+            row, "dim " + std::to_string(Dim) + ", tail of " +
+                     std::to_string(valid) + " columns");
+      }
+    });
+  }
 }
 
 // Every bundle's (reduce, offset) pair: plus-times on finite inputs,
