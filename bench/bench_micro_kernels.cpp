@@ -188,6 +188,17 @@ void bench_dim() {
     std::vector<value_t> yf;
     track("bmv_bin_full_full", Dim, nnz,
           [&](Exec e) { bmv_bin_full_full<Dim, PlusTimesOp>(a, xf, yf, e); });
+    // The frontier-SSSP shape, twin of bmv_bin_bin_bin_masked_late: the
+    // candidate mask opens 1 of every 16 tile-rows, and the kernel skips
+    // the closed ones whole.
+    PackedVecT<Dim> open(a.nrows);
+    for (vidx_t i = 0; i < a.nrows; ++i) {
+      if ((i / Dim) % 16 == 0) open.set(i);
+    }
+    std::vector<value_t> yl(static_cast<std::size_t>(a.nrows), 0.0f);
+    track("bmv_bin_full_full_masked_late", Dim, nnz, [&](Exec e) {
+      bmv_bin_full_full_masked<Dim, MinPlusOp>(a, xf, open, false, yl, e);
+    });
   }
   {
     // Packing (CSR-routed and COO-direct), SpGEMM, transpose.

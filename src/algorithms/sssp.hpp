@@ -1,10 +1,23 @@
 // Single-Source Shortest Path — tropical min-plus semiring (paper §V).
 //
-// GraphBLAS Bellman-Ford: per iteration the distance vector is relaxed
-// through bmv_bin_full_full<MinPlus> — 0s of the adjacency matrix act
-// as +infinity (unreachable), set bits contribute dist[j] + 1 (unit
+// GraphBLAS Bellman-Ford: each round relaxes dist = min(dist,
+// vxm(dist, A)), i.e. the pull mxv(A^T, dist) through
+// bmv_bin_full_full<MinPlus> over A^T — 0s of the matrix act as
+// +infinity (unreachable), set bits contribute dist[u] + 1 (unit
 // weights: the homogeneous graphs the paper targets carry no weights).
-// Iteration stops when no distance improves (at most |V|-1 rounds).
+// Distances run along edge direction, from the source.  Rounds stop
+// when no distance improves (at most |V|-1 rounds).
+//
+// Frontier rounds, as in GraphBLAST's SSSP: only a vertex with an
+// in-neighbour whose distance changed in the previous round can
+// improve.  While fewer than n / gb::kPushPullDenominator vertices
+// changed (BFS's direction rule), a round pushes the changed set
+// through A (Boolean, nothing masked) to find those candidate rows and
+// relaxes only them: the bit backend through the candidate-masked pull,
+// which skips every tile-row the mask closes (§V), the reference
+// backend row by row.  A denser changed set runs the full pull.  Every
+// round yields exactly the dense Bellman-Ford iterate, so `dist` and
+// `iterations` do not depend on the direction taken.
 #pragma once
 
 #include "algorithms/workspace.hpp"

@@ -192,20 +192,27 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
   const word_t* mw = mask != nullptr ? mask->words.data() : nullptr;
   const vidx_t nrows = a.nrows;
   const vidx_t ncols = a.ncols;
+  // Clipped as in boolean_tile_rows: a complemented B2SR-4 mask sets
+  // the uint8_t's four spare bits, which must not open a closed row.
+  constexpr word_t row_bits = low_mask<word_t>(Dim);
   // Value captures only (see parallel.hpp on closure escape).
   parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
     const vidx_t lo = rowptr[tr];
     const vidx_t hi = rowptr[tr + 1];
     if (lo == hi) return;
-    value_t acc[Dim];
-    simd::semiring_row_fold<Dim>(tiles, colind, lo, hi, x, ncols, reduce,
-                                 offset, acc);
-    // Paper §V: the mask is applied right before the output store.
-    auto keep = static_cast<word_t>(~word_t{0});
+    // Paper §V, mask first (as in boolean_tile_rows): a closed tile-row
+    // is skipped whole, and an open one folds every row and applies the
+    // mask right before the output store.
+    word_t keep = row_bits;
     if (mw != nullptr) {
       keep = mw[static_cast<std::size_t>(tr)];
       if (complement) keep = static_cast<word_t>(~keep);
+      keep = static_cast<word_t>(keep & row_bits);
+      if (keep == 0) return;
     }
+    value_t acc[Dim];
+    simd::semiring_row_fold<Dim>(tiles, colind, lo, hi, x, ncols, reduce,
+                                 offset, acc);
     const vidx_t r0 = tr * Dim;
     const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
     for (vidx_t r = r0; r < rend; ++r) {

@@ -11,8 +11,8 @@
 //                            store, having bit-wise AND with the negation
 //                            of [the] visited vertex vector", §V) —
 //                            masked-off positions keep their prior value.
-//                            The Boolean pull reads the mask first and
-//                            skips a tile-row it closes whole.
+//                            The Boolean and semiring pulls read the mask
+//                            first and skip a tile-row it closes whole.
 //
 // Parallelization: one tile-row per task (the paper's one-warp-per-
 // tile-row mapping, §IV "warp-consolidation model"); output rows of
@@ -103,9 +103,11 @@ void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
 
 namespace detail {
 
-/// The tile-row loop both semiring kernels share: fold every non-empty
-/// tile-row through simd::semiring_row_fold, then store row r unless
-/// `mask` (null = keep all) drops it.  Empty tile-rows are not stored.
+/// The tile-row loop both semiring kernels share: skip a tile-row whose
+/// `mask` (complemented if asked, clipped to Dim bits; null = keep all)
+/// is zero, else fold it through simd::semiring_row_fold and store row
+/// r unless the mask drops it.  Empty and closed tile-rows are not
+/// stored.
 template <int Dim>
 void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
                         LaneReduce reduce, value_t offset,
@@ -127,7 +129,9 @@ void bmv_bin_full_full(const B2srT<Dim>& a, const std::vector<value_t>& x,
 }
 
 /// Masked semiring BMV: positions whose mask test fails keep their
-/// previous y value (y must be pre-sized to nrows by the caller).
+/// previous y value (y must be pre-sized to nrows by the caller).  A
+/// tile-row the mask closes is skipped whole, so the cost follows the
+/// open tile-rows (frontier SSSP's candidate rows).
 template <int Dim, typename Op>
 void bmv_bin_full_full_masked(const B2srT<Dim>& a,
                               const std::vector<value_t>& x,

@@ -12,11 +12,11 @@
 // masked pull — the optimizations §II credits GraphBLAST with
 // ("exploiting input and output sparsity" / push-pull).
 //
-// The bit backend routes to the B2SR kernels of src/core.  Its Boolean
-// pull reads the mask per tile-row: a closed tile-row is skipped whole,
-// and inside an open row the mask is AND-ed at the output store (no
-// per-row early exit — the paper's §V design choice, because the rows
-// of a tile-row share a warp).
+// The bit backend routes to the B2SR kernels of src/core.  Its masked
+// pulls (Boolean and semiring) read the mask per tile-row: a closed
+// tile-row is skipped whole, and inside an open row the mask is AND-ed
+// at the output store (no per-row early exit — the paper's §V design
+// choice, because the rows of a tile-row share a warp).
 //
 // Every operation contributes to the Context's kernel-time sink (when
 // set), which is how the bench harness splits "algorithm" from
@@ -55,6 +55,24 @@ void ref_mxv(const Context& ctx, const Csr& a, const std::vector<value_t>& x,
   });
 }
 
+namespace detail {
+
+/// Row r of ref_mxv_weighted.
+template <typename Op>
+[[nodiscard]] value_t weighted_row(const Csr& a, vidx_t r,
+                                   const std::vector<value_t>& x) {
+  const auto cols = a.row_cols(r);
+  const auto vals = a.row_vals(r);
+  value_t acc = Op::identity;
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    acc = Op::reduce(
+        acc, Op::combine(vals[i], x[static_cast<std::size_t>(cols[i])]));
+  }
+  return acc;
+}
+
+}  // namespace detail
+
 /// Dense semiring mxv over *weighted* CSR: the faithful GraphBLAST
 /// behaviour for arithmetic/min-plus semirings, which load one stored
 /// float per nonzero (`a` must carry values; a unit-valued copy of a
@@ -67,14 +85,22 @@ void ref_mxv_weighted(const Context& ctx, const Csr& a,
   KernelTimerScope timer(ctx.timer);
   y.assign(static_cast<std::size_t>(a.nrows), Op::identity);
   parallel_for(ctx.threads, vidx_t{0}, a.nrows, [&](vidx_t r) {
-    const auto cols = a.row_cols(r);
-    const auto vals = a.row_vals(r);
-    value_t acc = Op::identity;
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      acc = Op::reduce(
-          acc, Op::combine(vals[i], x[static_cast<std::size_t>(cols[i])]));
-    }
-    y[static_cast<std::size_t>(r)] = acc;
+    y[static_cast<std::size_t>(r)] = detail::weighted_row<Op>(a, r, x);
+  });
+}
+
+/// ref_mxv_weighted for the listed rows only (GraphBLAST's sparse-
+/// output mxv): y[r] for each r in `rows`, every other position keeps
+/// its value (y pre-sized by the caller).
+template <typename Op>
+void ref_mxv_weighted_rows(const Context& ctx, const Csr& a,
+                           const std::vector<vidx_t>& rows,
+                           const std::vector<value_t>& x,
+                           std::vector<value_t>& y) {
+  KernelTimerScope timer(ctx.timer);
+  parallel_for(ctx.threads, std::size_t{0}, rows.size(), [&](std::size_t i) {
+    const vidx_t r = rows[i];
+    y[static_cast<std::size_t>(r)] = detail::weighted_row<Op>(a, r, x);
   });
 }
 

@@ -14,12 +14,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <random>
 #include <vector>
 
 namespace bitgb {
 namespace {
+
+constexpr value_t kInf = std::numeric_limits<value_t>::infinity();
 
 // (tile dim, matrix index) — every algorithm must agree with its gold
 // reference on every backend for every combination.
@@ -44,12 +47,21 @@ TEST_P(AlgoTest, BfsBothBackendsMatchGold) {
 }
 
 TEST_P(AlgoTest, SsspBothBackendsMatchGold) {
+  // Min-plus over unit weights is exact: distances compare with ==, and
+  // every backend and thread count runs the same number of rounds.
   const gb::Graph g = make_graph();
   if (g.num_vertices() == 0) return;
-  const auto gold = algo::sssp_gold(g.adjacency(), 0);
-  for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
-    const auto res = algo::sssp(test::ctx(backend), g, {0});
-    test::expect_vectors_near(gold, res.dist);
+  for (const vidx_t src : test::traversal_sources(g.adjacency())) {
+    SCOPED_TRACE(::testing::Message() << "source " << src);
+    const auto gold = algo::sssp_gold(g.adjacency(), src);
+    const auto ref = algo::sssp(test::ctx(gb::Backend::kReference), g, {src});
+    EXPECT_EQ(gold, ref.dist);
+    for (const int threads : {1, 4}) {
+      const auto bit = algo::sssp(
+          test::ctx(gb::Backend::kBit).with_threads(threads), g, {src});
+      EXPECT_EQ(gold, bit.dist) << "threads " << threads;
+      EXPECT_EQ(ref.iterations, bit.iterations) << "threads " << threads;
+    }
   }
 }
 
@@ -184,6 +196,51 @@ TEST(Bfs, PullLevelsThatCloseMostTileRowsMatchGold) {
       EXPECT_EQ(4, res.iterations) << gb::backend_name(backend);
     }
   }
+}
+
+TEST(Sssp, DirectedEdgesAreFollowedFromTheSource) {
+  // dist is vxm(dist, A) == mxv(A^T, dist): distances run along edge
+  // direction, from the source.  The 6-vertex chain pulls every round
+  // (n / 32 == 0); the directed random graph pushes while its changed
+  // set is small, then pulls.
+  const Coo chain = [] {
+    Coo c{6, 6, {}, {}, {}};
+    c.push(0, 1);
+    c.push(1, 2);
+    c.push(2, 3);
+    c.push(4, 0);
+    return c;
+  }();
+  const Coo random = gen_random(300, 900, 31);
+  gb::GraphOptions opts;
+  opts.symmetrize = false;
+  for (const int dim : {4, 8, 16, 32}) {
+    opts.tile_dim = dim;
+    for (const Coo* coo : {&chain, &random}) {
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << " n " << coo->nrows);
+      const gb::Graph g = gb::Graph::from_coo(*coo, opts);
+      const auto gold = algo::sssp_gold(g.adjacency(), 0);
+      if (coo == &random) {
+        const std::string rounds = test::sssp_round_directions(
+            gold, g.num_vertices() / gb::kPushPullDenominator);
+        EXPECT_NE(std::string::npos, rounds.find('p')) << rounds;
+        EXPECT_NE(std::string::npos, rounds.find('l')) << rounds;
+      }
+      const auto levels = algo::bfs_gold(g.adjacency(), 0);
+      for (vidx_t v = 0; v < g.num_vertices(); ++v) {
+        const auto l = levels[static_cast<std::size_t>(v)];
+        EXPECT_EQ(l == algo::kUnreached ? kInf : static_cast<value_t>(l),
+                  gold[static_cast<std::size_t>(v)]);
+      }
+      const auto ref = algo::sssp(test::ctx(gb::Backend::kReference), g, {0});
+      const auto bit = algo::sssp(test::ctx(gb::Backend::kBit), g, {0});
+      EXPECT_EQ(gold, ref.dist);
+      EXPECT_EQ(gold, bit.dist);
+      EXPECT_EQ(ref.iterations, bit.iterations);
+    }
+  }
+  EXPECT_EQ((std::vector<value_t>{0, 1, 2, 3, kInf, kInf}),
+            algo::sssp_gold(coo_to_csr(chain), 0));
 }
 
 TEST(Sssp, UnitWeightsEqualBfsLevels) {

@@ -1,7 +1,7 @@
-// Masked BMV tests — the paper's §V masking design (the Boolean pull
-// skips a closed tile-row whole, and inside an open row the bitmask is
-// AND-ed at the output store; complement masks for "unvisited"
-// filtering).
+// Masked BMV tests — the paper's §V masking design (the Boolean and
+// semiring pulls skip a closed tile-row whole, and inside an open row
+// the bitmask is AND-ed at the output store; complement masks for
+// "unvisited" filtering).
 #include "core/bmv.hpp"
 #include "core/pack.hpp"
 #include "sparse/convert.hpp"
@@ -187,6 +187,34 @@ TEST_P(MaskedBmvTest, BinFullFullMaskedMinPlus) {
                   y[static_cast<std::size_t>(r)]);
       } else {
         EXPECT_FLOAT_EQ(sentinel, y[static_cast<std::size_t>(r)]);
+      }
+    }
+
+    // Masks that close whole tile-rows, which the kernel skips: tile-row
+    // tr is closed when tr % 3 == 0, open in its last row when
+    // tr % 3 == 1, and open when tr % 3 == 2.  At dim 4 a closed
+    // tile-row's complemented mask word reads 0xF0: its four spare bits
+    // are set and must not open it.
+    std::vector<bool> pass(static_cast<std::size_t>(m.nrows));
+    for (vidx_t r = 0; r < m.nrows; ++r) {
+      const vidx_t k = (r / Dim) % 3;
+      pass[static_cast<std::size_t>(r)] =
+          k == 2 || (k == 1 && (r % Dim == Dim - 1 || r == m.nrows - 1));
+    }
+    for (const bool complement : {false, true}) {
+      std::vector<bool> mbits = pass;
+      if (complement) mbits.flip();
+      const auto closing = PackedVecT<Dim>::from_bools(mbits);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "comp=" << complement << " threads=" << threads);
+        std::vector<value_t> yc(static_cast<std::size_t>(m.nrows), sentinel);
+        bmv_bin_full_full_masked<Dim, MinPlusOp>(
+            a, xf, closing, complement, yc, Exec{.threads = threads});
+        for (vidx_t r = 0; r < m.nrows; ++r) {
+          const auto i = static_cast<std::size_t>(r);
+          EXPECT_EQ(pass[i] ? expected[i] : sentinel, yc[i]) << "row " << r;
+        }
       }
     }
     return 0;

@@ -224,6 +224,7 @@ TEST(ConcurrentContexts, MixedDescriptorsMatchSerialRuns) {
   const auto bfs_ref = algo::bfs(serial_ref, g, {src});
   const auto pr_bit = algo::pagerank(serial_bit, g);
   const auto cc_bit = algo::connected_components(serial_bit, g);
+  const auto sssp_bit = algo::sssp(serial_bit, g, {src});
   const auto sssp_ref = algo::sssp(serial_ref, g, {src});
 
   constexpr int kThreads = 8;
@@ -236,6 +237,8 @@ TEST(ConcurrentContexts, MixedDescriptorsMatchSerialRuns) {
       KernelTimeSink sink;  // per-query sink: no shared accumulator
       const Context ctx =
           Context{}.with_threads(1 + t % 2).with_timer(&sink);
+      algo::Workspace ws;  // SSSP's slots, reused across the reps
+      algo::SsspResult s;
       for (int rep = 0; rep < 3; ++rep) {
         if (t % 4 == 3) {
           // Reference-backend worker among bit-backend workers.
@@ -250,14 +253,20 @@ TEST(ConcurrentContexts, MixedDescriptorsMatchSerialRuns) {
         if (p.rank != pr_bit.rank) failures.fetch_add(1);
         const auto c = algo::connected_components(ctx, g);
         if (c.component != cc_bit.component) failures.fetch_add(1);
+        algo::sssp(ctx, g, {src}, ws, s);
+        if (s.dist != sssp_bit.dist || s.iterations != sssp_bit.iterations) {
+          failures.fetch_add(1);
+        }
       }
       if (sink.ms() < 0.0) failures.fetch_add(1);  // sink stays sane
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(0, failures.load());
-  // And the two backends agree with each other on the Boolean result.
+  // And the two backends agree with each other.
   EXPECT_EQ(bfs_ref.levels, bfs_bit.levels);
+  EXPECT_EQ(sssp_ref.dist, sssp_bit.dist);
+  EXPECT_EQ(sssp_ref.iterations, sssp_bit.iterations);
 }
 
 // A cold Graph shared by concurrent queries: the first queries trigger

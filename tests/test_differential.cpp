@@ -4,8 +4,8 @@
 // gold references — over the small_matrices() oracle corpus plus a set
 // of seeded random generator graphs at every tile size.
 //
-// Exactness notes: BFS/MSBFS levels, CC labels, SSSP distances
-// (min-plus over identical candidate sets), MIS membership, coloring,
+// Exactness notes: BFS/MSBFS levels, CC labels, SSSP distances and
+// round counts (min-plus over unit weights), MIS membership, coloring,
 // and TC counts are combinatorial or min/max-exact, so equality is
 // bitwise.  PageRank sums floats in backend-specific order (the bit
 // backend tree-reduces full words), so it compares within tolerance.
@@ -16,6 +16,7 @@
 #include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/tc.hpp"
+#include "graphblas/ops.hpp"
 #include "sparse/convert.hpp"
 
 #include "test_util.hpp"
@@ -41,6 +42,7 @@ const std::vector<std::pair<std::string, Csr>>& generator_graphs() {
     out.emplace_back("gen_road_13x11", coo_to_csr(gen_road(13, 11, 0.05, 94)));
     out.emplace_back("gen_rmat_s7", coo_to_csr(gen_rmat(7, 900, 95)));
     out.emplace_back("gen_hybrid_145", coo_to_csr(gen_hybrid(145, 96)));
+    out.emplace_back("gen_road_32x32", coo_to_csr(gen_road(32, 32, 0.02, 97)));
     return out;
   }();
   return graphs;
@@ -97,9 +99,18 @@ TEST_P(DifferentialTest, PageRank) {
 TEST_P(DifferentialTest, Sssp) {
   const gb::Graph g = make_graph();
   if (g.num_vertices() == 0) return;
-  const auto ref = algo::sssp(test::ctx(gb::Backend::kReference), g, {0});
-  const auto bit = algo::sssp(test::ctx(gb::Backend::kBit), g, {0});
-  test::expect_vectors_near(ref.dist, bit.dist);
+  for (const vidx_t src : test::traversal_sources(g.adjacency())) {
+    const auto ref =
+        algo::sssp(test::ctx(gb::Backend::kReference), g, {src});
+    for (const int threads : {1, 4}) {
+      const auto bit = algo::sssp(
+          test::ctx(gb::Backend::kBit).with_threads(threads), g, {src});
+      EXPECT_EQ(ref.dist, bit.dist)
+          << name() << " source " << src << " threads " << threads;
+      EXPECT_EQ(ref.iterations, bit.iterations)
+          << name() << " source " << src << " threads " << threads;
+    }
+  }
 }
 
 TEST_P(DifferentialTest, Mis) {
@@ -143,6 +154,25 @@ TEST(DifferentialFixture, OracleCorpusIsIntact) {
     EXPECT_TRUE(m.validate()) << name;
     EXPECT_GT(m.nnz(), 0) << name;
   }
+}
+
+TEST(DifferentialFixture, RoadGraphSsspPushesPullsAndPushesAgain) {
+  // The premise of gen_road_32x32 in the Sssp cases: from some source,
+  // a pull round (changed set >= n / 32) has push rounds before and
+  // after it.  gen_road emits both directions of every edge, so its CSR
+  // is the graph the cases build.
+  const Csr& a = generator_graphs().back().second;
+  ASSERT_EQ("gen_road_32x32", generator_graphs().back().first);
+  bool alternates = false;
+  for (const vidx_t src : test::traversal_sources(a)) {
+    const std::string rounds = test::sssp_round_directions(
+        algo::sssp_gold(a, src), a.nrows / gb::kPushPullDenominator);
+    const auto first_pull = rounds.find('l');
+    alternates = alternates ||
+                 (first_pull != std::string::npos && first_pull > 0 &&
+                  rounds.find('p', first_pull) != std::string::npos);
+  }
+  EXPECT_TRUE(alternates);
 }
 
 }  // namespace

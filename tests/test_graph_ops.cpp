@@ -137,6 +137,16 @@ TEST(RefOps, WeightedMxvWithUnitValuesEqualsBinaryMxv) {
   gb::ref_mxv<PlusTimesOp>(ctx, a, x, y_bin);
   gb::ref_mxv_weighted<PlusTimesOp>(ctx, unit, x, y_wgt);
   test::expect_vectors_near(y_bin, y_wgt, 1e-4);
+
+  // The listed-rows form writes exactly the listed rows.
+  std::vector<vidx_t> rows;
+  for (vidx_t r = 1; r < 60; r += 3) rows.push_back(r);
+  std::vector<value_t> y_rows(60, -1.0f);
+  gb::ref_mxv_weighted_rows<PlusTimesOp>(ctx, unit, rows, x, y_rows);
+  for (vidx_t r = 0; r < 60; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(r % 3 == 1 ? y_wgt[i] : -1.0f, y_rows[i]) << "row " << r;
+  }
 }
 
 TEST(RefOps, WeightedMxvUsesStoredWeights) {

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace bitgb::test {
@@ -21,6 +23,43 @@ namespace bitgb::test {
 /// thread through the algorithm API.
 inline Context ctx(Backend b) { return Context{}.with_backend(b); }
 
+/// Traversal sources worth checking on `a`: vertex 0, the highest-degree
+/// vertex (lowest id on ties) and the first isolated vertex after 0, each
+/// when it differs from 0.
+inline std::vector<vidx_t> traversal_sources(const Csr& a) {
+  std::vector<vidx_t> out = {0};
+  const auto degree = [&](vidx_t v) {
+    return a.rowptr[static_cast<std::size_t>(v) + 1] -
+           a.rowptr[static_cast<std::size_t>(v)];
+  };
+  vidx_t hub = 0;
+  for (vidx_t v = 1; v < a.nrows; ++v) {
+    if (degree(v) > degree(hub)) hub = v;
+  }
+  if (hub != 0) out.push_back(hub);
+  for (vidx_t v = 1; v < a.nrows; ++v) {
+    if (degree(v) == 0) {
+      out.push_back(v);
+      break;
+    }
+  }
+  return out;
+}
+
+/// The direction each round of frontier SSSP takes, read off its final
+/// unit-weight distances: round r relaxes from the vertices at distance
+/// r - 1 and pushes ('p') while they number fewer than `push_below`,
+/// else pulls ('l').  The round that finds no change is not listed.
+inline std::string sssp_round_directions(const std::vector<value_t>& dist,
+                                         vidx_t push_below) {
+  std::string rounds;
+  for (int d = 0;; ++d) {
+    const auto at_d =
+        std::count(dist.begin(), dist.end(), static_cast<value_t>(d));
+    if (at_d == 0) return rounds;
+    rounds += at_d < push_below ? 'p' : 'l';
+  }
+}
 
 /// Expected shape of every entry in small_matrices(), in order.  This is
 /// the oracle the suite checks the fixture against (see
