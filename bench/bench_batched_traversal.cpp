@@ -1,30 +1,27 @@
-// Batched multi-source traversal: one BMM frontier sweep vs N
-// sequential single-source runs.
+// Batched multi-source traversal: one 64-lane msbfs wave vs 64
+// sequential single-source runs from the same sources.
 //
-// The batch engine's claim is that packing up to 64 frontiers into the
-// bit-columns of a FrontierBatch turns 64 BMV sweeps per level into one
-// BMM sweep, so a 64-query batch should cost a small multiple of ONE
-// BFS, not 64 of them.  This harness measures, per generator-corpus
-// graph:
+// The batch engine packs up to 64 frontiers into the bit-columns of a
+// FrontierBatch, so one B2SR sweep per level expands all of them.  This
+// harness measures, per generator-corpus graph:
 //
 //   bit seq     — 64 sequential single-source bfs() runs, bit backend
 //   bit batched — one msbfs() over the same 64 sources, bit backend
-//   ref batched — msbfs() on the reference backend (column loop),
-//                 the framework-baseline cost of the same batch
+//   ref seq     — msbfs() on the reference backend, which is 64
+//                 sequential reference bfs() runs: GraphBLAST has no
+//                 batched BFS kernel, so this is the framework's cost
+//                 for the same batch
 //
-// and prints the sequential/batched speedup per graph plus the overall
-// geometric mean.  Sources are the same evenly spaced batch the
+// and prints the bit seq / bit batched speedup per graph plus the
+// overall geometric mean.  Sources are the same evenly spaced batch the
 // Tables VII/VIII MSBFS row uses (benchlib batch_sources).
 //
-// Expected shape of the result: large wins wherever the 64 wavefronts
-// overlap tiles (scale-free, grid, hybrid graphs — the shared adjacency
-// sweep then serves many lanes per word op); parity at best on a long
-// -diameter band graph with evenly spread sources, whose disjoint
-// wavefronts give the batch nothing to amortize while sequential BFS
-// stays on its word-granular active-list push path.  The band row is
-// kept deliberately as the honest worst case; against the reference
-// framework batch (the GraphBLAST-substitute column loop) the bit
-// engine wins everywhere by 1-2 orders of magnitude.
+// Expected shape: the wave wins where the 64 wavefronts overlap tiles
+// (scale-free, grid and hybrid graphs), and loses on a long-diameter
+// band graph with evenly spread sources, whose disjoint wavefronts give
+// the batch nothing to amortize while each single-source BFS stays on
+// its word-granular active-list push.  The band row is kept as the
+// honest worst case.
 #include "algorithms/bfs.hpp"
 #include "algorithms/msbfs.hpp"
 #include "platform/context.hpp"
@@ -56,7 +53,7 @@ int main() {
               "sequential bfs (ms, avg of %d)\n\n",
               kRunsPerMeasurement);
   std::printf("%-12s %10s %12s %12s %12s %9s\n", "graph", "verts",
-              "bit seq", "bit batched", "ref batched", "speedup");
+              "bit seq", "bit batched", "ref seq", "speedup");
 
   std::vector<double> speedups;
   for (const auto& [name, edges] : graphs) {
@@ -72,13 +69,13 @@ int main() {
     });
     const double batched_ms = time_avg_ms(
         [&] { (void)algo::msbfs(bit_ctx, g, {sources}); });
-    const double ref_batched_ms = time_avg_ms(
+    const double ref_seq_ms = time_avg_ms(
         [&] { (void)algo::msbfs(ref_ctx, g, {sources}); });
 
     const double speedup = batched_ms > 0.0 ? seq_ms / batched_ms : 0.0;
     speedups.push_back(speedup);
     std::printf("%-12s %10d %12.3f %12.3f %12.3f %8.1fx\n", name.c_str(),
-                g.num_vertices(), seq_ms, batched_ms, ref_batched_ms,
+                g.num_vertices(), seq_ms, batched_ms, ref_seq_ms,
                 speedup);
   }
 

@@ -21,19 +21,14 @@ int main() {
 
   struct Case {
     const char* name;
-    Coo coo;
     Csr m;
   };
-  const auto make_case = [](const char* name, Coo coo) {
-    Csr m = coo_to_csr(coo);
-    return Case{name, std::move(coo), std::move(m)};
-  };
   const Case cases[] = {
-      make_case("band_1k", gen_banded(1024, 8, 0.6, 1)),
-      make_case("band_8k", gen_banded(8192, 8, 0.6, 2)),
-      make_case("band_32k", gen_banded(32768, 8, 0.6, 3)),
-      make_case("rmat_16k", gen_rmat(14, 300000, 4)),
-      make_case("stripe_16k", gen_stripe(16384, 4, 0.7, 5)),
+      {"band_1k", coo_to_csr(gen_banded(1024, 8, 0.6, 1))},
+      {"band_8k", coo_to_csr(gen_banded(8192, 8, 0.6, 2))},
+      {"band_32k", coo_to_csr(gen_banded(32768, 8, 0.6, 3))},
+      {"rmat_16k", coo_to_csr(gen_rmat(14, 300000, 4))},
+      {"stripe_16k", coo_to_csr(gen_stripe(16384, 4, 0.7, 5))},
   };
 
   for (const auto& c : cases) {
@@ -44,19 +39,6 @@ int main() {
       std::printf(" %12.2f", t);
     }
     std::printf("\n");
-  }
-
-  // COO fast path: edge list -> B2SR directly vs routed through CSR.
-  std::printf("\n== COO fast path: direct vs CSR-routed (dim 8) ==\n");
-  std::printf("%-22s %14s %16s %10s\n", "matrix", "direct(ms)",
-              "coo+csr+pack(ms)", "speedup");
-  for (const auto& c : cases) {
-    const double t_direct =
-        time_avg_ms([&] { (void)pack_from_coo<8>(c.coo); });
-    const double t_routed =
-        time_avg_ms([&] { (void)pack_from_csr<8>(coo_to_csr(c.coo)); });
-    std::printf("%-22s %14.2f %16.2f %9.2fx\n", c.name, t_direct, t_routed,
-                t_direct > 0.0 ? t_routed / t_direct : 0.0);
   }
 
   // Break-even: conversion cost over per-SpMV saving.

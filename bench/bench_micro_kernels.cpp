@@ -46,13 +46,8 @@ namespace {
 
 using namespace bitgb;
 
-const Coo& fixture_coo() {
-  static const Coo m = gen_banded(4096, 16, 0.6, 42);
-  return m;
-}
-
 const Csr& fixture_matrix() {
-  static const Csr m = coo_to_csr(fixture_coo());
+  static const Csr m = coo_to_csr(gen_banded(4096, 16, 0.6, 42));
   return m;
 }
 
@@ -201,13 +196,9 @@ void bench_dim() {
     });
   }
   {
-    // Packing (CSR-routed and COO-direct), SpGEMM, transpose.
+    // Packing, SpGEMM, transpose.
     track("pack_from_csr", Dim, nnz, [&](Exec e) {
       const auto p = pack_from_csr<Dim>(fixture_matrix(), e);
-      g_bmm_sink = p.nnz_tiles();
-    });
-    track("pack_from_coo", Dim, nnz, [&](Exec e) {
-      const auto p = pack_from_coo<Dim>(fixture_coo(), e);
       g_bmm_sink = p.nnz_tiles();
     });
     track("bit_spgemm", Dim, nnz, [&](Exec e) {

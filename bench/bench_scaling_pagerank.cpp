@@ -44,7 +44,7 @@ int main() {
 
     std::printf("%-10d %12lld %12.1f %12.2f %12.2f %8.2fx\n", n,
                 static_cast<long long>(g.num_edges()),
-                static_cast<double>(g.unit_adjacency().storage_bytes()) /
+                static_cast<double>(g.unit_adjacency_t().storage_bytes()) /
                     (1024.0 * 1024.0),
                 t_ref, t_bit, t_ref / t_bit);
   }

@@ -177,8 +177,8 @@ int main() {
                 serving::status_name(reach_r.status), reach_r.reached.size());
     std::printf("  social/pagerank:   %s, %d iterations\n",
                 serving::status_name(pr_r.status), pr_r.iterations);
-    std::printf("  roads/components:  %s, %zu labels (%d waves; second "
-                "read memoized: %s)\n",
+    std::printf("  roads/components:  %s, %zu labels (%d FastSV rounds; "
+                "second read memoized: %s)\n",
                 serving::status_name(cc1.status), cc1.component.size(),
                 cc1.iterations,
                 cc1.component == cc2.component ? "identical" : "BUG");

@@ -2,16 +2,17 @@
 
 #include "graphblas/ops.hpp"
 
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
 
 namespace bitgb::algo {
 
 namespace {
 
 template <typename MxvFn>
-void fastsv_loop(vidx_t n, Workspace& ws, CcResult& res, MxvFn&& min_mxv) {
-  assert(n < (vidx_t{1} << 24));  // float carries ids exactly
+void fastsv_loop(const Context& ctx, vidx_t n, Workspace& ws, CcResult& res,
+                 MxvFn&& min_mxv) {
+  ctx.check_alloc();  // fault-injection hook at the sizing prologue
   res.iterations = 0;
 
   auto& f = ws.slot<std::vector<value_t>>("cc.f");
@@ -23,6 +24,7 @@ void fastsv_loop(vidx_t n, Workspace& ws, CcResult& res, MxvFn&& min_mxv) {
 
   bool changed = true;
   while (changed) {
+    ctx.check_kernel();  // round boundary
     changed = false;
     ++res.iterations;
 
@@ -75,9 +77,16 @@ void connected_components(const Context& ctx, const gb::Graph& g,
                           const CcParams& /*params*/, Workspace& ws,
                           CcResult& out) {
   const vidx_t n = g.num_vertices();
+  // Checked before any format or buffer is built: past the limit a
+  // label rounds up to n and the first hooking pass indexes f[n].
+  if (n >= kCcVertexLimit) {
+    throw std::length_error(
+        "connected_components: FastSV labels are float, so the graph "
+        "must have fewer than 2^24 vertices");
+  }
   if (ctx.backend == Backend::kReference) {
     const Csr& a = g.adjacency();
-    fastsv_loop(n, ws, out,
+    fastsv_loop(ctx, n, ws, out,
                 [&](const std::vector<value_t>& x, std::vector<value_t>& y) {
                   gb::ref_mxv<MinIdentityOp>(ctx, a, x, y);
                 });
@@ -85,7 +94,7 @@ void connected_components(const Context& ctx, const gb::Graph& g,
   }
   dispatch_tile_dim(g.tile_dim(), [&]<int Dim>() {
     const auto& a = g.packed().as<Dim>();
-    fastsv_loop(n, ws, out,
+    fastsv_loop(ctx, n, ws, out,
                 [&](const std::vector<value_t>& x, std::vector<value_t>& y) {
                   gb::bit_mxv<Dim, MinIdentityOp>(ctx, a, x, y);
                 });

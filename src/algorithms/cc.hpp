@@ -10,8 +10,10 @@
 //   5. gf = f[f];  repeat until f stops changing.
 //
 // Labels are carried in the float vector the mxv operates on; float
-// holds vertex ids exactly up to 2^24, far above the corpus sizes
-// (enforced by an assert).
+// holds every vertex id below 2^24 exactly, far above the corpus sizes.
+// A graph of kCcVertexLimit (2^24) or more vertices is refused with
+// std::length_error on both backends before anything is sized (a
+// serving components query on it resolves kInternalError).
 #pragma once
 
 #include "algorithms/workspace.hpp"
@@ -22,11 +24,15 @@
 
 namespace bitgb::algo {
 
+/// connected_components throws std::length_error on a graph with this
+/// many vertices or more: beyond it the float labels round.
+inline constexpr vidx_t kCcVertexLimit = vidx_t{1} << 24;
+
 struct CcParams {};
 
 struct CcResult {
   std::vector<vidx_t> component;  ///< min vertex id of each component
-  int iterations = 0;
+  int iterations = 0;  ///< FastSV rounds, the last one changing nothing
 };
 
 /// Zero-allocation form: scratch lives in `ws`, result buffers reuse

@@ -22,6 +22,31 @@ bool use_push(std::size_t active_tile_rows, vidx_t n_tile_rows) {
   return static_cast<vidx_t>(active_tile_rows) < n_tile_rows / 2;
 }
 
+/// Reference backend: one reference bfs() per source.  GraphBLAST has
+/// no batched BFS kernel, so the framework baseline answers a batch as
+/// `batch` direction-optimized single-source runs (the form msbfs_gold
+/// takes).  Fills the level matrix, the reach bits of `visited` and
+/// `iterations` (the deepest lane); a cancelled batch stops between
+/// sources, the lanes run so far kept.
+void run_ref_lanes(const Context& ctx, const gb::Graph& g,
+                   const std::vector<vidx_t>& sources, Workspace& ws,
+                   MsBfsResult& res, FrontierBatch& visited) {
+  const auto batch = static_cast<std::size_t>(res.batch);
+  auto& lane = ws.slot<BfsResult>("msbfs.ref.lane");
+  for (std::size_t b = 0; b < batch; ++b) {
+    if (ctx.cancelled()) return;
+    bfs(ctx, g, {sources[b]}, ws, lane);
+    const FrontierBatch::word_t bit = FrontierBatch::word_t{1} << b;
+    for (std::size_t v = 0; v < lane.levels.size(); ++v) {
+      const std::int32_t level = lane.levels[v];
+      if (level == kUnreached) continue;
+      res.levels[v * batch + b] = level;
+      visited.rows[v] |= bit;
+    }
+    res.iterations = std::max(res.iterations, lane.iterations);
+  }
+}
+
 /// The shared traversal loop.  On return `visited` is the reach
 /// bit-matrix (bit (v, b) set iff sources[b] reaches v) — msbfs drops
 /// it, batched_reach returns it.
@@ -34,8 +59,6 @@ void run_msbfs(const Context& ctx, const gb::Graph& g,
   frontier.assign_sources(n, sources);  // in-place: reuses the row buffer
   const int batch = frontier.batch;
   visited = frontier;
-  auto& next = ws.slot<FrontierBatch>("msbfs.next");
-  next.resize(n, batch);
 
   res.batch = batch;
   res.iterations = 0;
@@ -47,6 +70,12 @@ void run_msbfs(const Context& ctx, const gb::Graph& g,
                    static_cast<std::size_t>(batch) +
                static_cast<std::size_t>(b)] = 0;
   }
+  if (ctx.backend == Backend::kReference) {
+    run_ref_lanes(ctx, g, sources, ws, res, visited);
+    return;
+  }
+  auto& next = ws.slot<FrontierBatch>("msbfs.next");
+  next.resize(n, batch);
 
   // Rows currently holding a live frontier word, and their tile-rows
   // (rebuilt per level; both stay frontier-proportional on the push
@@ -74,22 +103,14 @@ void run_msbfs(const Context& ctx, const gb::Graph& g,
     ++level;
     touched.clear();
     // One batched expansion per level: every live frontier advances one
-    // hop.  The pull forms consume A^T (vxm(f, A) == mxv(A^T, f)); the
-    // push form consumes A itself and costs only the active tile-rows.
+    // hop.  The pull consumes A^T (vxm(f, A) == mxv(A^T, f)); the push
+    // consumes A itself and costs only the active tile-rows.
     active_tr.clear();
-    if (ctx.backend == Backend::kBit) {
-      for (const vidx_t v : frontier_rows) active_tr.push_back(v / dim);
-      std::sort(active_tr.begin(), active_tr.end());
-      active_tr.erase(std::unique(active_tr.begin(), active_tr.end()),
-                      active_tr.end());
-    }
-    if (ctx.backend == Backend::kReference) {
-      gb::ref_mxm_frontier_masked(ctx, g.adjacency_t(), frontier, visited,
-                                  next);
-      for (vidx_t v = 0; v < n; ++v) {
-        if (next.rows[static_cast<std::size_t>(v)] != 0) touched.push_back(v);
-      }
-    } else if (use_push(active_tr.size(), n_tile_rows)) {
+    for (const vidx_t v : frontier_rows) active_tr.push_back(v / dim);
+    std::sort(active_tr.begin(), active_tr.end());
+    active_tr.erase(std::unique(active_tr.begin(), active_tr.end()),
+                    active_tr.end());
+    if (use_push(active_tr.size(), n_tile_rows)) {
       KernelTimerScope timer(ctx.timer);
       dispatch_tile_dim(dim, [&]<int Dim>() {
         bmm_frontier_push_masked(g.packed().as<Dim>(), frontier, active_tr,

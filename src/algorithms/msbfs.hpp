@@ -1,21 +1,25 @@
 // Multi-source BFS — the batched traversal engine's flagship algorithm.
 //
 // Up to 64 BFS traversals run concurrently, their frontiers packed as
-// the bit-columns of a FrontierBatch.  Per level the whole batch is
-// expanded by ONE masked BMM sweep over the B2SR tiles of A^T (bit
-// backend) or by one masked pull per column (reference backend) — the
-// same §V output-store masking as single-source BFS, lifted from a bit
-// vector to a bit matrix.  One traversal of the adjacency structure is
-// thereby amortized across the whole batch: the bit backend's cost per
-// level follows the tiles it sweeps regardless of how many of the 64
-// frontiers are live — the "serve many concurrent queries"
-// scaling batched frameworks (Gunrock's batched workloads, GraphBLAST's
-// frontier-matrix mxm) get from batching, executed at the bit level.
+// the bit-columns of a FrontierBatch.  On the bit backend each level
+// expands the whole batch at once: ONE masked BMM sweep over the B2SR
+// tiles of A^T, or a push over the active tile-rows of A while the
+// frontiers are thin — the same §V output-store masking as
+// single-source BFS, lifted from a bit vector to a bit matrix.  One
+// traversal of the adjacency structure is thereby amortized across the
+// whole batch: the cost per level follows the tiles swept regardless
+// of how many of the 64 frontiers are live.
+//
+// The reference backend answers a batch with one reference bfs() per
+// source.  GraphBLAST (PAPERS.md) has no batched BFS kernel, so N
+// direction-optimized single-source runs are the framework baseline
+// the bit engine is measured against (Tables VII/VIII MSBFS row,
+// bench_batched_traversal).
 //
 // Output: the level *matrix* — levels[v * batch + b] is the BFS level
 // of vertex v from sources[b] (0 at the source, kUnreached if never
 // visited), bit-for-bit equal to `batch` independent single-source
-// bfs() runs.
+// bfs() runs on either backend.
 #pragma once
 
 #include "algorithms/bfs.hpp"
@@ -38,6 +42,7 @@ struct MsBfsResult {
   std::vector<std::int32_t> levels;  ///< n * batch, row-major by vertex
   int batch = 0;
   int iterations = 0;  ///< deepest non-empty level across the batch
+                       ///< (the largest single-source bfs iterations)
 
   /// Level of vertex v in the traversal from sources[b].
   [[nodiscard]] std::int32_t level(vidx_t v, int b) const {
@@ -63,15 +68,14 @@ void msbfs(const Context& ctx, const gb::Graph& g, const MsBfsParams& params,
                                 const MsBfsParams& params);
 
 /// Batched reachability: bit b of row v answers "does sources[b] reach
-/// v?" (a source reaches itself).  This is msbfs's visited matrix —
-/// the Boolean closure the batch engine hands to batched_cc.
+/// v?" (a source reaches itself).  This is msbfs's visited matrix.
 [[nodiscard]] FrontierBatch batched_reach(const Context& ctx,
                                           const gb::Graph& g,
                                           const std::vector<vidx_t>& sources);
 
 /// Workspace form: the returned reference points into `ws` and stays
 /// valid until the next msbfs/batched_reach call on that workspace —
-/// the zero-copy wave loop batched_cc runs on.
+/// the zero-copy form a serving reach wave scatters from.
 const FrontierBatch& batched_reach(const Context& ctx, const gb::Graph& g,
                                    const std::vector<vidx_t>& sources,
                                    Workspace& ws);

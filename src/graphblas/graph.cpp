@@ -92,15 +92,6 @@ const B2srAny& Graph::packed_t() const {
   });
 }
 
-const Csr& Graph::unit_adjacency() const {
-  Lazy& l = *lazy_;
-  return materialize(l.built, kFmtUnitCsr, l.unit_mu, l.unit_csr, [&] {
-    Csr u = csr_;
-    u.val.assign(static_cast<std::size_t>(u.nnz()), 1.0f);
-    return u;
-  });
-}
-
 const Csr& Graph::unit_adjacency_t() const {
   Lazy& l = *lazy_;
   return materialize(l.built, kFmtUnitCsrT, l.unit_t_mu, l.unit_csr_t, [&] {
@@ -138,7 +129,6 @@ FormatSet Graph::formats() const {
 
 void Graph::prewarm(FormatSet want) const {
   if (want & kFmtCsrT) (void)adjacency_t();
-  if (want & kFmtUnitCsr) (void)unit_adjacency();
   if (want & kFmtUnitCsrT) (void)unit_adjacency_t();
   if (want & kFmtLower) (void)lower();
   if (want & kFmtB2sr) (void)packed();

@@ -9,9 +9,10 @@
 // graph.cpp) and is immutable afterwards, so any number of concurrent
 // queries can share one const Graph:
 //
-//   * CSR transpose and unit-valued (1.0f per nonzero) copies for the
-//     reference backend (the GraphBLAST-substitute baseline reads one
-//     stored float per nonzero for the value-loading semirings, §III-B);
+//   * the CSR transpose and its unit-valued (1.0f per nonzero) copy for
+//     the reference backend (the GraphBLAST-substitute baseline reads
+//     one stored float per nonzero for the value-loading semirings,
+//     §III-B: its SSSP and PageRank pull over A^T);
 //   * B2SR and transposed B2SR for the bit backend, at a tile size
 //     chosen explicitly or — on the first B2SR request, not at
 //     construction — by the sampling profiler (paper §III-C);
@@ -45,7 +46,6 @@ using bitgb::backend_name;  // NOLINT(misc-unused-using-decls)
 enum Format : std::uint32_t {
   kFmtCsr = 1u << 0,        ///< binary CSR (always present)
   kFmtCsrT = 1u << 1,       ///< transposed CSR
-  kFmtUnitCsr = 1u << 2,    ///< unit-valued CSR
   kFmtUnitCsrT = 1u << 3,   ///< unit-valued transposed CSR
   kFmtLower = 1u << 4,      ///< strict lower triangle L
   kFmtB2sr = 1u << 5,       ///< B2SR of the adjacency
@@ -58,7 +58,7 @@ using FormatSet = std::uint32_t;
 
 /// Everything the reference backend reads.
 inline constexpr FormatSet kReferenceFormats =
-    kFmtCsr | kFmtCsrT | kFmtUnitCsr | kFmtUnitCsrT | kFmtLower | kFmtDegrees;
+    kFmtCsr | kFmtCsrT | kFmtUnitCsrT | kFmtLower | kFmtDegrees;
 /// Everything the bit backend reads.
 inline constexpr FormatSet kBitFormats =
     kFmtCsr | kFmtCsrT | kFmtB2sr | kFmtB2srT | kFmtLower | kFmtB2srLower |
@@ -104,11 +104,10 @@ class Graph {
   /// Transposed adjacency (thread-safe, cached on first use — as are
   /// all accessors below).
   [[nodiscard]] const Csr& adjacency_t() const;
-  /// Unit-valued (1.0f per nonzero) copies — what the float-CSR
-  /// framework baseline actually stores and reads for the value-loading
-  /// semirings (SSSP/PR), per §III-B: frameworks "use float to carry
-  /// the elements".
-  [[nodiscard]] const Csr& unit_adjacency() const;
+  /// Unit-valued (1.0f per nonzero) copy of the transpose — what the
+  /// float-CSR framework baseline actually stores and reads for the
+  /// value-loading semirings (SSSP/PR), per §III-B: frameworks "use
+  /// float to carry the elements".
   [[nodiscard]] const Csr& unit_adjacency_t() const;
   /// B2SR-packed adjacency.
   [[nodiscard]] const B2srAny& packed() const;
@@ -146,8 +145,8 @@ class Graph {
   /// (sparse/snapshot.hpp): the canonical CSR plus every format in
   /// `want`, prewarmed first if absent — so a snapshot taken from a
   /// serving registry carries the expensive caches with it.  The
-  /// unit-valued CSR copies are never persisted (trivially derived:
-  /// 1.0f per nonzero; they re-materialize lazily).  Written
+  /// unit-valued CSR copy is never persisted (trivially derived: 1.0f
+  /// per nonzero; it re-materializes lazily).  Written
   /// crash-consistently (temp file + fsync + atomic rename); `fault`
   /// threads the FaultInjector io_* knobs through every physical
   /// write.  Throws snap::SnapshotError(kIo) on failure.
@@ -180,7 +179,7 @@ class Graph {
   /// pthread_once interceptor deadlocks on exceptional retry, the same
   /// hazard that shaped GraphSlot's component memo.)
   struct Lazy {
-    Mutex dim_mu, csr_t_mu, unit_mu, unit_t_mu, lower_mu, b2sr_mu, b2sr_t_mu,
+    Mutex dim_mu, csr_t_mu, unit_t_mu, lower_mu, b2sr_mu, b2sr_t_mu,
         b2sr_lower_mu, degrees_mu, fp_mu;
     /// Publication word: public Format bits plus the private tile-dim /
     /// fingerprint bits defined in graph.cpp (masked out of formats()).
@@ -191,7 +190,6 @@ class Graph {
     // recomputation for populated slots.
     std::optional<int> tile_dim GUARDED_BY(dim_mu);
     std::optional<Csr> csr_t GUARDED_BY(csr_t_mu);
-    std::optional<Csr> unit_csr GUARDED_BY(unit_mu);
     std::optional<Csr> unit_csr_t GUARDED_BY(unit_t_mu);
     std::optional<Csr> lower GUARDED_BY(lower_mu);
     std::optional<B2srAny> b2sr GUARDED_BY(b2sr_mu);

@@ -116,9 +116,9 @@ Csr load_csr_pair(const snap::Snapshot& s, SectionId rowptr, SectionId colind,
 
 void Graph::save(const std::string& path, FormatSet want,
                  FaultInjector* fault) const {
-  // The unit-valued copies re-derive in O(nnz) with no graph analysis;
+  // The unit-valued copy re-derives in O(nnz) with no graph analysis;
   // persisting nnz floats to save that would bloat every snapshot.
-  want &= ~(kFmtUnitCsr | kFmtUnitCsrT);
+  want &= ~kFmtUnitCsrT;
   prewarm(want);
 
   const bool any_b2sr =

@@ -44,29 +44,4 @@ void ref_vxm_bool_pull(const Context& ctx, const Csr& at,
   });
 }
 
-void ref_mxm_frontier_masked(const Context& ctx, const Csr& at,
-                             const FrontierBatch& f,
-                             const FrontierBatch& visited,
-                             FrontierBatch& next) {
-  KernelTimerScope timer(ctx.timer);
-  next.resize(at.nrows, f.batch);
-  // Column loop: the reference framework has no bit-parallel lanes, so
-  // each frontier of the batch is its own masked dense pull over A^T.
-  for (int b = 0; b < f.batch; ++b) {
-    const FrontierBatch::word_t bit = FrontierBatch::word_t{1} << b;
-    parallel_for(ctx.threads, vidx_t{0}, at.nrows, [&](vidx_t v) {
-      if ((visited.rows[static_cast<std::size_t>(v)] & bit) != 0) {
-        return;  // early exit on the mask (GraphBLAST pull style)
-      }
-      for (const vidx_t u : at.row_cols(v)) {
-        if ((f.rows[static_cast<std::size_t>(u)] & bit) != 0) {
-          // Row-parallel within one serial column: no write race.
-          next.rows[static_cast<std::size_t>(v)] |= bit;
-          break;  // early exit on first reaching in-neighbour
-        }
-      }
-    });
-  }
-}
-
 }  // namespace bitgb::gb

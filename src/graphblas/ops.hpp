@@ -10,7 +10,9 @@
 // semiring mxv/vxm with masks, a sparse (push) and dense (pull) boolean
 // frontier pair with direction optimization, and early exit inside the
 // masked pull — the optimizations §II credits GraphBLAST with
-// ("exploiting input and output sparsity" / push-pull).
+// ("exploiting input and output sparsity" / push-pull).  Like
+// GraphBLAST it has no batched frontier op: a reference msbfs is one
+// bfs per source (algorithms/msbfs.hpp).
 //
 // The bit backend routes to the B2SR kernels of src/core.  Its masked
 // pulls (Boolean and semiring) read the mask per tile-row: a closed
@@ -149,19 +151,6 @@ void ref_vxm_bool_pull(const Context& ctx, const Csr& at,
 /// Direction-optimization threshold: push while |frontier| < n / this.
 inline constexpr vidx_t kPushPullDenominator = 32;
 
-/// Batched Boolean frontier expansion, reference backend: one masked
-/// dense pull per bit-column of the batch (the GraphBLAST-substitute
-/// serves concurrent traversals as independent mxv sweeps — the very
-/// N-sweeps cost the bit backend's single BMM sweep amortizes away).
-/// `at` is the matrix whose rows are scanned: pass A^T for the vxm-style
-/// frontier expansion, exactly as ref_vxm_bool_pull does.  Per column b:
-/// next(r, b) = 1 iff visited(r, b) == 0 and some in-neighbour of r is
-/// in frontier b (early exit on the first hit, GraphBLAST pull style).
-void ref_mxm_frontier_masked(const Context& ctx, const Csr& at,
-                             const FrontierBatch& f,
-                             const FrontierBatch& visited,
-                             FrontierBatch& next);
-
 // ---------------------------------------------------------------------
 // Bit (B2SR) backend — thin instrumented wrappers over src/core
 // ---------------------------------------------------------------------
@@ -205,7 +194,8 @@ template <int Dim>
 /// Batched Boolean frontier expansion, bit backend: ONE BMM sweep over
 /// the B2SR tiles of A^T expands all <= 64 frontiers of the batch at
 /// once — next = (A^T (.) F) & ~visited, the visited complement AND-ed
-/// at the output store (§V masking, lifted to the batch).
+/// at the output store (§V masking, lifted to the batch).  Bit backend
+/// only: the reference backend has no batched counterpart.
 template <int Dim>
 void bit_mxm_frontier_masked(const Context& ctx, const B2srT<Dim>& at,
                              const FrontierBatch& f,

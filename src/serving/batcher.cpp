@@ -184,14 +184,13 @@ WaveServed serve_components_wave(const Context& ctx, RequestIt first,
   const clock::time_point started = clock::now();
   const auto width = static_cast<int>(last - first);
   const GraphSlot& slot = *(*first)->slot;
-  const algo::BatchedCcResult& cc =
-      slot.components(ctx.with_cancel(nullptr), ws);
+  const algo::CcResult& cc = slot.components(ctx.with_cancel(nullptr), ws);
   const clock::time_point done = clock::now();
   for (auto it = first; it != last; ++it) {
     Request& r = **it;
     Reply reply = make_reply(r, Status::kOk, started, done, width);
     reply.component = cc.component;
-    reply.iterations = cc.waves;
+    reply.iterations = cc.iterations;
     try_fulfill(r, std::move(reply));
   }
   return {width, 0};

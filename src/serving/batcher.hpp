@@ -18,8 +18,8 @@
 //     (max_batch = 1).  Both paths time their algorithm call into the
 //     slot's running means.
 //   kComponents — the whole partition shares the slot's memoized
-//     batched_cc labelling (computed by the first components query of
-//     the registration, from any worker; a registry re-add makes a new
+//     FastSV labelling (computed by the first components query of the
+//     registration, from any worker; a registry re-add makes a new
 //     slot, so the memo can never go stale).
 //   kPagerank — each request runs individually on the worker's
 //     Workspace with the params it carried; two pagerank requests

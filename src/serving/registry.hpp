@@ -17,7 +17,7 @@
 // registration that produced it.
 #pragma once
 
-#include "algorithms/batched_cc.hpp"
+#include "algorithms/cc.hpp"
 #include "graphblas/graph.hpp"
 #include "platform/context.hpp"
 #include "platform/fault_injector.hpp"
@@ -197,16 +197,17 @@ class GraphSlot {
   }
 
   /// The memoized connected-components labelling: the first kComponents
-  /// query on this slot pays one batched_cc over the whole graph (under
-  /// the caller's descriptor and workspace); every later query — from
-  /// any worker — reads the shared result.  Thread-safe; the memo dies
-  /// with the slot, so a registry re-add (new slot, new generation) can
-  /// never serve a stale labelling.
+  /// query on this slot pays one FastSV connected_components over the
+  /// whole graph (under the caller's descriptor and workspace); every
+  /// later query — from any worker — reads the shared result.
+  /// Thread-safe; the memo dies with the slot, so a registry re-add
+  /// (new slot, new generation) can never serve a stale labelling.
   /// If the labelling computation throws (allocator exhaustion, an
-  /// injected kernel fault), the attempt is treated as not having
-  /// happened: the exception propagates to the failing wave (which
-  /// contains it as kInternalError) and the NEXT components query
-  /// retries the memo — a poisoned attempt is never cached.
+  /// injected kernel fault, a graph of algo::kCcVertexLimit or more
+  /// vertices), the attempt is treated as not having happened: the
+  /// exception propagates to the failing wave (which contains it as
+  /// kInternalError) and the NEXT components query retries the memo —
+  /// a poisoned attempt is never cached.
   ///
   /// Double-checked mutex rather than std::call_once: the exceptional
   /// retry is load-bearing here, and ThreadSanitizer's pthread_once
@@ -216,12 +217,12 @@ class GraphSlot {
   /// semantics (throw under the lock leaves the memo unset, RAII
   /// releases the lock, the next caller retries) and is clean under
   /// every sanitizer; the ready-path cost is one acquire load.
-  [[nodiscard]] const algo::BatchedCcResult& components(
+  [[nodiscard]] const algo::CcResult& components(
       const Context& ctx, algo::Workspace& ws) const EXCLUDES(cc_mutex_) {
     if (!cc_ready_.load(std::memory_order_acquire)) {
       const MutexLock lock(cc_mutex_);
       if (!cc_ready_.load(std::memory_order_relaxed)) {
-        algo::batched_cc(ctx, *graph_, {}, ws, cc_);
+        algo::connected_components(ctx, *graph_, {}, ws, cc_);
         cc_ready_.store(true, std::memory_order_release);
       }
     }
@@ -246,7 +247,7 @@ class GraphSlot {
   /// the slot's remaining lifetime — the lock-free read cannot race.
   /// The analysis cannot express release/acquire publication, hence
   /// the targeted opt-out on exactly this accessor.
-  [[nodiscard]] const algo::BatchedCcResult& published_components() const
+  [[nodiscard]] const algo::CcResult& published_components() const
       NO_THREAD_SAFETY_ANALYSIS {
     return cc_;
   }
@@ -258,7 +259,7 @@ class GraphSlot {
   /// Publication flag for cc_: set (release) only after the labelling
   /// is complete, read (acquire) on the lock-free fast path.
   mutable std::atomic<bool> cc_ready_{false};
-  mutable algo::BatchedCcResult cc_ GUARDED_BY(cc_mutex_);
+  mutable algo::CcResult cc_ GUARDED_BY(cc_mutex_);
   mutable CircuitBreaker breaker_;
   mutable std::array<TraversalCost, 2> traversal_costs_;
 };

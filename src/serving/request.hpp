@@ -31,16 +31,18 @@ using clock = std::chrono::steady_clock;
 
 /// The query kinds the serving core executes.  The traversal pair
 /// coalesces: up to 64 of a kind collapse into one msbfs /
-/// batched_reach wave (PR 2 measured 3.0x geomean for exactly this
-/// amortization).  kComponents waves share one memoized batched_cc per
-/// graph registration; kPagerank runs per-request on the worker's
-/// Workspace (its params ride in the request, so two requests rarely
-/// describe the same computation).
+/// batched_reach wave where the wave rule says it pays.  kComponents
+/// waves share one memoized FastSV connected_components per graph
+/// registration; kPagerank runs per-request on the worker's Workspace
+/// (its params ride in the request, so two requests rarely describe
+/// the same computation).
 enum class QueryKind : std::uint8_t {
   kBfs,         ///< single-source BFS level vector
   kReach,       ///< single-source reachability (level != unreached)
   kPagerank,    ///< whole-graph PageRank (params in the request)
-  kComponents,  ///< whole-graph connected components (memoized per slot)
+  kComponents,  ///< whole-graph connected components (memoized per slot;
+                ///< a graph of 2^24 or more vertices resolves
+                ///< kInternalError: FastSV carries labels in float)
 };
 
 /// Enumerator count — the size of every per-kind table (queue FIFOs,
@@ -118,9 +120,9 @@ struct Reply {
   /// the worker's descriptor with the request's params.
   std::vector<value_t> rank;
   /// kComponents: min vertex id per component — element-identical to
-  /// algo::connected_components / algo::batched_cc.
+  /// algo::connected_components and algo::cc_gold.
   std::vector<vidx_t> component;
-  /// kPagerank: iterations run; kComponents: reach waves of the
+  /// kPagerank: iterations run; kComponents: FastSV rounds of the
   /// (possibly memoized) labelling.  On a kShedDeadline reply whose
   /// wave was aborted mid-flight, this records how many iterations ran
   /// before the cancel token fired (< the requested max — the proof the

@@ -6,7 +6,7 @@
 // per-thread descriptor model examples/concurrent_queries demonstrates,
 // made durable — and drains the queue in same-kind batches that the
 // auto-batcher (serving/batcher.hpp) executes as msbfs / batched_reach
-// waves (BFS / reach), memoized batched_cc reads (components), or
+// waves (BFS / reach), memoized FastSV reads (components), or
 // per-request pagerank runs, over the graphs of a GraphRegistry.
 //
 // Registry-only: every Server serves a GraphRegistry, and every submit

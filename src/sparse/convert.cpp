@@ -1,143 +1,6 @@
 #include "sparse/convert.hpp"
 
-#include "platform/parallel.hpp"
-
-#include <algorithm>
-
 namespace bitgb {
-
-namespace {
-
-/// Per-thread scratch for the COO->B2SR tile-column discovery: a
-/// generation-marked presence array plus the slot each tile column was
-/// assigned in the (sorted) tile-row output.  Generations advance
-/// monotonically, so stale entries from earlier tile-rows or earlier
-/// matrices never read as current.
-struct CooTileSpa {
-  std::vector<int> mark;
-  std::vector<vidx_t> slot;
-  int gen = 0;
-
-  void ensure(std::size_t ntc) {
-    if (mark.size() < ntc) {
-      mark.assign(ntc, -1);
-      slot.assign(ntc, 0);
-    }
-  }
-};
-
-CooTileSpa& tls_coo_spa() {
-  thread_local CooTileSpa spa;
-  return spa;
-}
-
-}  // namespace
-
-template <int Dim>
-B2srT<Dim> pack_from_coo(const Coo& a, Exec exec) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  B2srT<Dim> b;
-  b.nrows = a.nrows;
-  b.ncols = a.ncols;
-  const vidx_t ntr = b.n_tile_rows();
-  const auto ntc = static_cast<std::size_t>(b.n_tile_cols());
-  const std::size_t nnz = a.row.size();
-
-  // Bucket the entries by tile-row (counting scatter on entry indices;
-  // the only serial O(nnz) work in the path).
-  std::vector<vidx_t> bucket_count(static_cast<std::size_t>(ntr), 0);
-  for (const vidx_t r : a.row) {
-    ++bucket_count[static_cast<std::size_t>(r / Dim)];
-  }
-  std::vector<vidx_t> bucket_off(static_cast<std::size_t>(ntr) + 1);
-  parallel_exclusive_scan(exec.threads, bucket_count.data(),
-                          bucket_count.size(), bucket_off.data());
-  std::vector<std::uint32_t> order(nnz);
-  {
-    std::vector<vidx_t> cursor(bucket_off.begin(), bucket_off.end() - 1);
-    for (std::size_t e = 0; e < nnz; ++e) {
-      order[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(a.row[e] / Dim)]++)] =
-          static_cast<std::uint32_t>(e);
-    }
-  }
-
-  // Pass 1: distinct tile columns per tile-row (generation-marked).
-  std::vector<vidx_t> counts(static_cast<std::size_t>(ntr), 0);
-  parallel_for(exec.threads, vidx_t{0}, ntr, [&](vidx_t tr) {
-    auto& spa = tls_coo_spa();
-    spa.ensure(ntc);
-    const int g = ++spa.gen;
-    vidx_t n = 0;
-    const auto lo = static_cast<std::size_t>(bucket_off[static_cast<std::size_t>(tr)]);
-    const auto hi =
-        static_cast<std::size_t>(bucket_off[static_cast<std::size_t>(tr) + 1]);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto tc = static_cast<std::size_t>(a.col[order[i]] / Dim);
-      if (spa.mark[tc] != g) {
-        spa.mark[tc] = g;
-        ++n;
-      }
-    }
-    counts[static_cast<std::size_t>(tr)] = n;
-  });
-  b.tile_rowptr.resize(static_cast<std::size_t>(ntr) + 1);
-  parallel_exclusive_scan(exec.threads, counts.data(), counts.size(),
-                          b.tile_rowptr.data());
-  const vidx_t ntiles = b.tile_rowptr.back();
-  b.tile_colind.resize(static_cast<std::size_t>(ntiles));
-  b.bits.assign(static_cast<std::size_t>(ntiles) * Dim, word_t{0});
-
-  // Pass 2: collect + sort the (few) distinct tile columns, then
-  // scatter every entry's bit through the slot lookup.
-  parallel_for(exec.threads, vidx_t{0}, ntr, [&](vidx_t tr) {
-    auto& spa = tls_coo_spa();
-    spa.ensure(ntc);
-    const int g = ++spa.gen;
-    thread_local std::vector<vidx_t> distinct;
-    distinct.clear();
-    const auto lo = static_cast<std::size_t>(bucket_off[static_cast<std::size_t>(tr)]);
-    const auto hi =
-        static_cast<std::size_t>(bucket_off[static_cast<std::size_t>(tr) + 1]);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const vidx_t tc = a.col[order[i]] / Dim;
-      if (spa.mark[static_cast<std::size_t>(tc)] != g) {
-        spa.mark[static_cast<std::size_t>(tc)] = g;
-        distinct.push_back(tc);
-      }
-    }
-    std::sort(distinct.begin(), distinct.end());
-    const vidx_t base = b.tile_rowptr[static_cast<std::size_t>(tr)];
-    for (std::size_t i = 0; i < distinct.size(); ++i) {
-      const vidx_t tc = distinct[i];
-      b.tile_colind[static_cast<std::size_t>(base) + i] = tc;
-      spa.slot[static_cast<std::size_t>(tc)] =
-          base + static_cast<vidx_t>(i);
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t e = order[i];
-      const vidx_t r = a.row[e];
-      const vidx_t c = a.col[e];
-      auto& w =
-          b.bits[static_cast<std::size_t>(spa.slot[static_cast<std::size_t>(
-                     c / Dim)]) *
-                     Dim +
-                 static_cast<std::size_t>(r % Dim)];
-      w = static_cast<word_t>(w | (word_t{1} << (c % Dim)));
-    }
-  });
-  return b;
-}
-
-B2srAny pack_coo_any(const Coo& a, int dim, Exec exec) {
-  return dispatch_tile_dim(
-      dim, [&]<int Dim>() { return B2srAny(pack_from_coo<Dim>(a, exec)); });
-}
-
-template B2srT<4> pack_from_coo<4>(const Coo&, Exec);
-template B2srT<8> pack_from_coo<8>(const Coo&, Exec);
-template B2srT<16> pack_from_coo<16>(const Coo&, Exec);
-template B2srT<32> pack_from_coo<32>(const Coo&, Exec);
 
 Csr coo_to_csr(const Coo& a) {
   Coo sorted = a;

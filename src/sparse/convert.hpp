@@ -1,8 +1,7 @@
-// Format conversions (COO <-> CSR, COO -> B2SR).
+// Format conversions (COO <-> CSR, dense test helpers).  B2SR packing
+// lives in core/pack.hpp; an edge list reaches it through coo_to_csr.
 #pragma once
 
-#include "core/b2sr.hpp"
-#include "platform/exec.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -11,21 +10,6 @@ namespace bitgb {
 /// Build CSR from COO.  Input need not be sorted; duplicates are merged
 /// (values summed, pattern kept single) as in Coo::sort_and_dedup.
 [[nodiscard]] Csr coo_to_csr(const Coo& a);
-
-/// Stream a COO edge list straight into B2SR, skipping the CSR
-/// materialization (and its full nnz sort) entirely: entries are
-/// bucketed by tile-row, each tile-row discovers its distinct tile
-/// columns with a generation-marked accumulator, and bits scatter in
-/// one pass.  Input order is irrelevant and duplicates collapse (bit
-/// OR is idempotent); values, if any, are ignored — a stored entry is
-/// a 1, exactly as pack_from_csr treats CSR entries.  Bit-for-bit
-/// identical to pack_from_csr(coo_to_csr(a)) (test_pack_pipeline).
-template <int Dim>
-[[nodiscard]] B2srT<Dim> pack_from_coo(const Coo& a, Exec exec = {});
-
-/// Runtime-dim COO packing.
-[[nodiscard]] B2srAny pack_coo_any(const Coo& a, int dim,
-                                   Exec exec = {});
 
 /// Expand CSR back to (sorted) COO.
 [[nodiscard]] Coo csr_to_coo(const Csr& a);

@@ -1,17 +1,15 @@
 // Batched-oracle tests: the multi-source engine against independent
 // single-source runs.
 //
-// The contract under test is ISSUE-level: msbfs over a batch must equal
-// the same number of independent single-source bfs() runs bit-for-bit —
-// including sources living in the tail tile of a non-multiple-of-Dim
-// matrix and batches narrower than the 64-bit lane word — and
-// batched_cc must equal the gold component labelling exactly.
-#include "algorithms/batched_cc.hpp"
+// The contract under test: msbfs over a batch must equal the same
+// number of independent single-source bfs() runs bit-for-bit, on both
+// backends — including sources living in the tail tile of a
+// non-multiple-of-Dim matrix and batches narrower than the 64-bit lane
+// word — with the same `iterations` and the same reach bits.
 #include "algorithms/bfs.hpp"
-#include "algorithms/cc.hpp"
 #include "algorithms/msbfs.hpp"
 #include "graphblas/ops.hpp"
-#include "sparse/convert.hpp"
+#include "platform/cancel.hpp"
 
 #include "test_util.hpp"
 
@@ -91,12 +89,12 @@ TEST(FrontierBatch, SetResetCountColumn) {
 }
 
 // ---------------------------------------------------------------------
-// Batched ops: ref column loop == bit BMM sweep == dense reference
+// Batched op: bit BMM sweep == dense per-column reference
 // ---------------------------------------------------------------------
 
 class BatchedOpTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(BatchedOpTest, RefAndBitExpansionAgree) {
+TEST_P(BatchedOpTest, BitExpansionMatchesDenseColumns) {
   const auto [dim, mi] = GetParam();
   const auto& [name, csr] = test::small_matrix(mi);
   gb::GraphOptions opts;
@@ -110,18 +108,14 @@ TEST_P(BatchedOpTest, RefAndBitExpansionAgree) {
   const FrontierBatch f = FrontierBatch::from_sources(n, sources);
   FrontierBatch visited = f;
 
-  FrontierBatch next_ref;
   FrontierBatch next_bit;
   const Context ctx;
-  gb::ref_mxm_frontier_masked(ctx, g.adjacency_t(), f, visited, next_ref);
   dispatch_tile_dim(g.tile_dim(), [&]<int Dim>() {
     gb::bit_mxm_frontier_masked<Dim>(ctx, g.packed_t().as<Dim>(), f, visited,
                                      next_bit);
     return 0;
   });
-  ASSERT_TRUE(next_ref.validate()) << name;
   ASSERT_TRUE(next_bit.validate()) << name;
-  EXPECT_EQ(next_ref.rows, next_bit.rows) << name;
 
   // Dense column-by-column reference: next(., b) = (A^T x f_b) & ~vis_b.
   for (int b = 0; b < f.batch; ++b) {
@@ -163,10 +157,12 @@ TEST_P(MsBfsTest, FullWidthBatchMatchesSingleSourceRuns) {
   const auto sources = spread_sources(n, batch);
 
   const auto gold = algo::msbfs_gold(g.adjacency(), sources);
+  const int deepest = *std::max_element(gold.begin(), gold.end());
   for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
     const auto res = algo::msbfs(test::ctx(backend), g, {sources});
     ASSERT_EQ(batch, res.batch);
     EXPECT_EQ(gold, res.levels) << gb::backend_name(backend);
+    EXPECT_EQ(deepest, res.iterations) << gb::backend_name(backend);
     // Column extraction must equal the single-source bfs() result.
     for (int b = 0; b < batch; b += 13) {
       const auto single = algo::bfs(
@@ -189,9 +185,12 @@ TEST_P(MsBfsTest, NarrowBatchMatchesSingleSourceRuns) {
     if (batch > n) continue;
     const auto sources = spread_sources(n, batch);
     const auto gold = algo::msbfs_gold(g.adjacency(), sources);
+    const int deepest = *std::max_element(gold.begin(), gold.end());
     for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
       const auto res = algo::msbfs(test::ctx(backend), g, {sources});
       EXPECT_EQ(gold, res.levels)
+          << gb::backend_name(backend) << " batch=" << batch;
+      EXPECT_EQ(deepest, res.iterations)
           << gb::backend_name(backend) << " batch=" << batch;
     }
   }
@@ -202,13 +201,19 @@ TEST_P(MsBfsTest, BatchedReachMatchesLevels) {
   const vidx_t n = g.num_vertices();
   if (n == 0) return;
   const auto sources = spread_sources(n, std::min<int>(5, n));
-  const auto res = algo::msbfs(test::ctx(gb::Backend::kBit), g, {sources});
-  const auto reach = algo::batched_reach(test::ctx(gb::Backend::kBit), g, sources);
-  ASSERT_TRUE(reach.validate());
-  for (vidx_t v = 0; v < n; ++v) {
-    for (int b = 0; b < res.batch; ++b) {
-      EXPECT_EQ(res.level(v, b) != algo::kUnreached, reach.get(v, b))
-          << "v=" << v << " b=" << b;
+  const auto gold = algo::msbfs_gold(g.adjacency(), sources);
+  const auto batch = sources.size();
+  for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
+    const auto reach = algo::batched_reach(test::ctx(backend), g, sources);
+    ASSERT_TRUE(reach.validate()) << gb::backend_name(backend);
+    ASSERT_EQ(static_cast<int>(batch), reach.batch);
+    for (vidx_t v = 0; v < n; ++v) {
+      for (std::size_t b = 0; b < batch; ++b) {
+        EXPECT_EQ(gold[static_cast<std::size_t>(v) * batch + b] !=
+                      algo::kUnreached,
+                  reach.get(v, static_cast<int>(b)))
+            << gb::backend_name(backend) << " v=" << v << " b=" << b;
+      }
     }
   }
 }
@@ -229,42 +234,28 @@ TEST(MsBfs, RejectsBadBatches) {
       std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------
-// batched_cc == FastSV == union-find gold
-// ---------------------------------------------------------------------
-
-class BatchedCcTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(BatchedCcTest, MatchesGoldAndFastSv) {
-  const auto [dim, mi] = GetParam();
-  gb::GraphOptions opts;
-  opts.tile_dim = dim;
+// A pre-fired token: the bit engine stops at its first level boundary
+// and the reference loop before its first source.  Both leave the
+// sources at level 0, every other vertex unreached, and iterations 0.
+TEST(MsBfs, PreFiredTokenStopsBeforeAnyExpansion) {
   const gb::Graph g =
-      gb::Graph::from_csr(test::small_matrix(mi).second, opts);
-  if (g.num_vertices() == 0) return;
-  const auto gold = algo::cc_gold(g.adjacency());
+      gb::Graph::from_csr(test::small_matrix_by_name("random_61"));
+  CancelToken fired;
+  fired.request_cancel();
+  const std::vector<vidx_t> sources = {0, 7, 60};
   for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
-    const auto res = algo::batched_cc(test::ctx(backend), g);
-    EXPECT_EQ(gold, res.component) << gb::backend_name(backend);
-    EXPECT_GE(res.waves, 1);
-    const auto fastsv = algo::connected_components(test::ctx(backend), g);
-    EXPECT_EQ(fastsv.component, res.component) << gb::backend_name(backend);
+    const auto res = algo::msbfs(test::ctx(backend).with_cancel(&fired), g,
+                                 {sources});
+    EXPECT_EQ(0, res.iterations) << gb::backend_name(backend);
+    for (vidx_t v = 0; v < g.num_vertices(); ++v) {
+      for (int b = 0; b < res.batch; ++b) {
+        const std::int32_t want =
+            v == sources[static_cast<std::size_t>(b)] ? 0 : algo::kUnreached;
+        EXPECT_EQ(want, res.level(v, b))
+            << gb::backend_name(backend) << " v=" << v << " b=" << b;
+      }
+    }
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllDims, BatchedCcTest,
-    ::testing::Combine(::testing::ValuesIn(kTileDims),
-                       ::testing::Range(0, test::kSmallMatrixCount)));
-
-// batched_cc amortization: an all-isolated-vertex graph of 130 vertices
-// needs ceil(130 / 64) = 3 reach waves, not 130.
-TEST(BatchedCc, WavesAmortizeAcrossComponents) {
-  const Csr empty = coo_to_csr(Coo{130, 130, {}, {}, {}});
-  const gb::Graph g = gb::Graph::from_csr(empty);
-  const auto res = algo::batched_cc(test::ctx(gb::Backend::kBit), g);
-  EXPECT_EQ(3, res.waves);
-  EXPECT_EQ(algo::cc_gold(g.adjacency()), res.component);
 }
 
 TEST(Batched, FixtureOracleIntact) {

@@ -161,12 +161,11 @@ TEST(RefOps, WeightedMxvUsesStoredWeights) {
 
 TEST(Graph, UnitAdjacencyCarriesOnes) {
   const gb::Graph g = gb::Graph::from_coo(gen_random(30, 120, 14));
-  const Csr& u = g.unit_adjacency();
-  EXPECT_EQ(g.adjacency().colind, u.colind);
-  ASSERT_EQ(static_cast<std::size_t>(u.nnz()), u.val.size());
-  for (const value_t v : u.val) EXPECT_FLOAT_EQ(1.0f, v);
   const Csr& ut = g.unit_adjacency_t();
+  EXPECT_EQ(g.adjacency_t().rowptr, ut.rowptr);
   EXPECT_EQ(g.adjacency_t().colind, ut.colind);
+  ASSERT_EQ(static_cast<std::size_t>(ut.nnz()), ut.val.size());
+  for (const value_t v : ut.val) EXPECT_FLOAT_EQ(1.0f, v);
 }
 
 TEST(RefOps, MaskedMxvEarlyExitsOnMask) {

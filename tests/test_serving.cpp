@@ -32,6 +32,8 @@
 #include <future>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -689,18 +691,21 @@ TEST(ServingKinds, ComponentsRepliesMatchDirectCallsOverOracleCorpus) {
 
     ASSERT_EQ(Status::kOk, r1.status) << name;
     ASSERT_EQ(Status::kOk, r2.status) << name;
-    // Element-identical to FastSV and to the batched labelling (all
-    // three normalize to min-vertex-id labels).
-    const auto fastsv =
-        algo::connected_components(serial_ctx, slot->graph());
-    EXPECT_EQ(fastsv.component, r1.component) << name;
+    // Element-identical to the union-find oracle (both normalize to
+    // min-vertex-id labels), which shares no code with the memo's
+    // FastSV.
+    EXPECT_EQ(algo::cc_gold(slot->graph().adjacency()), r1.component)
+        << name;
+    // `iterations` counts the memo's FastSV rounds.
+    EXPECT_EQ(algo::connected_components(serial_ctx, slot->graph()).iterations,
+              r1.iterations)
+        << name;
     EXPECT_EQ(r1.component, r2.component) << name;
     EXPECT_EQ(r1.graph_generation, r2.graph_generation) << name;
   }
 }
 
 TEST(ServingKinds, ComponentsMemoInvalidatedByRegistryReAdd) {
-  const Context serial_ctx = Context{}.with_threads(1);
   GraphRegistry reg;
   gb::GraphOptions gopts;
   gopts.tile_dim = 8;
@@ -714,9 +719,7 @@ TEST(ServingKinds, ComponentsMemoInvalidatedByRegistryReAdd) {
   const auto first_slot = reg.lookup("g");
   const Reply before = server.submit("g", QueryKind::kComponents).get();
   ASSERT_EQ(Status::kOk, before.status);
-  EXPECT_EQ(algo::connected_components(serial_ctx, first_slot->graph())
-                .component,
-            before.component);
+  EXPECT_EQ(algo::cc_gold(first_slot->graph().adjacency()), before.component);
 
   // Re-add: new slot, new generation — the memoized labelling of the
   // old registration must NOT survive into the new one.
@@ -726,10 +729,40 @@ TEST(ServingKinds, ComponentsMemoInvalidatedByRegistryReAdd) {
   const Reply after = server.submit("g", QueryKind::kComponents).get();
   ASSERT_EQ(Status::kOk, after.status);
   EXPECT_GT(after.graph_generation, before.graph_generation);
-  EXPECT_EQ(algo::connected_components(serial_ctx, second_slot->graph())
-                .component,
-            after.component);
+  EXPECT_EQ(algo::cc_gold(second_slot->graph().adjacency()), after.component);
   EXPECT_NE(before.component.size(), after.component.size());
+}
+
+// FastSV carries labels in float, so a graph of 2^24 vertices is past
+// its limit: both backends refuse it before building any format, and a
+// served components query on it resolves kInternalError.  An edgeless
+// graph keeps the cost to one 64 MiB rowptr.
+TEST(ServingKinds, ComponentsPastTheFastSvLimitResolveInternalError) {
+  Csr edgeless;
+  edgeless.nrows = algo::kCcVertexLimit;
+  edgeless.ncols = algo::kCcVertexLimit;
+  edgeless.rowptr.assign(static_cast<std::size_t>(algo::kCcVertexLimit) + 1,
+                         0);
+  gb::GraphOptions gopts;
+  gopts.symmetrize = false;
+  gopts.strip_self_loops = false;
+  gb::Graph g = gb::Graph::from_csr(std::move(edgeless), gopts);
+  for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
+    EXPECT_THROW((void)algo::connected_components(test::ctx(backend), g),
+                 std::length_error)
+        << gb::backend_name(backend);
+  }
+  EXPECT_EQ(gb::kFmtCsr, g.formats());  // nothing was sized or built
+
+  GraphRegistry reg;
+  reg.add("huge", std::move(g), gb::kFmtCsr);
+  ServerOptions opts;
+  opts.workers = 1;
+  Server server(reg, opts);
+  const Reply r = server.submit("huge", QueryKind::kComponents).get();
+  EXPECT_EQ(Status::kInternalError, r.status);
+  EXPECT_NE(std::string::npos, r.error.find("2^24")) << r.error;
+  EXPECT_TRUE(r.component.empty());
 }
 
 TEST(ServingKinds, AllFourKindsMixedUnderLoadStayCorrect) {
@@ -756,8 +789,7 @@ TEST(ServingKinds, AllFourKindsMixedUnderLoadStayCorrect) {
     }
   }
   const auto expected_pr = algo::pagerank(serial_ctx, slot->graph());
-  const auto expected_cc =
-      algo::connected_components(serial_ctx, slot->graph());
+  const auto expected_cc = algo::cc_gold(slot->graph().adjacency());
   for (auto& f : futs) {
     const Reply r = f.get();
     ASSERT_EQ(Status::kOk, r.status);
@@ -781,7 +813,7 @@ TEST(ServingKinds, AllFourKindsMixedUnderLoadStayCorrect) {
         EXPECT_EQ(expected_pr.rank, r.rank);
         break;
       case QueryKind::kComponents:
-        EXPECT_EQ(expected_cc.component, r.component);
+        EXPECT_EQ(expected_cc, r.component);
         break;
     }
   }

@@ -150,14 +150,14 @@ TEST_F(SnapshotTest, LoadedGraphServesBitIdenticalQueries) {
 TEST_F(SnapshotTest, UnitFormatsAreDerivedNotPersisted) {
   const gb::Graph g = gb::Graph::from_csr(test::small_matrix(2).second);
   const std::string p = path("g.bgbs");
-  // Ask for everything: the writer must strip the unit-CSR bits.
+  // Ask for everything: the writer must strip the unit-CSR bit.
   g.save(p, gb::kAllFormats);
   const gb::Graph loaded = gb::Graph::load(p);
-  EXPECT_EQ(loaded.formats() & (gb::kFmtUnitCsr | gb::kFmtUnitCsrT), 0u);
-  // They still materialize lazily on demand.
-  EXPECT_EQ(loaded.unit_adjacency().val.size(),
+  EXPECT_EQ(loaded.formats() & gb::kFmtUnitCsrT, 0u);
+  // It still materializes lazily on demand.
+  EXPECT_EQ(loaded.unit_adjacency_t().val.size(),
             static_cast<std::size_t>(loaded.num_edges()));
-  EXPECT_NE(loaded.formats() & gb::kFmtUnitCsr, 0u);
+  EXPECT_NE(loaded.formats() & gb::kFmtUnitCsrT, 0u);
 }
 
 TEST_F(SnapshotTest, CsrOnlySnapshotRewarmsLazily) {
