@@ -14,7 +14,10 @@
 //
 // and prints the bit seq / bit batched speedup per graph plus the
 // overall geometric mean.  Sources are the same evenly spaced batch the
-// Tables VII/VIII MSBFS row uses (benchlib batch_sources).
+// Tables VII/VIII MSBFS row uses (benchlib batch_sources).  Before
+// timing, each graph's bit wave is checked once against the reference
+// wave (its 64 reference bfs runs): a level matrix or `iterations`
+// that differs fails the run (exit 1).
 //
 // Expected shape: the wave wins where the 64 wavefronts overlap tiles
 // (scale-free, grid and hybrid graphs), and loses on a long-diameter
@@ -61,6 +64,16 @@ int main() {
     (void)g.packed_t();      // warm the one-time conversions
     (void)g.adjacency_t();
     const std::vector<vidx_t> sources = bench::batch_sources(g.num_vertices());
+    const auto bit_wave = algo::msbfs(bit_ctx, g, {sources});
+    const auto ref_wave = algo::msbfs(ref_ctx, g, {sources});
+    if (bit_wave.levels != ref_wave.levels ||
+        bit_wave.iterations != ref_wave.iterations) {
+      std::fprintf(stderr,
+                   "FAIL: %s: the bit wave differs from 64 reference bfs "
+                   "runs\n",
+                   name.c_str());
+      return 1;
+    }
 
     const double seq_ms = time_avg_ms([&] {
       for (const vidx_t s : sources) {

@@ -2,9 +2,9 @@
 //
 // Measures every vectorized hot path (the Boolean, counting and
 // semiring BMV pull kernels, both BMM sums, the batched frontier BMM
-// pull kernels, packing and bit SpGEMM) at all four tile dims on a
-// fixed representative matrix — one cell per (kernel, tile dim,
-// threads), each running the SIMD body CPUID picked — repeats the
+// pull kernels and their push, packing and bit SpGEMM) at all four
+// tile dims on a fixed representative matrix — one cell per (kernel,
+// tile dim, threads), each running the SIMD body CPUID picked — repeats the
 // whole grid once per swept thread count (1 and the host's hardware
 // width when they differ), prints the table, and emits the
 // machine-readable BENCH_kernels.json perf-trajectory record (schema
@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -147,6 +148,22 @@ void track(const std::string& kernel, int dim, double edges_per_op,
       g_threads});
 }
 
+/// Record one push cell: bmm_frontier_push_masked over every tile-row
+/// of `a`, clearing the rows it touched before the next call.
+template <int Dim>
+void track_push(const std::string& kernel, const B2srT<Dim>& a,
+                const FrontierBatch& f, const FrontierBatch& mask) {
+  std::vector<vidx_t> all(static_cast<std::size_t>(a.n_tile_rows()));
+  std::iota(all.begin(), all.end(), vidx_t{0});
+  FrontierBatch next(a.ncols, f.batch);
+  std::vector<vidx_t> touched;
+  track(kernel, Dim, static_cast<double>(a.nnz()), [&](Exec) {
+    for (const vidx_t v : touched) next.rows[static_cast<std::size_t>(v)] = 0;
+    touched.clear();
+    bmm_frontier_push_masked(a, f, all, mask, true, next, touched);
+  });
+}
+
 template <int Dim>
 void bench_dim() {
   const auto& a = fixture_packed<Dim>();
@@ -228,11 +245,31 @@ void bench_dim() {
     FrontierBatch mask(a.nrows, 64);
     track("bmm_frontier_masked", Dim, nnz,
           [&](Exec e) { bmm_frontier_masked(a, f, mask, true, next, e); });
+    // The late-wave shape, twin of bmv_bin_bin_bin_masked_late: lanes
+    // 48-63 are dead (empty frontiers that `visited` leaves open), and
+    // visited closes every live lane in 15 of every 16 tile-rows, which
+    // the pull skips whole.
+    const FrontierBatch::word_t live = low_mask<FrontierBatch::word_t>(48);
+    FrontierBatch late = f;
+    for (auto& w : late.rows) w &= live;
+    FrontierBatch visited(a.nrows, 64);
+    for (vidx_t i = 0; i < a.nrows; ++i) {
+      if ((i / Dim) % 16 != 0) visited.rows[static_cast<std::size_t>(i)] = live;
+    }
+    track("bmm_frontier_masked_late", Dim, nnz, [&](Exec e) {
+      bmm_frontier_masked(a, late, visited, true, next, e);
+    });
     const auto& p = powerlaw_packed<Dim>();
     const FrontierBatch pf = fixture_frontier(p.ncols);
     FrontierBatch pmask(p.nrows, 64);
     track("bmm_frontier_masked_powerlaw", Dim, static_cast<double>(p.nnz()),
           [&](Exec e) { bmm_frontier_masked(p, pf, pmask, true, next, e); });
+    // The push over every tile-row with nothing visited: ms / nnz_tiles
+    // is the push's cost per tile, beside the pull's in the
+    // bmm_frontier_masked cells (msbfs's direction rule weighs the two).
+    // Serial by design, so the threads column repeats it.
+    track_push("bmm_frontier_push_masked", a, f, mask);
+    track_push("bmm_frontier_push_masked_powerlaw", p, pf, pmask);
   }
 }
 

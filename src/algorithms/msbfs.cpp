@@ -10,28 +10,16 @@ namespace bitgb::algo {
 
 namespace {
 
-/// Direction choice for the batch (bit backend): push while the rows
-/// holding live frontier words occupy fewer than half the tile-rows.
-/// The pull sweep costs one pass over every stored tile plus an O(n)
-/// store; the push costs only the active tile-rows' tiles — on
-/// long-diameter graphs (band / road) the union of 64 thin wavefronts
-/// still touches a small fraction of the matrix, and push keeps the
-/// whole batched traversal frontier-proportional, exactly as the
-/// direction-optimized single-source BFS.
-bool use_push(std::size_t active_tile_rows, vidx_t n_tile_rows) {
-  return static_cast<vidx_t>(active_tile_rows) < n_tile_rows / 2;
-}
-
 /// Reference backend: one reference bfs() per source.  GraphBLAST has
 /// no batched BFS kernel, so the framework baseline answers a batch as
 /// `batch` direction-optimized single-source runs (the form msbfs_gold
-/// takes).  Fills the level matrix, the reach bits of `visited` and
-/// `iterations` (the deepest lane); a cancelled batch stops between
-/// sources, the lanes run so far kept.
+/// takes).  Fills the reach bits of `visited`, and the level matrix and
+/// `iterations` (the deepest lane) when `res` is non-null; a cancelled
+/// batch stops between sources, the lanes run so far kept.
 void run_ref_lanes(const Context& ctx, const gb::Graph& g,
                    const std::vector<vidx_t>& sources, Workspace& ws,
-                   MsBfsResult& res, FrontierBatch& visited) {
-  const auto batch = static_cast<std::size_t>(res.batch);
+                   MsBfsResult* res, FrontierBatch& visited) {
+  const auto batch = sources.size();
   auto& lane = ws.slot<BfsResult>("msbfs.ref.lane");
   for (std::size_t b = 0; b < batch; ++b) {
     if (ctx.cancelled()) return;
@@ -40,89 +28,75 @@ void run_ref_lanes(const Context& ctx, const gb::Graph& g,
     for (std::size_t v = 0; v < lane.levels.size(); ++v) {
       const std::int32_t level = lane.levels[v];
       if (level == kUnreached) continue;
-      res.levels[v * batch + b] = level;
       visited.rows[v] |= bit;
+      if (res != nullptr) res->levels[v * batch + b] = level;
     }
-    res.iterations = std::max(res.iterations, lane.iterations);
+    if (res != nullptr) {
+      res->iterations = std::max(res->iterations, lane.iterations);
+    }
   }
 }
 
-/// The shared traversal loop.  On return `visited` is the reach
-/// bit-matrix (bit (v, b) set iff sources[b] reaches v) — msbfs drops
-/// it, batched_reach returns it.
-void run_msbfs(const Context& ctx, const gb::Graph& g,
-               const std::vector<vidx_t>& sources, Workspace& ws,
-               MsBfsResult& res, FrontierBatch& visited) {
-  const vidx_t n = g.num_vertices();
-  ctx.check_alloc();  // fault-injection hook at the sizing prologue
-  auto& frontier = ws.slot<FrontierBatch>("msbfs.frontier");
-  frontier.assign_sources(n, sources);  // in-place: reuses the row buffer
-  const int batch = frontier.batch;
-  visited = frontier;
-
-  res.batch = batch;
-  res.iterations = 0;
-  res.levels.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(batch),
-      kUnreached);
-  for (int b = 0; b < batch; ++b) {
-    res.levels[static_cast<std::size_t>(sources[static_cast<std::size_t>(b)]) *
-                   static_cast<std::size_t>(batch) +
-               static_cast<std::size_t>(b)] = 0;
-  }
-  if (ctx.backend == Backend::kReference) {
-    run_ref_lanes(ctx, g, sources, ws, res, visited);
-    return;
-  }
+/// Bit backend: one batched expansion per level, every live frontier
+/// advancing one hop.  The push consumes A and costs the tiles of the
+/// active tile-rows; the pull consumes A^T (vxm(f, A) == mxv(A^T, f))
+/// and costs the tile-rows some live lane still has open.
+template <int Dim>
+void run_bit_levels(const Context& ctx, const gb::Graph& g,
+                    const std::vector<vidx_t>& sources, Workspace& ws,
+                    FrontierBatch& frontier, MsBfsResult* res,
+                    FrontierBatch& visited) {
+  const B2srT<Dim>& a = g.packed().as<Dim>();
+  const vidx_t n = frontier.n;
+  const auto batch = static_cast<std::size_t>(frontier.batch);
   auto& next = ws.slot<FrontierBatch>("msbfs.next");
-  next.resize(n, batch);
+  next.resize(n, frontier.batch);
 
-  // Rows currently holding a live frontier word, and their tile-rows
-  // (rebuilt per level; both stay frontier-proportional on the push
-  // path).
+  // Rows currently holding a live frontier word (a duplicate source
+  // is listed twice, which every use below tolerates), and a bitmap
+  // over tile-rows the level marks them in: reading the marks back in
+  // word order lists the active tile-rows sorted, with no sort.
   auto& frontier_rows = ws.slot<std::vector<vidx_t>>("msbfs.frontier_rows");
   frontier_rows.assign(sources.begin(), sources.end());
-  std::sort(frontier_rows.begin(), frontier_rows.end());
-  frontier_rows.erase(
-      std::unique(frontier_rows.begin(), frontier_rows.end()),
-      frontier_rows.end());
   auto& touched = ws.slot<std::vector<vidx_t>>("msbfs.touched");
   auto& active_tr = ws.slot<std::vector<vidx_t>>("msbfs.active_tr");
-  touched.clear();
-  const int dim = g.tile_dim();
-  const vidx_t n_tile_rows = (n + dim - 1) / dim;
+  auto& marks = ws.slot<std::vector<std::uint64_t>>("msbfs.marks");
+  marks.assign((static_cast<std::size_t>(a.n_tile_rows()) + 63) / 64, 0);
+  const vidx_t* rowptr = a.tile_rowptr.data();
+  const eidx_t stored_tiles = a.nnz_tiles();
 
   std::int32_t level = 0;
   while (!frontier_rows.empty()) {
     // Level boundary: fault hook, then the cooperative-cancellation
     // poll — an expired wave stops here with the levels (and the
-    // visited/reach matrix) it has scattered so far; res.iterations
-    // counts completed levels only.
+    // visited/reach matrix) it has scattered so far; iterations counts
+    // completed levels only.
     ctx.check_kernel();
     if (ctx.cancelled()) return;
     ++level;
-    touched.clear();
-    // One batched expansion per level: every live frontier advances one
-    // hop.  The pull consumes A^T (vxm(f, A) == mxv(A^T, f)); the push
-    // consumes A itself and costs only the active tile-rows.
+    for (const vidx_t v : frontier_rows) {
+      const auto tr = static_cast<std::size_t>(v / Dim);
+      marks[tr / 64] |= std::uint64_t{1} << (tr % 64);
+    }
     active_tr.clear();
-    for (const vidx_t v : frontier_rows) active_tr.push_back(v / dim);
-    std::sort(active_tr.begin(), active_tr.end());
-    active_tr.erase(std::unique(active_tr.begin(), active_tr.end()),
-                    active_tr.end());
-    if (use_push(active_tr.size(), n_tile_rows)) {
+    eidx_t active_tiles = 0;
+    for (std::size_t k = 0; k < marks.size(); ++k) {
+      for_each_set_bit(marks[k], [&](int i) {
+        const auto tr =
+            static_cast<vidx_t>(k * 64 + static_cast<std::size_t>(i));
+        active_tr.push_back(tr);
+        active_tiles += rowptr[tr + 1] - rowptr[tr];
+      });
+      marks[k] = 0;
+    }
+    touched.clear();
+    if (wave_level_pushes(active_tiles, stored_tiles)) {
       KernelTimerScope timer(ctx.timer);
-      dispatch_tile_dim(dim, [&]<int Dim>() {
-        bmm_frontier_push_masked(g.packed().as<Dim>(), frontier, active_tr,
-                                 visited, /*complement=*/true, next, touched);
-        return 0;
-      });
+      bmm_frontier_push_masked(a, frontier, active_tr, visited,
+                               /*complement=*/true, next, touched);
     } else {
-      dispatch_tile_dim(dim, [&]<int Dim>() {
-        gb::bit_mxm_frontier_masked<Dim>(ctx, g.packed_t().as<Dim>(), frontier,
-                                         visited, next);
-        return 0;
-      });
+      gb::bit_mxm_frontier_masked<Dim>(ctx, g.packed_t().as<Dim>(), frontier,
+                                       visited, next);
       for (vidx_t v = 0; v < n; ++v) {
         if (next.rows[static_cast<std::size_t>(v)] != 0) touched.push_back(v);
       }
@@ -135,19 +109,50 @@ void run_msbfs(const Context& ctx, const gb::Graph& g,
       frontier.rows[static_cast<std::size_t>(v)] = 0;
     }
     for (const vidx_t v : touched) {
-      const FrontierBatch::word_t w = next.rows[static_cast<std::size_t>(v)];
-      next.rows[static_cast<std::size_t>(v)] = 0;
-      frontier.rows[static_cast<std::size_t>(v)] = w;
-      visited.rows[static_cast<std::size_t>(v)] |= w;
+      const auto i = static_cast<std::size_t>(v);
+      const FrontierBatch::word_t w = next.rows[i];
+      next.rows[i] = 0;
+      frontier.rows[i] = w;
+      visited.rows[i] |= w;
+      if (res == nullptr) continue;
       for_each_set_bit(w, [&](int b) {
-        res.levels[static_cast<std::size_t>(v) *
-                       static_cast<std::size_t>(batch) +
-                   static_cast<std::size_t>(b)] = level;
+        res->levels[i * batch + static_cast<std::size_t>(b)] = level;
       });
     }
     std::swap(frontier_rows, touched);
-    if (!frontier_rows.empty()) res.iterations = level;
+    if (res != nullptr && !frontier_rows.empty()) res->iterations = level;
   }
+}
+
+/// The shared traversal.  On return `visited` is the reach bit-matrix
+/// (bit (v, b) set iff sources[b] reaches v); the level matrix and
+/// iterations go to `res` unless it is null — batched_reach wants the
+/// reach bits alone and keeps no level matrix.
+void run_msbfs(const Context& ctx, const gb::Graph& g,
+               const std::vector<vidx_t>& sources, Workspace& ws,
+               MsBfsResult* res, FrontierBatch& visited) {
+  const vidx_t n = g.num_vertices();
+  ctx.check_alloc();  // fault-injection hook at the sizing prologue
+  auto& frontier = ws.slot<FrontierBatch>("msbfs.frontier");
+  frontier.assign_sources(n, sources);  // in-place: reuses the row buffer
+  visited = frontier;
+  if (res != nullptr) {
+    const auto batch = static_cast<std::size_t>(frontier.batch);
+    res->batch = frontier.batch;
+    res->iterations = 0;
+    res->levels.assign(static_cast<std::size_t>(n) * batch, kUnreached);
+    for (std::size_t b = 0; b < batch; ++b) {
+      res->levels[static_cast<std::size_t>(sources[b]) * batch + b] = 0;
+    }
+  }
+  if (ctx.backend == Backend::kReference) {
+    run_ref_lanes(ctx, g, sources, ws, res, visited);
+    return;
+  }
+  dispatch_tile_dim(g.tile_dim(), [&]<int Dim>() {
+    run_bit_levels<Dim>(ctx, g, sources, ws, frontier, res, visited);
+    return 0;
+  });
 }
 
 }  // namespace
@@ -155,7 +160,7 @@ void run_msbfs(const Context& ctx, const gb::Graph& g,
 void msbfs(const Context& ctx, const gb::Graph& g, const MsBfsParams& params,
            Workspace& ws, MsBfsResult& out) {
   auto& visited = ws.slot<FrontierBatch>("msbfs.visited");
-  run_msbfs(ctx, g, params.sources, ws, out, visited);
+  run_msbfs(ctx, g, params.sources, ws, &out, visited);
 }
 
 MsBfsResult msbfs(const Context& ctx, const gb::Graph& g,
@@ -169,9 +174,8 @@ MsBfsResult msbfs(const Context& ctx, const gb::Graph& g,
 const FrontierBatch& batched_reach(const Context& ctx, const gb::Graph& g,
                                    const std::vector<vidx_t>& sources,
                                    Workspace& ws) {
-  auto& res = ws.slot<MsBfsResult>("msbfs.reach_res");
   auto& visited = ws.slot<FrontierBatch>("msbfs.visited");
-  run_msbfs(ctx, g, sources, ws, res, visited);
+  run_msbfs(ctx, g, sources, ws, nullptr, visited);
   return visited;
 }
 

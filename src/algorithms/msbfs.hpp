@@ -7,8 +7,11 @@
 // frontiers are thin — the same §V output-store masking as
 // single-source BFS, lifted from a bit vector to a bit matrix.  One
 // traversal of the adjacency structure is thereby amortized across the
-// whole batch: the cost per level follows the tiles swept regardless
-// of how many of the 64 frontiers are live.
+// whole batch.  A level is priced by what its frontiers and open mask
+// need: the active tile-rows are marked in a bitmap and read back in
+// order, the push/pull choice weighs their tiles against the stored
+// ones (wave_level_pushes), and the pull skips every tile-row that no
+// live lane still has open (bmm_frontier_masked).
 //
 // The reference backend answers a batch with one reference bfs() per
 // source.  GraphBLAST (PAPERS.md) has no batched BFS kernel, so N
@@ -52,6 +55,20 @@ struct MsBfsResult {
   }
 };
 
+/// The direction rule of one bit-backend wave level: push over A's
+/// active tile-rows while their tiles stay below a third of the stored
+/// tiles, else pull over A^T.  A push pays per tile of an active
+/// tile-row, a pull per stored tile of a tile-row some live lane still
+/// has open.  Measured per level at 1 thread on 13 graphs (the serving
+/// graphs and Table VII analogs), a pushed tile costs 4-8x a pulled
+/// one at dim 4 and 1.2-7x at dims 8-16, so the break-even share runs
+/// from ~15% to ~80% of the tiles; one third gives the least summed
+/// kernel time over those graphs (CHANGES.md has the table).
+[[nodiscard]] constexpr bool wave_level_pushes(eidx_t active_tiles,
+                                               eidx_t stored_tiles) {
+  return active_tiles * 3 < stored_tiles;
+}
+
 /// Lanes one scatter_levels call fills: 16 int32 levels are one
 /// 64-byte line of a level-matrix row.
 inline constexpr int kScatterLanes = 16;
@@ -68,7 +85,8 @@ void msbfs(const Context& ctx, const gb::Graph& g, const MsBfsParams& params,
                                 const MsBfsParams& params);
 
 /// Batched reachability: bit b of row v answers "does sources[b] reach
-/// v?" (a source reaches itself).  This is msbfs's visited matrix.
+/// v?" (a source reaches itself).  This is msbfs's visited matrix,
+/// from the same levels run without the level matrix.
 [[nodiscard]] FrontierBatch batched_reach(const Context& ctx,
                                           const gb::Graph& g,
                                           const std::vector<vidx_t>& sources);

@@ -54,7 +54,8 @@ void sssp_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
   sssp_rounds(n, source, res, [&](bool push) {
     if (push) {
       // Candidates: the out-neighbours of the changed set (push over A,
-      // nothing masked).  Only their rows of A^T are relaxed.
+      // nothing masked).  Only their rows of A^T are relaxed, and only
+      // the tile-rows the push listed are visited.
       touched.clear();
       {
         KernelTimerScope timer(ctx.timer);
@@ -62,7 +63,8 @@ void sssp_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
                                     /*complement=*/true, candidates, touched);
       }
       gb::bit_mxv_masked<Dim, MinPlusOp>(ctx, at, res.dist, candidates,
-                                         /*complement=*/false, relaxed);
+                                         /*complement=*/false, touched,
+                                         relaxed);
     } else {
       gb::bit_mxv<Dim, MinPlusOp>(ctx, at, res.dist, relaxed);
     }

@@ -184,7 +184,8 @@ template <int Dim>
 void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
                         LaneReduce reduce, value_t offset,
                         const PackedVecT<Dim>* mask, bool complement,
-                        value_t* y, Exec exec) {
+                        const std::vector<vidx_t>* tile_rows, value_t* y,
+                        Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
   const vidx_t* rowptr = a.tile_rowptr.data();
   const vidx_t* colind = a.tile_colind.data();
@@ -195,8 +196,14 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
   // Clipped as in boolean_tile_rows: a complemented B2SR-4 mask sets
   // the uint8_t's four spare bits, which must not open a closed row.
   constexpr word_t row_bits = low_mask<word_t>(Dim);
+  // The loop runs over the listed tile-rows, or over all of them.
+  const vidx_t* list = tile_rows != nullptr ? tile_rows->data() : nullptr;
+  const vidx_t count = tile_rows != nullptr
+                           ? static_cast<vidx_t>(tile_rows->size())
+                           : a.n_tile_rows();
   // Value captures only (see parallel.hpp on closure escape).
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
+  parallel_for(exec.threads, vidx_t{0}, count, [=](vidx_t i) {
+    const vidx_t tr = list != nullptr ? list[i] : i;
     const vidx_t lo = rowptr[tr];
     const vidx_t hi = rowptr[tr + 1];
     if (lo == hi) return;
@@ -244,7 +251,8 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
       bool, std::vector<value_t>&, Exec);                                   \
   template void detail::semiring_tile_rows<Dim>(                            \
       const B2srT<Dim>&, const value_t*, LaneReduce, value_t,               \
-      const PackedVecT<Dim>*, bool, value_t*, Exec)
+      const PackedVecT<Dim>*, bool, const std::vector<vidx_t>*, value_t*,   \
+      Exec)
 
 BITGB_INSTANTIATE_BMV(4);
 BITGB_INSTANTIATE_BMV(8);

@@ -103,16 +103,18 @@ void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
 
 namespace detail {
 
-/// The tile-row loop both semiring kernels share: skip a tile-row whose
-/// `mask` (complemented if asked, clipped to Dim bits; null = keep all)
-/// is zero, else fold it through simd::semiring_row_fold and store row
-/// r unless the mask drops it.  Empty and closed tile-rows are not
-/// stored.
+/// The tile-row loop the semiring kernels share: over the tile-rows in
+/// `tile_rows` (null = all of them), skip one whose `mask`
+/// (complemented if asked, clipped to Dim bits; null = keep all) is
+/// zero, else fold it through simd::semiring_row_fold and store row r
+/// unless the mask drops it.  Empty, closed and unlisted tile-rows are
+/// not stored.
 template <int Dim>
 void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
                         LaneReduce reduce, value_t offset,
                         const PackedVecT<Dim>* mask, bool complement,
-                        value_t* y, Exec exec);
+                        const std::vector<vidx_t>* tile_rows, value_t* y,
+                        Exec exec);
 
 }  // namespace detail
 
@@ -124,8 +126,8 @@ void bmv_bin_full_full(const B2srT<Dim>& a, const std::vector<value_t>& x,
   assert(static_cast<vidx_t>(x.size()) == a.ncols);
   y.assign(static_cast<std::size_t>(a.nrows), Op::identity);
   detail::semiring_tile_rows<Dim>(a, x.data(), Op::lane_reduce,
-                                  Op::map_offset, nullptr, false, y.data(),
-                                  exec);
+                                  Op::map_offset, nullptr, false, nullptr,
+                                  y.data(), exec);
 }
 
 /// Masked semiring BMV: positions whose mask test fails keep their
@@ -142,8 +144,27 @@ void bmv_bin_full_full_masked(const B2srT<Dim>& a,
   assert(static_cast<vidx_t>(y.size()) == a.nrows);
   assert(mask.n == a.nrows);
   detail::semiring_tile_rows<Dim>(a, x.data(), Op::lane_reduce,
-                                  Op::map_offset, &mask, complement, y.data(),
-                                  exec);
+                                  Op::map_offset, &mask, complement, nullptr,
+                                  y.data(), exec);
+}
+
+/// Listed form: only the tile-rows in `tile_rows` (each at most once,
+/// any order) are visited, so a round costs the listed rows, not a
+/// mask test per tile-row of A.  Frontier SSSP lists the words its
+/// candidate push turned non-zero.  Unlisted rows keep their y.
+template <int Dim, typename Op>
+void bmv_bin_full_full_masked(const B2srT<Dim>& a,
+                              const std::vector<value_t>& x,
+                              const PackedVecT<Dim>& mask, bool complement,
+                              const std::vector<vidx_t>& tile_rows,
+                              std::vector<value_t>& y, Exec exec = {},
+                              Op = Op{}) {
+  assert(static_cast<vidx_t>(x.size()) == a.ncols);
+  assert(static_cast<vidx_t>(y.size()) == a.nrows);
+  assert(mask.n == a.nrows);
+  detail::semiring_tile_rows<Dim>(a, x.data(), Op::lane_reduce,
+                                  Op::map_offset, &mask, complement,
+                                  &tile_rows, y.data(), exec);
 }
 
 // Declarations of the non-template-parameterized kernels are explicit

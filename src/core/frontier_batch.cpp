@@ -96,31 +96,42 @@ template <int Dim>
 void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
                          const FrontierBatch& mask, bool complement,
                          FrontierBatch& next, Exec exec) {
+  using word_t = FrontierBatch::word_t;
   assert(f.n == a.ncols);
   assert(mask.n == a.nrows);
   assert(mask.batch == f.batch);
   next.resize(a.nrows, f.batch);
-  const FrontierBatch::word_t lanes = f.lane_mask();
+  // Live lanes: a lane whose frontier is empty adds nothing to acc, so
+  // clamping the store by `live` is exact (and clears the tail lanes a
+  // complemented mask turns on, since f has none).
+  word_t live = 0;
+  for (const word_t w : f.rows) live |= w;
+  if (live == 0) return;
+  const word_t flip = complement ? ~word_t{0} : word_t{0};
   const B2srT<Dim>* ap = &a;
   const FrontierBatch* fp = &f;
-  const FrontierBatch::word_t* mask_rows = mask.rows.data();
-  FrontierBatch::word_t* next_rows = next.rows.data();
+  const word_t* mask_rows = mask.rows.data();
+  word_t* next_rows = next.rows.data();
   const vidx_t nrows = a.nrows;
   const vidx_t* rowptr = a.tile_rowptr.data();
   parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    const auto lo = rowptr[tr];
-    const auto hi = rowptr[tr + 1];
-    if (lo == hi) return;
-    FrontierBatch::word_t acc[Dim] = {};
-    accumulate_tile_row<Dim>(*ap, *fp, tr, acc);
+    if (rowptr[tr] == rowptr[tr + 1]) return;
     const vidx_t r0 = tr * Dim;
-    const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
-    for (vidx_t r = r0; r < rend; ++r) {
-      // §V masking lifted to the batch: AND right before the store; the
-      // lane mask clamps the tail lanes a complemented mask turns on.
-      FrontierBatch::word_t mword = mask_rows[static_cast<std::size_t>(r)];
-      if (complement) mword = ~mword;
-      next_rows[static_cast<std::size_t>(r)] = acc[r - r0] & mword & lanes;
+    const auto rows = static_cast<int>(std::min<vidx_t>(nrows - r0, Dim));
+    // §V mask first, lifted to the batch: a tile-row where no live lane
+    // is open in any row is skipped whole (its rows keep resize()'s
+    // zero); an open one is swept and the mask AND-ed at the store.
+    word_t keep[Dim] = {};
+    word_t open = 0;
+    for (int r = 0; r < rows; ++r) {
+      keep[r] = (mask_rows[static_cast<std::size_t>(r0 + r)] ^ flip) & live;
+      open |= keep[r];
+    }
+    if (open == 0) return;
+    word_t acc[Dim] = {};
+    accumulate_tile_row<Dim>(*ap, *fp, tr, acc);
+    for (int r = 0; r < rows; ++r) {
+      next_rows[static_cast<std::size_t>(r0 + r)] = acc[r] & keep[r];
     }
   });
 }

@@ -146,8 +146,13 @@ void bmm_frontier(const B2srT<Dim>& a, const FrontierBatch& f,
 /// store (the paper's §V masking design lifted to the batch), so
 /// masked-off (row, lane) positions store zero.  complement applies the
 /// GraphBLAS structural complement — BFS passes visited with
-/// complement=true.  Lane-tail bits a complemented mask would set are
-/// clamped, preserving the FrontierBatch invariant.
+/// complement=true.  The kernel first ORs f's rows into a live-lane
+/// mask: a lane with an empty frontier adds nothing, so clamping each
+/// store by it is exact, and it clears the lane-tail bits a
+/// complemented mask would set (the FrontierBatch invariant).  Mask
+/// first: a tile-row whose rows open no live lane is skipped whole and
+/// stores zero, so a late level costs the tile-rows some live lane
+/// still has open, not the whole matrix.
 template <int Dim>
 void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
                          const FrontierBatch& mask, bool complement,
@@ -160,7 +165,8 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
 /// direction-optimized single-source BFS is.  Takes A itself (vxm
 /// selects A's rows): next[c] |= f[r] for every set bit (r, c) of an
 /// active tile-row, mask AND-ed per store.  The caller supplies the
-/// sorted tile-row indices holding live frontier rows (`active`);
+/// tile-row indices holding live frontier rows (`active`, each once;
+/// msbfs lists them sorted);
 /// `next` must arrive all-zero and sized to a.ncols with f's batch
 /// width; the kernel appends to `touched` each row of `next` it turns
 /// non-zero (duplicate-free).  Serial, like the BMV active-list push —

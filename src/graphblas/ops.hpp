@@ -173,13 +173,17 @@ void bit_mxv(const Context& ctx, const B2srT<Dim>& a,
   bmv_bin_full_full<Dim, Op>(a, x, y, ctx.exec());
 }
 
+/// Masked semiring mxv over the listed tile-rows of `a` (the listed
+/// form of bmv_bin_full_full_masked): every other row keeps its y.
 template <int Dim, typename Op>
 void bit_mxv_masked(const Context& ctx, const B2srT<Dim>& a,
                     const std::vector<value_t>& x,
                     const PackedVecT<Dim>& mask, bool complement,
+                    const std::vector<vidx_t>& tile_rows,
                     std::vector<value_t>& y) {
   KernelTimerScope timer(ctx.timer);
-  bmv_bin_full_full_masked<Dim, Op>(a, x, mask, complement, y, ctx.exec());
+  bmv_bin_full_full_masked<Dim, Op>(a, x, mask, complement, tile_rows, y,
+                                    ctx.exec());
 }
 
 template <int Dim>

@@ -221,6 +221,50 @@ TEST_P(MaskedBmvTest, BinFullFullMaskedMinPlus) {
   });
 }
 
+TEST_P(MaskedBmvTest, BinFullFullMaskedListedRowsMatchMaskedForm) {
+  // The listed form, as frontier SSSP drives it from its candidate
+  // tile-rows: listing every tile-row equals the masked form, and
+  // listing a shuffled subset stores the listed tile-rows only.
+  const int dim = GetParam();
+  const Csr m = coo_to_csr(gen_stripe(150, 3, 0.8, 71));  // tail tile
+  const auto xf = test::random_vector(m.ncols, 0.2, 72);
+  const auto mb = test::random_vector(m.nrows, 0.5, 73);
+  const value_t sentinel = -7.0f;
+  dispatch_tile_dim(dim, [&]<int Dim>() {
+    const B2srT<Dim> a = pack_from_csr<Dim>(m);
+    const auto mask = PackedVecT<Dim>::from_values(mb);
+    std::vector<vidx_t> all;
+    std::vector<vidx_t> some;
+    for (vidx_t tr = 0; tr < a.n_tile_rows(); ++tr) {
+      all.push_back(tr);
+      if (tr % 3 != 1) some.push_back(tr);
+    }
+    std::shuffle(some.begin(), some.end(), std::mt19937(74));
+    for (const bool complement : {false, true}) {
+      std::vector<value_t> want(static_cast<std::size_t>(m.nrows), sentinel);
+      bmv_bin_full_full_masked<Dim, MinPlusOp>(a, xf, mask, complement, want);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "comp=" << complement << " threads=" << threads);
+        const Exec exec{.threads = threads};
+        std::vector<value_t> y(static_cast<std::size_t>(m.nrows), sentinel);
+        bmv_bin_full_full_masked<Dim, MinPlusOp>(a, xf, mask, complement, all,
+                                                 y, exec);
+        EXPECT_EQ(want, y);
+        std::fill(y.begin(), y.end(), sentinel);
+        bmv_bin_full_full_masked<Dim, MinPlusOp>(a, xf, mask, complement,
+                                                 some, y, exec);
+        for (vidx_t r = 0; r < m.nrows; ++r) {
+          const auto i = static_cast<std::size_t>(r);
+          EXPECT_EQ((r / Dim) % 3 != 1 ? want[i] : sentinel, y[i])
+              << "row " << r;
+        }
+      }
+    }
+    return 0;
+  });
+}
+
 TEST_P(MaskedBmvTest, PushEqualsPullOnSymmetricMatrices) {
   // vxm(f, A) push over A == mxv(A^T, f) pull; on a symmetric matrix
   // both kernels take the same operand, so results must be word-equal
