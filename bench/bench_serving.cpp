@@ -4,9 +4,10 @@
 //
 // Four experiments:
 //
-//   saturation — every query submitted at once (a full backlog), once
-//     with max_batch = 1 (the worker pool alone) and once with the
-//     64-way auto-batcher.  The QPS ratio is the serving payoff of the
+//   saturation — every query submitted at once (a full backlog), with
+//     max_batch = 1 (the worker pool alone) and with the 64-way
+//     auto-batcher, once each per round over rounds that alternate
+//     which mode runs first.  The QPS ratio is the serving payoff of the
 //     batch engine: under backlog the wave rule finds a 64-wide wave
 //     cheaper than 64 single runs, so pop_batch hands over whole runs
 //     and each wave's msbfs amortizes one BMM frontier sweep per level
@@ -15,7 +16,8 @@
 //   open-loop — a Poisson arrival process at several rates bracketing
 //     the unbatched capacity, both modes at each rate.  Reported:
 //     submit-to-reply latency percentiles (p50/p99/p999), achieved
-//     QPS, and the admission-control shed counts.  Below the break-even
+//     QPS, the admission-control shed counts and the executed
+//     wave-width histogram.  Below the break-even
 //     width the batched server runs one request at a time, like the
 //     unbatched one; above unbatched capacity it keeps answering (wider
 //     waves) where the unbatched one sheds at the door — latency
@@ -43,7 +45,7 @@
 // verified bit-identical against a serial algo::bfs pass; a mismatch
 // fails the run (exit 1).  Timings are reported, not asserted:
 // regression detection belongs to the end-to-end benchmark's bounds.
-// Results go to BENCH_serving.json (schema bitgb-serving-bench-v6, see
+// Results go to BENCH_serving.json (schema bitgb-serving-bench-v7, see
 // BUILDING.md), including the persistence roundtrip cell (snapshot
 // load vs MatrixMarket re-ingest + prewarm); a file that cannot be
 // written also fails the run (exit 1).
@@ -86,6 +88,9 @@ constexpr const char* kGraphName = "hybrid_4096";
 constexpr int kSaturationQueries = 1024;
 constexpr int kOpenLoopQueries = 1500;
 constexpr std::size_t kOpenLoopQueueCap = 256;
+/// Rounds of the saturation and cancellation pairs; each round runs
+/// both sides, and consecutive rounds swap which side runs first.
+constexpr int kRounds = 6;
 
 std::vector<vidx_t> random_sources(int count, vidx_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -197,6 +202,8 @@ bench::ServingRatePoint run_open_loop(const GraphRegistry& reg,
   pt.p99_ms = bench::percentile(latencies_ms, 99.0);
   pt.p999_ms = bench::percentile(latencies_ms, 99.9);
   pt.mean_wave = st.mean_wave_width();
+  pt.wave_width_hist.assign(st.wave_width_hist.begin(),
+                            st.wave_width_hist.end());
   return pt;
 }
 
@@ -411,17 +418,34 @@ int main() {
                        "warm");
   (void)run_saturation(reg, random_sources(128, g.num_vertices(), 6),
                        FrontierBatch::kMaxBatch, "warm");
-  const auto unbatched = run_saturation(reg, burst, 1, "unbatched");
-  const auto batched =
-      run_saturation(reg, burst, FrontierBatch::kMaxBatch, "batched");
-  const double speedup =
-      unbatched.qps > 0.0 ? batched.qps / unbatched.qps : 0.0;
-  std::printf("saturation (%d-query closed-loop burst):\n",
-              kSaturationQueries);
+  // With one burst per mode, four runs of one binary read the speedup
+  // anywhere from 2.56 to 4.69x, so the modes run in rounds,
+  // alternating which goes first.
+  std::vector<bench::ServingSaturation> unbatched_rounds, batched_rounds;
+  for (int round = 0; round < kRounds; ++round) {
+    const bool batched_first = round % 2 == 1;
+    for (const bool batched : {batched_first, !batched_first}) {
+      if (batched) {
+        batched_rounds.push_back(run_saturation(
+            reg, burst, FrontierBatch::kMaxBatch, "batched"));
+      } else {
+        unbatched_rounds.push_back(
+            run_saturation(reg, burst, 1, "unbatched"));
+      }
+    }
+  }
+  const bench::ServingSaturationAblation saturation =
+      bench::summarize_saturation(unbatched_rounds, batched_rounds);
+  const bench::ServingSaturation& unbatched = saturation.unbatched;
+  std::printf("saturation (%d-query closed-loop burst, median of %d "
+              "alternating rounds):\n",
+              kSaturationQueries, saturation.rounds);
   std::printf("  %-10s %10.0f q/s   mean wave %5.1f\n", "unbatched",
               unbatched.qps, unbatched.mean_wave);
-  std::printf("  %-10s %10.0f q/s   mean wave %5.1f   %.1fx\n", "batched",
-              batched.qps, batched.mean_wave, speedup);
+  std::printf("  %-10s %10.0f q/s   mean wave %5.1f   %.2fx (quartile "
+              "spread %.2fx)\n", "batched", saturation.batched.qps,
+              saturation.batched.mean_wave, saturation.batched_speedup,
+              saturation.batched_speedup_spread);
 
   // --- Cancellation overhead -----------------------------------------
   // Same batched burst, polling off (no deadline => no token armed)
@@ -430,7 +454,6 @@ int main() {
   // fires).  The delta is the pure cost of the cooperative poll.  A
   // fixed off-then-on order read "on" faster in every record, so the
   // rounds alternate which side runs first.
-  constexpr int kCancelRounds = 6;
   auto cancel_qps = [&](bool polling) {
     return run_saturation(reg, burst, FrontierBatch::kMaxBatch,
                           polling ? "polling-on" : "polling-off",
@@ -439,7 +462,7 @@ int main() {
         .qps;
   };
   std::vector<double> off_qps, on_qps;
-  for (int round = 0; round < kCancelRounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     const bool on_first = round % 2 == 1;
     const double first = cancel_qps(on_first);
     const double second = cancel_qps(!on_first);
@@ -515,14 +538,14 @@ int main() {
   try {
     bench::write_serving_bench_json("BENCH_serving.json", graph_name,
                                     g.num_vertices(), g.num_edges(), workers,
-                                    verified, {unbatched, batched}, speedup,
-                                    points, {multi_graph, mixed_kinds},
+                                    verified, saturation, points,
+                                    {multi_graph, mixed_kinds},
                                     cancellation, persistence);
   } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "FAIL: %s\n", e.what());
     return 1;
   }
   std::printf("\nwrote BENCH_serving.json (batched/unbatched saturation "
-              "speedup: %.2fx)\n", speedup);
+              "speedup: %.2fx)\n", saturation.batched_speedup);
   return 0;
 }

@@ -7,6 +7,8 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace bitgb::bench {
 
@@ -183,6 +185,60 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
+namespace {
+
+/// Median and quartile spread (q75 - q25) of per-round values.
+std::pair<double, double> median_and_spread(const std::vector<double>& xs) {
+  return {percentile(xs, 50.0), percentile(xs, 75.0) - percentile(xs, 25.0)};
+}
+
+/// A JSON array of wave-width bucket counts.
+void write_hist(std::ostream& f, const std::vector<std::uint64_t>& hist) {
+  f << '[';
+  for (std::size_t b = 0; b < hist.size(); ++b) {
+    f << hist[b] << (b + 1 < hist.size() ? ", " : "");
+  }
+  f << ']';
+}
+
+}  // namespace
+
+ServingSaturationAblation summarize_saturation(
+    const std::vector<ServingSaturation>& unbatched,
+    const std::vector<ServingSaturation>& batched) {
+  if (unbatched.size() != batched.size()) {
+    throw std::invalid_argument(
+        "summarize_saturation: unbatched and batched rounds differ");
+  }
+  const auto medians = [](const std::vector<ServingSaturation>& rounds) {
+    ServingSaturation cell;
+    std::vector<double> qps;
+    std::vector<double> wave;
+    for (const ServingSaturation& r : rounds) {
+      cell.mode = r.mode;
+      cell.queries = r.queries;
+      qps.push_back(r.qps);
+      wave.push_back(r.mean_wave);
+    }
+    cell.qps = percentile(qps, 50.0);
+    cell.mean_wave = percentile(wave, 50.0);
+    return cell;
+  };
+  std::vector<double> speedup;
+  for (std::size_t i = 0; i < unbatched.size(); ++i) {
+    speedup.push_back(unbatched[i].qps > 0.0
+                          ? batched[i].qps / unbatched[i].qps
+                          : 0.0);
+  }
+  ServingSaturationAblation cell;
+  cell.rounds = static_cast<int>(unbatched.size());
+  cell.unbatched = medians(unbatched);
+  cell.batched = medians(batched);
+  std::tie(cell.batched_speedup, cell.batched_speedup_spread) =
+      median_and_spread(speedup);
+  return cell;
+}
+
 ServingCancellation summarize_cancellation(const std::vector<double>& off_qps,
                                            const std::vector<double>& on_qps) {
   if (off_qps.size() != on_qps.size()) {
@@ -199,38 +255,40 @@ ServingCancellation summarize_cancellation(const std::vector<double>& off_qps,
   cell.rounds = static_cast<int>(off_qps.size());
   cell.polling_off_qps = percentile(off_qps, 50.0);
   cell.polling_on_qps = percentile(on_qps, 50.0);
-  cell.overhead_pct = percentile(overhead_pct, 50.0);
-  cell.overhead_pct_spread =
-      percentile(overhead_pct, 75.0) - percentile(overhead_pct, 25.0);
+  std::tie(cell.overhead_pct, cell.overhead_pct_spread) =
+      median_and_spread(overhead_pct);
   return cell;
 }
 
 void write_serving_bench_json(const std::string& path,
                               const std::string& graph_name, vidx_t vertices,
                               eidx_t edges, int workers, bool verified,
-                              const std::vector<ServingSaturation>& saturation,
-                              double batched_speedup,
+                              const ServingSaturationAblation& saturation,
                               const std::vector<ServingRatePoint>& rates,
                               const std::vector<ServingScenario>& scenarios,
                               const ServingCancellation& cancellation,
                               const ServingPersistence& persistence) {
   std::ofstream f = open_for_write(path);
   f << "{\n";
-  f << "  \"schema\": \"bitgb-serving-bench-v6\",\n";
+  f << "  \"schema\": \"bitgb-serving-bench-v7\",\n";
   f << "  \"graph\": {\"name\": \"" << graph_name
     << "\", \"vertices\": " << vertices << ", \"edges\": " << edges << "},\n";
   f << "  \"workers\": " << workers << ",\n";
   f << "  \"verified_bit_identical\": " << (verified ? "true" : "false")
     << ",\n";
   f << "  \"saturation\": [\n";
-  for (std::size_t i = 0; i < saturation.size(); ++i) {
-    const auto& s = saturation[i];
-    f << "    {\"mode\": \"" << s.mode << "\", \"queries\": " << s.queries
-      << ", \"qps\": " << s.qps << ", \"mean_wave\": " << s.mean_wave << '}'
-      << (i + 1 < saturation.size() ? "," : "") << '\n';
+  for (const ServingSaturation* s :
+       {&saturation.unbatched, &saturation.batched}) {
+    f << "    {\"mode\": \"" << s->mode << "\", \"queries\": " << s->queries
+      << ", \"qps\": " << s->qps << ", \"mean_wave\": " << s->mean_wave << '}'
+      << (s == &saturation.unbatched ? "," : "") << '\n';
   }
   f << "  ],\n";
-  f << "  \"saturation_batched_speedup\": " << batched_speedup << ",\n";
+  f << "  \"saturation_rounds\": " << saturation.rounds << ",\n";
+  f << "  \"saturation_batched_speedup\": " << saturation.batched_speedup
+    << ",\n";
+  f << "  \"saturation_batched_speedup_spread\": "
+    << saturation.batched_speedup_spread << ",\n";
   f << "  \"cancellation_overhead\": {\"rounds\": " << cancellation.rounds
     << ", \"polling_off_qps\": " << cancellation.polling_off_qps
     << ", \"polling_on_qps\": " << cancellation.polling_on_qps
@@ -254,8 +312,9 @@ void write_serving_bench_json(const std::string& path,
       << ", \"achieved_qps\": " << r.achieved_qps
       << ", \"latency_ms\": {\"p50\": " << r.p50_ms
       << ", \"p99\": " << r.p99_ms << ", \"p999\": " << r.p999_ms
-      << "}, \"mean_wave\": " << r.mean_wave << '}'
-      << (i + 1 < rates.size() ? "," : "") << '\n';
+      << "}, \"mean_wave\": " << r.mean_wave << ", \"wave_width_hist\": ";
+    write_hist(f, r.wave_width_hist);
+    f << '}' << (i + 1 < rates.size() ? "," : "") << '\n';
   }
   f << "  ],\n";
   f << "  \"scenarios\": [\n";
@@ -271,12 +330,9 @@ void write_serving_bench_json(const std::string& path,
         << "\": " << s.completed_by_kind[k].second
         << (k + 1 < s.completed_by_kind.size() ? ", " : "");
     }
-    f << "},\n     \"wave_width_hist\": [";
-    for (std::size_t b = 0; b < s.wave_width_hist.size(); ++b) {
-      f << s.wave_width_hist[b]
-        << (b + 1 < s.wave_width_hist.size() ? ", " : "");
-    }
-    f << "]}" << (i + 1 < scenarios.size() ? "," : "") << '\n';
+    f << "},\n     \"wave_width_hist\": ";
+    write_hist(f, s.wave_width_hist);
+    f << '}' << (i + 1 < scenarios.size() ? "," : "") << '\n';
   }
   f << "  ]\n";
   f << "}\n";

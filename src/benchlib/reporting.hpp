@@ -99,10 +99,11 @@ void print_kernel_bench(std::ostream& os,
 //
 // bench_serving emits one machine-readable record per PR of the serving
 // core's behavior: the closed-loop saturation ablation (auto-batched vs
-// unbatched QPS over the same request stream — the 64-way amortization
-// headline), the open-loop latency profile (p50/p99/p999 against
-// Poisson arrivals at several rates, with admission-control shed
-// counts), the multi-tenant scenarios (a storm across a 3-graph
+// unbatched QPS over the same request stream, over alternating rounds —
+// the 64-way amortization headline), the open-loop latency profile
+// (p50/p99/p999 against Poisson arrivals at several rates, with
+// admission-control shed counts and the executed wave-width
+// histogram), the multi-tenant scenarios (a storm across a 3-graph
 // registry, and a mixed stream of all four query kinds, each with
 // per-kind counts and the executed wave-width histogram), and the
 // cancellation-overhead cell (the batched saturation burst with the
@@ -110,7 +111,7 @@ void print_kernel_bench(std::ostream& os,
 // the guard that keeps the cooperative-cancellation poll off the hot
 // path's critical cost), and the persistence roundtrip cell (snapshot
 // load vs MatrixMarket re-ingest + prewarm — the warm-restart payoff).
-// Schema "bitgb-serving-bench-v6", documented in BUILDING.md.
+// Schema "bitgb-serving-bench-v7", documented in BUILDING.md.
 
 /// Tail-aware percentile with linear interpolation between order
 /// statistics; `p` in [0, 100].  Returns 0 for empty input.
@@ -123,6 +124,27 @@ struct ServingSaturation {
   double qps = 0.0;        ///< completed / wall-clock
   double mean_wave = 0.0;  ///< mean queries per executed wave
 };
+
+/// The saturation ablation (v7): the same burst run unbatched and
+/// batched once each per round, the two modes alternating which runs
+/// first.  Each mode's qps and mean_wave are its medians over the
+/// rounds; batched_speedup is the median of the per-round batched /
+/// unbatched qps ratios and batched_speedup_spread the distance between
+/// their quartiles.
+struct ServingSaturationAblation {
+  int rounds = 0;
+  ServingSaturation unbatched;
+  ServingSaturation batched;
+  double batched_speedup = 0.0;
+  double batched_speedup_spread = 0.0;
+};
+
+/// Summarize paired rounds — round i ran `unbatched[i]` and
+/// `batched[i]` — into the ablation.  Throws std::invalid_argument
+/// when the sides differ in length.
+[[nodiscard]] ServingSaturationAblation summarize_saturation(
+    const std::vector<ServingSaturation>& unbatched,
+    const std::vector<ServingSaturation>& batched);
 
 /// One open-loop cell: Poisson arrivals at `arrival_qps` against one
 /// server configuration.
@@ -138,6 +160,8 @@ struct ServingRatePoint {
   double p99_ms = 0.0;
   double p999_ms = 0.0;
   double mean_wave = 0.0;
+  /// Executed wave widths (v7), bucketed as ServingScenario's.
+  std::vector<std::uint64_t> wave_width_hist;
 };
 
 /// One multi-tenant scenario cell (v2): a closed-loop storm against a
@@ -194,8 +218,8 @@ struct ServingPersistence {
   }
 };
 
-/// Write the v6 JSON document.  `batched_speedup` is the saturation
-/// headline (batched QPS / unbatched QPS); `verified` records that the
+/// Write the v7 JSON document.  `saturation` holds the ablation whose
+/// batched_speedup is the serving headline; `verified` records that the
 /// served answers were checked bit-identical against a serial pass;
 /// `scenarios` holds the multi-tenant cells (empty is valid — the
 /// array is still emitted, so consumers can rely on the key);
@@ -205,8 +229,7 @@ struct ServingPersistence {
 void write_serving_bench_json(const std::string& path,
                               const std::string& graph_name, vidx_t vertices,
                               eidx_t edges, int workers, bool verified,
-                              const std::vector<ServingSaturation>& saturation,
-                              double batched_speedup,
+                              const ServingSaturationAblation& saturation,
                               const std::vector<ServingRatePoint>& rates,
                               const std::vector<ServingScenario>& scenarios,
                               const ServingCancellation& cancellation,

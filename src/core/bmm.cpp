@@ -77,17 +77,34 @@ std::int64_t bmm_bin_bin_sum_masked(const B2srT<Dim>& a, const B2srT<Dim>& b,
   constexpr std::size_t kTileBytes = sizeof(word_t) * Dim;
 
   // Contiguous tile-row ranges, one per worker, holding about the same
-  // number of mask tiles: range i starts at the first tile-row whose
-  // mask tiles begin at or past i/n of the total.
+  // work.  A tile-row's work is one call per mask tile (tr, j) plus the
+  // B tiles that call visits: the sum of 1 + |B tile-row j|, or 0 when
+  // A's tile-row is empty and the loop skips it.  Range i starts at the
+  // first tile-row whose work prefix reaches i/n of the total.
   const vidx_t ntr = mask.n_tile_rows();
   if (ntr == 0) return 0;
   const int nranges = resolve_width(exec.threads);
   std::vector<vidx_t> first(static_cast<std::size_t>(nranges) + 1, ntr);
-  for (int i = 0; i < nranges; ++i) {
-    const auto target = static_cast<vidx_t>(
-        static_cast<std::int64_t>(m_rowptr[ntr]) * i / nranges);
-    first[static_cast<std::size_t>(i)] = static_cast<vidx_t>(
-        std::lower_bound(m_rowptr, m_rowptr + ntr, target) - m_rowptr);
+  first[0] = 0;
+  if (nranges > 1) {
+    std::vector<std::int64_t> work(static_cast<std::size_t>(ntr) + 1, 0);
+    for (vidx_t tr = 0; tr < ntr; ++tr) {
+      std::int64_t w = 0;
+      if (a_rowptr[tr] != a_rowptr[tr + 1]) {
+        for (vidx_t tm = m_rowptr[tr]; tm < m_rowptr[tr + 1]; ++tm) {
+          const vidx_t j = m_colind[tm];
+          w += 1 + b_rowptr[j + 1] - b_rowptr[j];
+        }
+      }
+      work[static_cast<std::size_t>(tr) + 1] =
+          work[static_cast<std::size_t>(tr)] + w;
+    }
+    for (int i = 1; i < nranges; ++i) {
+      const std::int64_t target = work.back() * i / nranges;
+      first[static_cast<std::size_t>(i)] = static_cast<vidx_t>(
+          std::lower_bound(work.begin(), work.end() - 1, target) -
+          work.begin());
+    }
   }
   const vidx_t* firstp = first.data();
 

@@ -676,11 +676,15 @@ BITGB_TGT_AVX2 inline void store256(void* p, __m256i v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
+/// The pshufb LUT of nibble popcounts, one copy per 128-bit half.
+BITGB_TGT_AVX2 inline __m256i avx2_nibble_popcnt_lut() {
+  return _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+                          0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+}
+
 /// Mula byte-lane popcount (pshufb nibble LUT).
 BITGB_TGT_AVX2 inline __m256i avx2_popcnt_epi8(__m256i v) {
-  const __m256i lut = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i lut = avx2_nibble_popcnt_lut();
   const __m256i low = _mm256_set1_epi8(0x0F);
   const __m256i lo = _mm256_and_si256(v, low);
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
@@ -693,6 +697,13 @@ BITGB_TGT_AVX2 inline __m256i avx2_popcnt_epi32(__m256i v) {
   const __m256i c8 = avx2_popcnt_epi8(v);
   const __m256i c16 = _mm256_maddubs_epi16(c8, _mm256_set1_epi8(1));
   return _mm256_madd_epi16(c16, _mm256_set1_epi16(1));
+}
+
+/// Horizontal sum of 4 64-bit lanes.
+BITGB_TGT_AVX2 inline std::int64_t avx2_sum_epi64(__m256i v) {
+  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
+                                  _mm256_extracti128_si256(v, 1));
+  return _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s)));
 }
 
 /// Horizontal OR of 4 64-bit lanes.
@@ -1064,13 +1075,56 @@ BITGB_TGT_AVX2 std::int64_t masked_row_dot_avx2(
         }
       }
     }
-    const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                    _mm256_extracti128_si256(acc, 1));
-    return sum +
-           _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s)));
+    return sum + avx2_sum_epi64(acc);
+  } else if constexpr (Dim == 4) {
+    // Eight B tiles per step: one load of their colind, one gather of
+    // A's eight 4-byte tiles from the dense row, one load of the eight
+    // B tiles.  Per set mask row r, one pshufb copies A's byte r over
+    // its tile's four bytes and zeroes the bytes of columns the mask
+    // row lacks (its index lanes there have the high bit set); ANDed
+    // with the B tiles (byte c = B bit-row c), each byte is one nibble,
+    // counted by one pshufb of the nibble LUT.  Rows shorter than a
+    // step, and a row's last (hi - lo) % 8 tiles, run the scalar body.
+    constexpr vidx_t kStep = 8;
+    if (hi - lo < kStep) {
+      return masked_row_dot_body<Dim>(dense_a, colind, tiles, lo, hi, mwords);
+    }
+    const __m256i lane_bytes = _mm256_setr_epi8(
+        0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12,
+        0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12);
+    __m256i pick[Dim];
+    int nrows = 0;
+    for (int r = 0; r < Dim; ++r) {
+      if (mwords[r] == 0) continue;
+      const __m256i sel = _mm256_set1_epi32(
+          static_cast<int>(static_cast<std::uint32_t>(kByteSelect[mwords[r]])));
+      pick[nrows++] = _mm256_or_si256(
+          _mm256_add_epi8(lane_bytes, _mm256_set1_epi8(static_cast<char>(r))),
+          _mm256_andnot_si256(sel, _mm256_set1_epi8(static_cast<char>(0x80))));
+    }
+    if (nrows == 0) return 0;
+    const __m256i lut = avx2_nibble_popcnt_lut();
+    const __m256i zero = _mm256_setzero_si256();
+    // The gather reads dense A's tiles as raw 32-bit lanes.
+    const int* a_lanes = reinterpret_cast<const int*>(dense_a);
+    const vidx_t vhi = hi - (hi - lo) % kStep;
+    __m256i acc = zero;
+    for (vidx_t t = lo; t < vhi; t += kStep) {
+      const __m256i a = _mm256_i32gather_epi32(a_lanes, loadu256(colind + t),
+                                               Dim);
+      const __m256i b = loadu256(tiles + static_cast<std::size_t>(t) * Dim);
+      __m256i cnt = zero;
+      for (int i = 0; i < nrows; ++i) {
+        const __m256i x = _mm256_and_si256(_mm256_shuffle_epi8(a, pick[i]), b);
+        cnt = _mm256_add_epi8(cnt, _mm256_shuffle_epi8(lut, x));
+      }
+      acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, zero));
+    }
+    return avx2_sum_epi64(acc) +
+           masked_row_dot_body<Dim>(dense_a, colind, tiles, vhi, hi, mwords);
   } else {
-    // Dims 4 and 8: the scalar word-per-tile body, compiled here with
-    // the popcnt instruction.
+    // Dim 8: the scalar word-per-tile body, compiled here with the
+    // popcnt instruction.
     return masked_row_dot_body<Dim>(dense_a, colind, tiles, lo, hi, mwords);
   }
 }

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace bitgb::bench {
 namespace {
@@ -155,8 +158,8 @@ TEST(Reporting, TrajectoryWritersThrowWhenPathIsUnwritable) {
                                        {{"bmv_bin_bin_bin", 8, 0.5, 1.0, 1}}),
                std::runtime_error);
   const std::string serving = dir + "/BENCH_serving.json";
-  EXPECT_THROW(write_serving_bench_json(serving, "g", 1, 1, 1, true, {}, 1.0,
-                                        {}, {}, {}, {}),
+  EXPECT_THROW(write_serving_bench_json(serving, "g", 1, 1, 1, true, {}, {},
+                                        {}, {}, {}),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
@@ -174,6 +177,58 @@ TEST(Reporting, CancellationCellIsMediansAndSpreadOfRounds) {
   EXPECT_DOUBLE_EQ(2.5, cell.overhead_pct);
   EXPECT_DOUBLE_EQ(8.75, cell.overhead_pct_spread);
   EXPECT_THROW((void)summarize_cancellation({1.0}, {}), std::invalid_argument);
+}
+
+// The saturation ablation is each mode's median plus the quartile
+// spread of the per-round speedups, the same summary as the
+// cancellation cell.
+TEST(Reporting, SaturationCellIsMediansAndSpreadOfRounds) {
+  const auto rounds = [](const char* mode, std::vector<double> qps) {
+    std::vector<ServingSaturation> out;
+    for (const double q : qps) out.push_back({mode, 64, q, q / 100});
+    return out;
+  };
+  // Per-round speedups: 2, 3, 4, 5.
+  const ServingSaturationAblation cell = summarize_saturation(
+      rounds("unbatched", {100, 100, 100, 100}),
+      rounds("batched", {200, 300, 400, 500}));
+  EXPECT_EQ(4, cell.rounds);
+  EXPECT_EQ("unbatched", cell.unbatched.mode);
+  EXPECT_EQ("batched", cell.batched.mode);
+  EXPECT_EQ(64, cell.batched.queries);
+  EXPECT_DOUBLE_EQ(100.0, cell.unbatched.qps);
+  EXPECT_DOUBLE_EQ(350.0, cell.batched.qps);
+  EXPECT_DOUBLE_EQ(3.5, cell.batched.mean_wave);
+  EXPECT_DOUBLE_EQ(3.5, cell.batched_speedup);
+  EXPECT_DOUBLE_EQ(1.5, cell.batched_speedup_spread);
+  EXPECT_THROW((void)summarize_saturation(rounds("unbatched", {1.0}), {}),
+               std::invalid_argument);
+}
+
+// v7 keys: the saturation rounds and speedup spread, and a wave-width
+// histogram on every open-loop cell.
+TEST(Reporting, ServingJsonCarriesV7Keys) {
+  const std::string path = ::testing::TempDir() + "bitgb-serving-v7.json";
+  ServingRatePoint pt;
+  pt.mode = "batched";
+  pt.wave_width_hist = {5, 0, 2};
+  write_serving_bench_json(path, "g", 1, 1, 1, true,
+                           summarize_saturation(
+                               {{"unbatched", 8, 10.0, 1.0}},
+                               {{"batched", 8, 30.0, 8.0}}),
+                           {pt}, {}, {}, {});
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  for (const char* key :
+       {"\"schema\": \"bitgb-serving-bench-v7\"", "\"saturation_rounds\": 1",
+        "\"saturation_batched_speedup\": 3",
+        "\"saturation_batched_speedup_spread\": 0",
+        "\"wave_width_hist\": [5, 0, 2]"}) {
+    EXPECT_NE(std::string::npos, json.find(key)) << key;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(DeviceProfile, ProfilesDescribeContexts) {

@@ -232,6 +232,50 @@ TEST_P(BmmTest, MaskedSumOverSingleRowFullAndEmptyRowMaskTiles) {
   });
 }
 
+// Tile-row 2 holds most of the work: its mask covers every tile column
+// and three quarters of B's rows are dense.  The other tile-rows mask
+// one tile each, over an empty B tile-row except in the first and last
+// tile-row.  The work-weighted split then starts several ranges at the
+// tile-row after the heavy one, so at 3 and 4 workers some ranges are
+// empty.
+TEST_P(BmmTest, MaskedSumWithOneTileRowHoldingMostVisits) {
+  const int dim = GetParam();
+  dispatch_tile_dim(dim, [&]<int Dim>() {
+    std::mt19937_64 rng(91);
+    const vidx_t n = 211;
+    const vidx_t inner = 400;
+    const vidx_t nb = 400;
+    const vidx_t dense_b = 300;  // B rows below this are dense, the rest empty
+    const vidx_t ntr = (n + Dim - 1) / Dim;
+    Coo ac{n, inner, {}, {}, {}};
+    Coo mc{n, nb, {}, {}, {}};
+    for (vidx_t i = 0; i < n; ++i) {
+      const vidx_t tr = i / Dim;
+      for (int k = 0; k < (tr == 2 ? 60 : 3); ++k) {
+        ac.push(i, static_cast<vidx_t>(rng() % inner));
+      }
+      if (tr == 2) {
+        for (vidx_t j = 0; j < nb; j += Dim) mc.push(i, j);
+      } else if (i % Dim == 0) {
+        const bool light_hit = tr == 0 || tr == ntr - 1;
+        const vidx_t j0 = light_hit ? 0 : nb - Dim;
+        for (vidx_t c = 0; c < Dim; ++c) mc.push(i, j0 + c);
+      }
+    }
+    Coo bc{nb, inner, {}, {}, {}};
+    for (vidx_t j = 0; j < dense_b; ++j) {
+      for (int k = 0; k < 40; ++k) {
+        bc.push(j, static_cast<vidx_t>(rng() % inner));
+      }
+    }
+    const Csr a = coo_to_csr(ac);
+    const Csr b = coo_to_csr(bc);
+    const Csr mask = coo_to_csr(mc);
+    ASSERT_GT(test::ref_abt_masked_sum(a, b, mask), 0);
+    expect_masked_sum<Dim>(a, b, mask, "one tile-row holding most visits");
+  });
+}
+
 TEST_P(BmmTest, EmptyOperandsGiveZero) {
   const int dim = GetParam();
   const Csr empty = coo_to_csr(Coo{32, 32, {}, {}, {}});

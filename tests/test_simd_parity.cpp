@@ -5,13 +5,15 @@
 // multiples of any tile dim) and an all-ones complete graph, at all
 // four tile dims.  frontier_row_accum also runs on synthetic tile-rows
 // (every B2SR-4 tile pattern, a long random B2SR-8 row, tail tile
-// columns of every width).  The integer entries (OR / popcount-add)
-// are exact, and the semiring entry's two bodies fold the same float
-// lanes in the same order, so every comparison is ==, not a
-// tolerance.  The kernels' own semantics are pinned against dense
-// references in test_bmv, test_bmm and test_bmv_masked; this suite
-// pins the two engine bodies to each other, plus the semiring kernel's
-// thread-count invariance and the batched push/pull duality.
+// columns of every width), and masked_row_dot on synthetic B
+// tile-rows of every length 0..40 at dims 4 and 8.  The integer
+// entries (OR / popcount-add) are exact, and the semiring entry's two
+// bodies fold the same float lanes in the same order, so every
+// comparison is ==, not a tolerance.  The kernels' own semantics are
+// pinned against dense references in test_bmv, test_bmm and
+// test_bmv_masked; this suite pins the two engine bodies to each
+// other, plus the semiring kernel's thread-count invariance and the
+// batched push/pull duality.
 #include "core/bmv.hpp"
 #include "core/frontier_batch.hpp"
 #include "core/pack.hpp"
@@ -229,6 +231,73 @@ TEST_P(SimdParityTest, MaskedRowDot) {
       std::fill(dense.begin(), dense.end(), word_t{0});
     });
   });
+}
+
+// Synthetic masked_row_dot inputs at the two byte-tile dims.  B
+// tile-rows of every length 0..40 (every tail length around the AVX2
+// dim-4 body's 8-tile step, and up to five whole steps), each starting
+// and ending on the last tile column, the gather's highest address.
+// The dense A row holds all-zero tiles at every even tile column.  The
+// mask tiles have 1-4 set rows, one per non-empty pattern of four rows
+// (rows 2r or 2r + 1 at dim 8).
+TEST(SimdMaskedRowDot, EveryRowLengthAndMaskRowPattern) {
+  for (const int dim : {4, 8}) {
+    dispatch_tile_dim(dim, [&]<int Dim>() {
+      using word_t = typename TileTraits<Dim>::word_t;
+      constexpr vidx_t kTileCols = 38;
+      constexpr int kMaxLen = 40;
+      std::mt19937_64 rng(static_cast<std::uint64_t>(107 + Dim));
+      const auto random_word = [&] {
+        return static_cast<word_t>((rng() | 1u) & low_mask<word_t>(Dim));
+      };
+      std::vector<word_t> dense(static_cast<std::size_t>(kTileCols) * Dim);
+      for (vidx_t k = 1; k < kTileCols; k += 2) {
+        for (int r = 0; r < Dim; ++r) {
+          dense[static_cast<std::size_t>(k) * Dim + r] =
+              static_cast<word_t>(rng() & low_mask<word_t>(Dim));
+        }
+      }
+      std::vector<word_t> tiles;
+      std::vector<vidx_t> colind;
+      std::vector<vidx_t> rowptr{0};
+      for (int len = 0; len <= kMaxLen; ++len) {
+        for (int t = 0; t < len; ++t) {
+          for (int r = 0; r < Dim; ++r) {
+            tiles.push_back(static_cast<word_t>(rng() & low_mask<word_t>(Dim)));
+          }
+          colind.push_back(t == 0 || t == len - 1
+                               ? kTileCols - 1
+                               : static_cast<vidx_t>(rng() % kTileCols));
+        }
+        rowptr.push_back(static_cast<vidx_t>(colind.size()));
+      }
+      int mismatches = 0;
+      std::string first;
+      for (unsigned pattern = 1; pattern < 16; ++pattern) {
+        std::array<word_t, Dim> mask{};
+        for (int r = 0; r < 4; ++r) {
+          if ((pattern >> r) & 1u) {
+            mask[static_cast<std::size_t>(r * (Dim / 4) +
+                                          pattern % (Dim / 4))] = random_word();
+          }
+        }
+        for (int len = 0; len <= kMaxLen; ++len) {
+          const vidx_t lo = rowptr[static_cast<std::size_t>(len)];
+          const vidx_t hi = rowptr[static_cast<std::size_t>(len) + 1];
+          const std::int64_t want = simd::portable::masked_row_dot<Dim>(
+              dense.data(), colind.data(), tiles.data(), lo, hi, mask.data());
+          const std::int64_t got = simd::masked_row_dot<Dim>(
+              dense.data(), colind.data(), tiles.data(), lo, hi, mask.data());
+          if (want != got && mismatches++ == 0) {
+            first = "row pattern " + std::to_string(pattern) + ", length " +
+                    std::to_string(len) + ": " + std::to_string(want) +
+                    " != " + std::to_string(got);
+          }
+        }
+      }
+      EXPECT_EQ(0, mismatches) << "dim " << Dim << ", first: " << first;
+    });
+  }
 }
 
 /// Non-zero starting accumulator words: both frontier_row_accum bodies
