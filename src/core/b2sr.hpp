@@ -62,10 +62,6 @@ struct B2srT {
     return {bits.data() + static_cast<std::size_t>(t) * Dim,
             static_cast<std::size_t>(Dim)};
   }
-  [[nodiscard]] std::span<word_t> tile_mut(vidx_t t) {
-    return {bits.data() + static_cast<std::size_t>(t) * Dim,
-            static_cast<std::size_t>(Dim)};
-  }
 
   /// Number of nonzero elements (popcount over all tiles, through the
   /// SIMD engine).

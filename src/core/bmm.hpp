@@ -20,7 +20,8 @@
 // j, reading A's tile for each B tile column straight from the dense
 // row (a missing one is all-zero), and the same tiles are cleared
 // before the next tile-row.  The tile-rows split into one contiguous
-// range per worker, balanced by mask-tile count; each range owns one
+// range per worker, balanced by the B tiles their mask tiles visit
+// (one pre-pass over the mask; none at 1 thread); each range owns one
 // dense row of about ncols * sizeof(word_t) bytes (64 KiB for a
 // 65536-column B2SR-4 matrix).
 //

@@ -16,6 +16,11 @@ constexpr FormatSet kBuiltTileDim = 1u << 30;
 constexpr FormatSet kBuiltFingerprint = 1u << 31;
 constexpr FormatSet kPublicFormatMask = kAllFormats;
 
+/// The §III-C advisor's sample: Algorithm 1 rows and RNG seed, fixed so
+/// a graph's tile dim is reproducible.
+constexpr vidx_t kSampleRows = 256;
+constexpr std::uint64_t kSampleSeed = 0x5eed;
+
 /// The one audited escape for the whole lazy cache: double-checked
 /// publication.  The fast path reads `built` with acquire order and, on
 /// a set bit, reads the slot with NO lock — safe because the slot was
@@ -65,9 +70,9 @@ int Graph::tile_dim() const {
     if (opts_.tile_dim != 0) return opts_.tile_dim;
     // The §III-C workflow, run at the first B2SR-side request rather
     // than at construction: sample, estimate compression per dim, pick
-    // the best.  Seeded from GraphOptions for reproducibility.
+    // the best.
     const SamplingProfile prof =
-        sample_profile(csr_, opts_.sample_rows, opts_.sample_seed);
+        sample_profile(csr_, kSampleRows, kSampleSeed);
     return prof.recommended_dim();
   });
 }
@@ -141,13 +146,6 @@ std::uint64_t Graph::fingerprint() const {
   Lazy& l = *lazy_;
   return materialize(l.built, kBuiltFingerprint, l.fp_mu, l.fp,
                      [&] { return snap::csr_fingerprint(csr_); });
-}
-
-Graph Graph::clone() const {
-  Graph g;
-  g.csr_ = csr_;
-  g.opts_ = opts_;
-  return g;
 }
 
 }  // namespace bitgb::gb

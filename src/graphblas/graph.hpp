@@ -69,8 +69,6 @@ struct GraphOptions {
   bool symmetrize = true;      ///< undirected adjacency (BFS/SSSP/CC/TC)
   bool strip_self_loops = true;
   int tile_dim = 0;            ///< 4/8/16/32, or 0 = pick via sampling
-  vidx_t sample_rows = 256;    ///< Algorithm-1 sample size when tile_dim==0
-  std::uint64_t sample_seed = 0x5eed;  ///< sampling RNG seed
   /// Execution policy for format materialization (packing, transposes):
   /// the ingest side of the handle, distinct from any query's Context.
   Exec ingest{};
@@ -130,10 +128,6 @@ class Graph {
   /// server-side warm-up (kReferenceFormats / kBitFormats /
   /// kAllFormats, or any combination of Format bits).
   void prewarm(FormatSet want) const;
-
-  /// Deep copy (Graphs are move-only; copying a handle is almost always
-  /// a mistake, so it is spelled out).  Caches restart cold.
-  [[nodiscard]] Graph clone() const;
 
   /// 64-bit content fingerprint of the canonical adjacency pattern
   /// (cached after the first call).  Equal fingerprints serve

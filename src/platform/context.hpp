@@ -60,7 +60,7 @@ struct Context {
 
   /// The core-kernel execution policy slice of this descriptor.
   [[nodiscard]] constexpr Exec exec() const {
-    return Exec{.threads = threads, .cancel = cancel};
+    return Exec{.threads = threads};
   }
 
   /// The cancellation poll (one branch when no token is armed).

@@ -158,29 +158,4 @@ void pool_run(std::int64_t begin, std::int64_t end, std::int64_t chunk,
 
 }  // namespace detail
 
-void atomic_min_float(float* cell, float v) noexcept {
-  std::atomic_ref<float> ref(*cell);
-  float cur = ref.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !ref.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_add_float(float* cell, float v) noexcept {
-  std::atomic_ref<float> ref(*cell);
-  float cur = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_or_u32(std::uint32_t* cell, std::uint32_t v) noexcept {
-  // std::atomic_ref, like the float CAS helpers above: casting the
-  // plain uint32_t* to std::atomic<uint32_t>* is undefined behavior by
-  // the standard even where the object layouts happen to agree.
-  static_assert(std::atomic_ref<std::uint32_t>::is_always_lock_free,
-                "frontier word OR must be a lock-free RMW");
-  std::atomic_ref<std::uint32_t> ref(*cell);
-  ref.fetch_or(v, std::memory_order_relaxed);
-}
-
 }  // namespace bitgb

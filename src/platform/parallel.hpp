@@ -178,15 +178,4 @@ void parallel_exclusive_scan(int width, const T* counts, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) out[i + 1] = out[i] + counts[i];
 }
 
-/// Atomic float min on a shared cell (atomicMin analog for the sub-warp
-/// tile variants, paper §V SSSP/CC).  Implemented as a CAS loop because
-/// C++ has no atomic float min.
-void atomic_min_float(float* cell, float v) noexcept;
-
-/// Atomic float add on a shared cell (atomicAdd analog, paper §V PR/TC).
-void atomic_add_float(float* cell, float v) noexcept;
-
-/// Atomic OR on a packed bit-vector word (frontier updates).
-void atomic_or_u32(std::uint32_t* cell, std::uint32_t v) noexcept;
-
 }  // namespace bitgb

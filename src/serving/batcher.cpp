@@ -5,6 +5,7 @@
 #include "algorithms/pagerank.hpp"
 #include "core/frontier_batch.hpp"
 #include "platform/cancel.hpp"
+#include "serving/server.hpp"
 
 #include <algorithm>
 #include <array>
@@ -20,36 +21,24 @@ namespace {
 
 using RequestIt = std::vector<Request*>::iterator;
 
-/// Fulfill a promise that MAY already be satisfied (a wave that threw
-/// partway fulfilled a prefix of its requests first).  Returns whether
-/// this call did the fulfilling.  Never throws: promise_already_
-/// satisfied is expected here, and anything else would mean the promise
-/// has no shared state — either way the right move is to move on.
-bool try_fulfill(Request& r, Reply&& reply) noexcept {
-  try {
-    r.promise.set_value(std::move(reply));
-    return true;
-  } catch (const std::future_error&) {
-    return false;
-  }
-}
-
-/// Fulfill one request with a shed status (no result payload).
+/// Resolve one request with a shed status (no result payload).
 /// `iterations` > 0 records a cooperatively-aborted wave's progress.
-void shed(Request& r, Status status, clock::time_point now,
+void shed(Ledger& ledger, Request& r, Status status, clock::time_point now,
           int iterations = 0) {
   Reply reply = make_reply(r, status, now, now);
   reply.iterations = iterations;
-  try_fulfill(r, std::move(reply));
+  ledger.resolve(r, std::move(reply));
 }
 
-/// Fulfill one request with kInternalError carrying the contained
-/// exception's text.  Returns whether the promise was still pending
-/// (false = the wave fulfilled it kOk before throwing).
-bool fulfill_error(Request& r, const char* what, clock::time_point now) {
+/// Resolve one request kInternalError carrying the contained
+/// exception's text, unless it is already resolved (the wave answered
+/// it kOk before throwing).
+void fail_pending(Ledger& ledger, Request& r, const char* what,
+                  clock::time_point now) {
+  if (r.resolved) return;
   Reply reply = make_reply(r, Status::kInternalError, now, now);
   reply.error = what != nullptr ? what : "unknown exception";
-  return try_fulfill(r, std::move(reply));
+  ledger.resolve(r, std::move(reply));
 }
 
 /// The latest deadline aboard [first, last): the wave keeps running
@@ -63,19 +52,14 @@ clock::time_point wave_deadline(RequestIt first, RequestIt last) {
   return latest;
 }
 
-/// How one wave resolved its requests (kOk vs mid-flight shed).
-struct WaveServed {
-  int ok = 0;
-  int shed = 0;
-};
-
 /// Single-request traversal path: the plain single-source algorithms —
 /// what the wave rule picks below the slot's break-even width, and the
 /// execution model of the unbatched (max_batch = 1) ablation.  The
 /// request's own start stamp also times the run into the slot's
-/// single-run mean.
-WaveServed serve_single_traversal(const Context& ctx, Request& r,
-                                  algo::Workspace& ws) {
+/// single-run mean.  Like every serve_* below, returns whether it
+/// answered (false: its deadline cancelled it mid-flight).
+bool serve_single_traversal(const Context& ctx, Request& r,
+                            algo::Workspace& ws, Ledger& ledger) {
   CancelToken token(r.deadline);
   const Context wctx = r.deadline < clock::time_point::max()
                            ? ctx.with_cancel(&token)
@@ -86,8 +70,8 @@ WaveServed serve_single_traversal(const Context& ctx, Request& r,
   algo::bfs(wctx, g, {r.source}, ws, out);
   const clock::time_point done = clock::now();
   if (token.cancelled()) {
-    shed(r, Status::kShedDeadline, done);
-    return {0, 1};
+    shed(ledger, r, Status::kShedDeadline, done);
+    return false;
   }
   r.slot->traversal_cost(r.kind).single.add(done - started);
 
@@ -101,8 +85,8 @@ WaveServed serve_single_traversal(const Context& ctx, Request& r,
           static_cast<std::uint8_t>(out.levels[v] != algo::kUnreached);
     }
   }
-  try_fulfill(r, std::move(reply));
-  return {1, 0};
+  ledger.resolve(r, std::move(reply));
+  return true;
 }
 
 /// One same-graph traversal wave: every live source rides one batched
@@ -111,8 +95,9 @@ WaveServed serve_single_traversal(const Context& ctx, Request& r,
 /// every rider has expired, so cancellation never discards work
 /// somebody is still waiting on.  The sweep is timed into the slot's
 /// wave mean.
-WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
-                                RequestIt last, algo::Workspace& ws) {
+bool serve_traversal_wave(const Context& ctx, RequestIt first,
+                          RequestIt last, algo::Workspace& ws,
+                          Ledger& ledger) {
   const auto width = static_cast<int>(last - first);
   const clock::time_point latest = wave_deadline(first, last);
   CancelToken token(latest);
@@ -138,9 +123,9 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
   const clock::time_point done = clock::now();
   if (token.cancelled()) {
     for (auto it = first; it != last; ++it) {
-      shed(**it, Status::kShedDeadline, done);
+      shed(ledger, **it, Status::kShedDeadline, done);
     }
-    return {0, width};
+    return false;
   }
   slot.traversal_cost(kind).wave.add(done - started);
 
@@ -166,10 +151,10 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
       }
     }
     for (int k = 0; k < count; ++k) {
-      try_fulfill(*first[g0 + k], std::move(staged[k]));
+      ledger.resolve(*first[g0 + k], std::move(staged[k]));
     }
   }
-  return {width, 0};
+  return true;
 }
 
 /// One same-graph components wave: every request in the partition reads
@@ -179,8 +164,9 @@ WaveServed serve_traversal_wave(const Context& ctx, RequestIt first,
 /// never become the registration's answer.  Fault injection stays armed
 /// — a throwing memo attempt is retryable (the slot treats it as not
 /// having run), so a poisoned attempt is never cached either.
-WaveServed serve_components_wave(const Context& ctx, RequestIt first,
-                                 RequestIt last, algo::Workspace& ws) {
+bool serve_components_wave(const Context& ctx, RequestIt first,
+                           RequestIt last, algo::Workspace& ws,
+                           Ledger& ledger) {
   const clock::time_point started = clock::now();
   const auto width = static_cast<int>(last - first);
   const GraphSlot& slot = *(*first)->slot;
@@ -191,9 +177,9 @@ WaveServed serve_components_wave(const Context& ctx, RequestIt first,
     Reply reply = make_reply(r, Status::kOk, started, done, width);
     reply.component = cc.component;
     reply.iterations = cc.iterations;
-    try_fulfill(r, std::move(reply));
+    ledger.resolve(r, std::move(reply));
   }
-  return {width, 0};
+  return true;
 }
 
 /// PageRank runs per-request: the params travelled in the request, the
@@ -201,8 +187,8 @@ WaveServed serve_components_wave(const Context& ctx, RequestIt first,
 /// the next iteration boundary; the shed reply's `iterations` records
 /// how many iterations ran before the token fired (< the requested
 /// max — the proof the query stopped burning its budget).
-WaveServed serve_pagerank(const Context& ctx, Request& r,
-                          algo::Workspace& ws) {
+bool serve_pagerank(const Context& ctx, Request& r, algo::Workspace& ws,
+                    Ledger& ledger) {
   const clock::time_point started = clock::now();
   CancelToken token(r.deadline);
   const Context wctx = r.deadline < clock::time_point::max()
@@ -212,15 +198,15 @@ WaveServed serve_pagerank(const Context& ctx, Request& r,
   auto& out = ws.slot<algo::PageRankResult>("serving.pagerank_out");
   algo::pagerank(wctx, g, r.pagerank, ws, out);
   if (token.cancelled()) {
-    shed(r, Status::kShedDeadline, clock::now(), out.iterations);
-    return {0, 1};
+    shed(ledger, r, Status::kShedDeadline, clock::now(), out.iterations);
+    return false;
   }
 
   Reply reply = make_reply(r, Status::kOk, started, clock::now(), 1);
   reply.rank = out.rank;
   reply.iterations = out.iterations;
-  try_fulfill(r, std::move(reply));
-  return {1, 0};
+  ledger.resolve(r, std::move(reply));
+  return true;
 }
 
 }  // namespace
@@ -242,17 +228,14 @@ Reply make_reply(const Request& r, Status status, clock::time_point started,
   return reply;
 }
 
-int fail_unfulfilled(std::vector<Request>& batch, const char* what) noexcept {
-  int filled = 0;
-  for (auto& r : batch) {
-    if (fulfill_error(r, what, clock::now())) ++filled;
-  }
-  return filled;
+void fail_unfulfilled(std::vector<Request>& batch, const char* what,
+                      Ledger& ledger) noexcept {
+  for (auto& r : batch) fail_pending(ledger, r, what, clock::now());
 }
 
 void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
                  std::vector<Request>& batch, algo::Workspace& ws,
-                 std::vector<int>& wave_widths, BatchOutcome& outcome) {
+                 Ledger& ledger) {
   if (batch.empty()) return;
   assert(batch.size() <=
          static_cast<std::size_t>(FrontierBatch::kMaxBatch));
@@ -265,49 +248,38 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
   live.clear();
   for (auto& r : batch) {
     if (r.deadline < now) {
-      shed(r, Status::kShedDeadline, now);
-      ++outcome.shed_deadline;
+      shed(ledger, r, Status::kShedDeadline, now);
     } else {
       live.push_back(&r);
     }
   }
   if (live.empty()) return;
 
-  // Resolve one wave's WaveServed into the outcome + breaker: a wave
-  // with at least one kOk answer is health evidence (close the
-  // breaker) and is recorded as a wave; a fully-shed wave judged
-  // nothing (release any probe).
-  auto settle_wave = [&](const WaveServed& served, CircuitBreaker& cb,
-                         int width) {
-    outcome.executed += served.ok;
-    outcome.shed_deadline += served.shed;
-    if (served.ok > 0) {
-      cb.record_success();
-      wave_widths.push_back(width);
-    } else {
-      cb.abandon_probe();
-    }
-  };
   // A wave threw: contain it.  Every request of the wave that was not
-  // already fulfilled kOk before the throw resolves kInternalError; the
+  // already answered before the throw resolves kInternalError; the
   // breaker records the failure.
   auto settle_throw = [&](RequestIt first, RequestIt last,
                           CircuitBreaker& cb, const char* what) {
     const clock::time_point failed_at = clock::now();
-    int errs = 0;
     for (auto it = first; it != last; ++it) {
-      if (fulfill_error(**it, what, failed_at)) ++errs;
+      fail_pending(ledger, **it, what, failed_at);
     }
-    outcome.failed += errs;
-    outcome.executed += static_cast<int>(last - first) - errs;
     cb.record_failure(breaker, failed_at);
   };
   // The one containment path: `serve` runs the failure domain
-  // [first, last) and whatever it throws stays inside that domain.
+  // [first, last) and whatever it throws stays inside that domain.  A
+  // wave that answered is health evidence (close the breaker) and is
+  // counted as a wave; a wave its deadlines shed judged nothing
+  // (release any probe).
   auto contain = [&](RequestIt first, RequestIt last, CircuitBreaker& cb,
                      auto&& serve) {
     try {
-      settle_wave(serve(), cb, static_cast<int>(last - first));
+      if (serve()) {
+        cb.record_success();
+        ledger.wave(static_cast<int>(last - first));
+      } else {
+        cb.abandon_probe();
+      }
     } catch (const std::exception& e) {
       settle_throw(first, last, cb, e.what());
     } catch (...) {
@@ -336,9 +308,8 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
     if (!cb.allow(breaker, clock::now())) {
       const clock::time_point shed_at = clock::now();
       for (auto it = begin; it != end; ++it) {
-        shed(**it, Status::kShedCircuitOpen, shed_at);
+        shed(ledger, **it, Status::kShedCircuitOpen, shed_at);
       }
-      outcome.shed_circuit += width;
       begin = end;
       continue;
     }
@@ -349,12 +320,14 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
     if (ctx.fault != nullptr) ctx.fault->on_wave();
 
     if (kind == QueryKind::kComponents) {
-      contain(begin, end, cb,
-              [&] { return serve_components_wave(ctx, begin, end, ws); });
+      contain(begin, end, cb, [&] {
+        return serve_components_wave(ctx, begin, end, ws, ledger);
+      });
     } else if (kind != QueryKind::kPagerank &&
                slot->traversal_cost(kind).wave_pays(width)) {
-      contain(begin, end, cb,
-              [&] { return serve_traversal_wave(ctx, begin, end, ws); });
+      contain(begin, end, cb, [&] {
+        return serve_traversal_wave(ctx, begin, end, ws, ledger);
+      });
     } else {
       // One by one: pagerank (params differ per request, so nothing
       // coalesces), or a traversal run the wave rule says is cheaper
@@ -364,14 +337,13 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
       // trip it mid-partition and the remainder sheds fast.
       for (auto it = begin; it != end; ++it) {
         if (it != begin && !cb.allow(breaker, clock::now())) {
-          shed(**it, Status::kShedCircuitOpen, clock::now());
-          ++outcome.shed_circuit;
+          shed(ledger, **it, Status::kShedCircuitOpen, clock::now());
           continue;
         }
         contain(it, it + 1, cb, [&] {
           return kind == QueryKind::kPagerank
-                     ? serve_pagerank(ctx, **it, ws)
-                     : serve_single_traversal(ctx, **it, ws);
+                     ? serve_pagerank(ctx, **it, ws, ledger)
+                     : serve_single_traversal(ctx, **it, ws, ledger);
         });
       }
     }

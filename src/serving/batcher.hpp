@@ -26,9 +26,14 @@
 //     rarely describe the same computation, so there is nothing to
 //     coalesce.
 //
-// A request run on its own is a width-1 wave with its own start stamp,
-// so Reply::queue_ms includes the runs ahead of it and the server's
-// wave counters agree with Reply::batch_width.
+// Accounting: every request resolves through the server's Ledger
+// (serving/server.hpp), which counts it under its kind and status
+// before fulfilling its promise and sets its `resolved` flag, the one
+// record the containment sweeps read.  A wave that answers its riders
+// is counted there once it returns.  A request run on its own is a
+// width-1 wave with its own start stamp, so Reply::queue_ms includes
+// the runs ahead of it and the ledger's wave counters agree with
+// Reply::batch_width.
 //
 // Batched and unbatched answers are bit-identical: msbfs's level
 // matrix equals independent bfs() runs column for column (test_batched
@@ -42,7 +47,7 @@
 // Failure domains (see BUILDING.md "Failure model"): each wave is its
 // own containment boundary.  A wave that throws — allocator
 // exhaustion, a kernel fault, anything escaping the algorithms —
-// fulfills exactly its own requests with Status::kInternalError (the
+// resolves exactly its own pending requests kInternalError (the
 // exception text rides in Reply::error), records the failure on the
 // slot's circuit breaker, and the worker carries on with the next
 // partition; serve_batch itself never lets an exception escape past
@@ -65,36 +70,24 @@
 
 namespace bitgb::serving {
 
-/// What one serve() call did, for the server's counters.
-struct BatchOutcome {
-  int executed = 0;       ///< requests answered kOk
-  int shed_deadline = 0;  ///< requests expired before or during execution
-  int shed_circuit = 0;   ///< requests shed by an open circuit breaker
-  int failed = 0;         ///< requests fulfilled kInternalError (their
-                          ///< wave threw; the worker survived)
-};
+class Ledger;  // serving/server.hpp
 
 /// Serve `batch` (all the same QueryKind, 1..64 requests, possibly
 /// spanning graphs) on behalf of one worker: shed expired requests,
 /// partition by slot, gate each partition through its slot's circuit
 /// breaker (tuned by `breaker`), run each admitted partition as one
 /// cancellable wave or, where no wave pays, one request at a time, and
-/// fulfill every promise.  Counts accumulate into `outcome` AS requests
-/// resolve — an out-parameter so a throw (see below) cannot discard the
-/// accounting of already-fulfilled requests.  Each executed wave's
-/// width is appended to `wave_widths` (not cleared — the caller owns
-/// the scratch), the one record the server's wave counters read.
-/// `batch` is left in moved-from state.
+/// resolve every request through `ledger`, which also counts each
+/// wave that answered.
 ///
 /// Exception safety: a throwing wave is contained inside this call —
 /// its requests resolve kInternalError, later partitions still run.
 /// serve_batch only lets an exception escape if its OWN scratch setup
-/// fails (e.g. OOM sizing the partition vector); even then every
-/// already-resolved request has been counted in `outcome`, and the
-/// caller fails whatever is still unfulfilled via fail_unfulfilled.
+/// fails (e.g. OOM sizing the partition vector); the caller then fails
+/// whatever is still unresolved via fail_unfulfilled.
 void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
                  std::vector<Request>& batch, algo::Workspace& ws,
-                 std::vector<int>& wave_widths, BatchOutcome& outcome);
+                 Ledger& ledger);
 
 /// The header every reply carries, whichever path resolves it (the
 /// worker's waves and sheds, the server's admission refusals): the
@@ -106,12 +99,12 @@ void serve_batch(const Context& ctx, const CircuitBreakerPolicy& breaker,
                                clock::time_point started,
                                clock::time_point completed, int width = 0);
 
-/// Last-ditch containment: fulfill every request in `batch` whose
-/// promise is still unsatisfied with kInternalError (carrying `what`),
-/// returning how many were filled.  Idempotent over partially-served
-/// batches — already-fulfilled promises are skipped, so the worker can
-/// sweep the whole batch after a serve_batch throw without knowing how
-/// far it got.  Never throws.
-int fail_unfulfilled(std::vector<Request>& batch, const char* what) noexcept;
+/// Last-ditch containment: resolve every request in `batch` not yet
+/// resolved with kInternalError (carrying `what`).  Idempotent over
+/// partially-served batches — resolved requests are skipped, so the
+/// worker can sweep the whole batch after a serve_batch throw without
+/// knowing how far it got.  Never throws.
+void fail_unfulfilled(std::vector<Request>& batch, const char* what,
+                      Ledger& ledger) noexcept;
 
 }  // namespace bitgb::serving

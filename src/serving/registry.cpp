@@ -45,50 +45,27 @@ GraphRef GraphRegistry::add(std::string name, gb::Graph g,
   // the slot (generation, memos, breaker state) is replaced.  The
   // fingerprint is two CRC passes over the CSR — noise next to the
   // prewarm it saves.
-  {
-    GraphRef existing;
-    {
-      const SharedLock lk(m_);
-      const auto it =
-          std::find_if(slots_.begin(), slots_.end(),
-                       [&](const auto& p) { return p.first == name; });
-      if (it != slots_.end()) existing = it->second;
-    }
-    if (existing && existing->graph().num_vertices() == g.num_vertices() &&
-        existing->graph().num_edges() == g.num_edges() &&
-        (existing->graph().formats() & warm) == warm &&
-        existing->graph().fingerprint() == g.fingerprint()) {
-      std::uint64_t generation;
-      {
-        const MutexLock lk(m_);
-        generation = next_generation_++;
-      }
-      auto slot = std::make_shared<const GraphSlot>(
-          name, generation, existing->shared_graph());
-      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-      const MutexLock lk(m_);
-      for (auto& [n, s] : slots_) {
-        if (n == name) {
-          s = slot;
-          return slot;
-        }
-      }
-      slots_.emplace_back(std::move(name), slot);
-      return slot;
-    }
+  std::shared_ptr<const gb::Graph> graph;
+  const GraphRef existing = lookup(name);
+  if (existing && existing->graph().num_vertices() == g.num_vertices() &&
+      existing->graph().num_edges() == g.num_edges() &&
+      (existing->graph().formats() & warm) == warm &&
+      existing->graph().fingerprint() == g.fingerprint()) {
+    graph = existing->shared_graph();
+    dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Prewarm before publication: materialization is the expensive
+    // part, so it runs outside the lock and no query ever observes a
+    // cold slot.
+    g.prewarm(warm);
+    graph = std::make_shared<const gb::Graph>(std::move(g));
   }
 
-  // Prewarm before publication: materialization is the expensive part,
-  // so it runs outside the lock and no query ever observes a cold slot.
-  g.prewarm(warm);
-  std::uint64_t generation;
-  {
-    const MutexLock lk(m_);
-    generation = next_generation_++;
-  }
-  auto slot = std::make_shared<const GraphSlot>(
-      name, generation, std::make_shared<const gb::Graph>(std::move(g)));
+  // Publish: the generation and the map entry change in one lock hold,
+  // so the latest generation is always the one registered.
   const MutexLock lk(m_);
+  auto slot = std::make_shared<const GraphSlot>(name, next_generation_++,
+                                                std::move(graph));
   for (auto& [n, s] : slots_) {
     if (n == name) {
       s = slot;  // replace: the old slot drains via its in-flight refs

@@ -11,7 +11,8 @@
 // scattered.  Results travel through std::future — the submitting
 // thread keeps the future, the worker that executes the query fulfills
 // the promise, and shed requests are fulfilled immediately with a shed
-// status so no future is ever left dangling.
+// status so no future is ever left dangling.  Every fulfilment goes
+// through the server's Ledger, which counts the request first.
 #pragma once
 
 #include "algorithms/pagerank.hpp"
@@ -158,6 +159,9 @@ struct Request {
   /// Stamped by Server::submit; queue_ms telemetry measures from here.
   clock::time_point submitted{};
   std::promise<Reply> promise;
+  /// Set by Ledger::resolve (serving/server.hpp), the one place the
+  /// promise is fulfilled, by whichever thread owns the request.
+  bool resolved = false;
 };
 
 }  // namespace bitgb::serving

@@ -5,6 +5,8 @@
 #include "serving/batcher.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -66,11 +68,6 @@ clock::time_point Server::default_deadline_now() const {
              : clock::time_point::max();
 }
 
-void Server::refuse(Request& r, Status status) {
-  const clock::time_point now = clock::now();
-  r.promise.set_value(make_reply(r, status, now, now));
-}
-
 std::future<Reply> Server::submit(std::string_view graph, QueryKind kind,
                                   vidx_t source) {
   return submit(graph, kind, source, default_deadline_now());
@@ -100,9 +97,7 @@ std::future<Reply> Server::submit_resolved(GraphRef slot, QueryKind kind,
         std::to_string(slot->graph().num_vertices()) + ") on graph '" +
         slot->name() + "'");
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  submitted_by_kind_[static_cast<std::size_t>(kind)].fetch_add(
-      1, std::memory_order_relaxed);
+  ledger_.admit(kind);
 
   Request r;
   r.kind = kind;
@@ -112,27 +107,21 @@ std::future<Reply> Server::submit_resolved(GraphRef slot, QueryKind kind,
   r.deadline = deadline;
   r.submitted = clock::now();
   std::future<Reply> fut = r.promise.get_future();
-  if (r.slot == nullptr) {
-    // Unknown name: accounted, and the future resolves immediately —
-    // a routing miss is an answer, not an exception, because the
-    // registry may legitimately have changed between the caller's
-    // lookup and this submit.
-    shed_bad_graph_.fetch_add(1, std::memory_order_relaxed);
-    refuse(r, Status::kBadGraph);
-    return fut;
+  // An unknown name is an answer, not an exception: the registry may
+  // legitimately have changed between the caller's lookup and this
+  // submit.  A refused push is shed at the door with the honest reason
+  // — kFull is overload, kClosed a submit after shutdown() closed
+  // admission — and try_push left the request intact, so the promise
+  // is still ours to fulfill: the future always resolves, never hangs.
+  Status refused = Status::kBadGraph;
+  if (r.slot != nullptr) {
+    const PushOutcome push = queue_.try_push(std::move(r));
+    if (push == PushOutcome::kAccepted) return fut;
+    refused = push == PushOutcome::kClosed ? Status::kShedShutdown
+                                           : Status::kShedQueueFull;
   }
-  const PushOutcome push = queue_.try_push(std::move(r));
-  if (push != PushOutcome::kAccepted) {
-    // Shed at the door — with the honest reason: kFull is overload
-    // (queue at capacity), kClosed is a submit after shutdown() closed
-    // admission.  Either way try_push left the request intact, so the
-    // promise is still ours to fulfill: the future always resolves,
-    // never hangs.
-    const bool closed = push == PushOutcome::kClosed;
-    (closed ? shed_shutdown_ : shed_queue_full_)
-        .fetch_add(1, std::memory_order_relaxed);
-    refuse(r, closed ? Status::kShedShutdown : Status::kShedQueueFull);
-  }
+  const clock::time_point now = clock::now();
+  ledger_.resolve(r, make_reply(r, refused, now, now));
   return fut;
 }
 
@@ -142,49 +131,19 @@ void Server::worker_main() {
   const Context ctx = opts_.context;
   algo::Workspace ws;
   std::vector<Request> batch;
-  std::vector<int> wave_widths;
   batch.reserve(static_cast<std::size_t>(opts_.max_batch));
-  wave_widths.reserve(static_cast<std::size_t>(opts_.max_batch));
   while (queue_.pop_batch(batch, opts_.max_batch) > 0) {
-    const QueryKind kind = batch.front().kind;
-    wave_widths.clear();
-    BatchOutcome outcome;
     try {
-      serve_batch(ctx, opts_.breaker, batch, ws, wave_widths, outcome);
+      serve_batch(ctx, opts_.breaker, batch, ws, ledger_);
     } catch (const std::exception& e) {
       // Last-ditch containment.  serve_batch contains wave failures
       // itself; reaching here means its own scratch setup threw (e.g.
-      // OOM sizing the partition vector).  Everything already resolved
-      // is already counted in `outcome`; whatever is still pending gets
-      // kInternalError now — the worker survives, no promise is ever
-      // abandoned.
-      outcome.failed += fail_unfulfilled(batch, e.what());
+      // OOM sizing the partition vector).  Whatever is still pending
+      // gets kInternalError now — the worker survives, no promise is
+      // ever abandoned.
+      fail_unfulfilled(batch, e.what(), ledger_);
     } catch (...) {
-      outcome.failed += fail_unfulfilled(batch, "unknown exception");
-    }
-    completed_.fetch_add(static_cast<std::uint64_t>(outcome.executed),
-                         std::memory_order_relaxed);
-    completed_by_kind_[static_cast<std::size_t>(kind)].fetch_add(
-        static_cast<std::uint64_t>(outcome.executed),
-        std::memory_order_relaxed);
-    shed_deadline_.fetch_add(static_cast<std::uint64_t>(outcome.shed_deadline),
-                             std::memory_order_relaxed);
-    failed_.fetch_add(static_cast<std::uint64_t>(outcome.failed),
-                      std::memory_order_relaxed);
-    shed_circuit_open_.fetch_add(
-        static_cast<std::uint64_t>(outcome.shed_circuit),
-        std::memory_order_relaxed);
-    std::uint64_t widest = 0;
-    for (const int w : wave_widths) {
-      const auto width = static_cast<std::uint64_t>(w);
-      waves_.fetch_add(1, std::memory_order_relaxed);
-      batched_queries_.fetch_add(width, std::memory_order_relaxed);
-      wave_hist_[wave_hist_bucket(w)].fetch_add(1, std::memory_order_relaxed);
-      widest = std::max(widest, width);
-    }
-    std::uint64_t prev = widest_wave_.load(std::memory_order_relaxed);
-    while (prev < widest && !widest_wave_.compare_exchange_weak(
-                                prev, widest, std::memory_order_relaxed)) {
+      fail_unfulfilled(batch, "unknown exception", ledger_);
     }
   }
 }
@@ -200,30 +159,59 @@ void Server::shutdown() {
 }
 
 ServerStats Server::stats() const {
-  ServerStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_bad_graph = shed_bad_graph_.load(std::memory_order_relaxed);
-  s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
-  s.shed_circuit_open = shed_circuit_open_.load(std::memory_order_relaxed);
-  s.waves = waves_.load(std::memory_order_relaxed);
-  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
-  s.widest_wave = widest_wave_.load(std::memory_order_relaxed);
-  for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
-    s.submitted_by_kind[k] =
-        submitted_by_kind_[k].load(std::memory_order_relaxed);
-    s.completed_by_kind[k] =
-        completed_by_kind_[k].load(std::memory_order_relaxed);
-  }
-  for (std::size_t b = 0; b < kWaveHistBuckets; ++b) {
-    s.wave_width_hist[b] = wave_hist_[b].load(std::memory_order_relaxed);
-  }
+  ServerStats s = ledger_.snapshot();
   s.registry_dedup_hits = registry_.dedup_hits();
   s.graphs_recovered = registry_.recovered_count();
   s.graphs_quarantined = registry_.quarantined_count();
+  return s;
+}
+
+void Ledger::resolve(Request& r, Reply&& reply) {
+  assert(!r.resolved);
+  r.resolved = true;
+  resolved_[static_cast<std::size_t>(r.kind)]
+           [static_cast<std::size_t>(reply.status)]
+               .fetch_add(1, std::memory_order_relaxed);
+  r.promise.set_value(std::move(reply));
+}
+
+void Ledger::wave(int width) {
+  const auto w = static_cast<std::uint64_t>(width);
+  wave_hist_[wave_hist_bucket(width)].fetch_add(1, std::memory_order_relaxed);
+  batched_queries_.fetch_add(w, std::memory_order_relaxed);
+  std::uint64_t prev = widest_wave_.load(std::memory_order_relaxed);
+  while (prev < w && !widest_wave_.compare_exchange_weak(
+                         prev, w, std::memory_order_relaxed)) {
+  }
+}
+
+ServerStats Ledger::snapshot() const {
+  // Each Status's ServerStats field, in Status order.
+  static constexpr std::uint64_t ServerStats::*kStatusField[] = {
+      &ServerStats::completed,     &ServerStats::shed_queue_full,
+      &ServerStats::shed_deadline, &ServerStats::shed_bad_graph,
+      &ServerStats::shed_shutdown, &ServerStats::shed_circuit_open,
+      &ServerStats::failed};
+  static_assert(std::size(kStatusField) == kNumStatuses,
+                "kStatusField out of sync with Status");
+  ServerStats s;
+  for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
+    s.submitted_by_kind[k] = admitted_[k].load(std::memory_order_relaxed);
+    s.submitted += s.submitted_by_kind[k];
+    for (std::size_t st = 0; st < kNumStatuses; ++st) {
+      const std::uint64_t n = resolved_[k][st].load(std::memory_order_relaxed);
+      s.*kStatusField[st] += n;
+      if (st == static_cast<std::size_t>(Status::kOk)) {
+        s.completed_by_kind[k] = n;
+      }
+    }
+  }
+  for (std::size_t b = 0; b < kWaveHistBuckets; ++b) {
+    s.wave_width_hist[b] = wave_hist_[b].load(std::memory_order_relaxed);
+    s.waves += s.wave_width_hist[b];
+  }
+  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
+  s.widest_wave = widest_wave_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -88,9 +88,10 @@ inline constexpr std::size_t kWaveHistBuckets = 7;
   return b < kWaveHistBuckets ? b : kWaveHistBuckets - 1;
 }
 
-/// Monotonic counters, snapshot via Server::stats().  Conservation
-/// invariant — every admitted query resolves exactly one way, so once
-/// the server is drained:
+/// Monotonic counters, snapshot via Server::stats() (kept by Ledger).
+/// Conservation invariant — every admitted query resolves exactly one
+/// way, and is counted before its future resolves, so once every
+/// submitted future has resolved:
 ///
 ///   submitted == completed + failed + shed_queue_full + shed_deadline
 ///              + shed_bad_graph + shed_shutdown + shed_circuit_open
@@ -130,8 +131,9 @@ struct ServerStats {
   std::uint64_t graphs_quarantined = 0;   ///< entries missing/quarantined
 
   /// Everything submitted queries can resolve to — equals `submitted`
-  /// once the server is drained (the conservation invariant the chaos
-  /// suite asserts under faults, churn, and shutdown).
+  /// once every submitted future has resolved (the conservation
+  /// invariant the chaos suite asserts under faults, churn, and
+  /// shutdown).
   [[nodiscard]] std::uint64_t accounted() const {
     return completed + failed + shed_queue_full + shed_deadline +
            shed_bad_graph + shed_shutdown + shed_circuit_open;
@@ -143,6 +145,44 @@ struct ServerStats {
                       : static_cast<double>(batched_queries) /
                             static_cast<double>(waves);
   }
+};
+
+/// The one owner of the served-request counters.  Every admission,
+/// every resolution and every executed wave posts here, where it
+/// happens, and Server::stats() is its snapshot.  A request is counted
+/// under its kind and status before its future resolves, so a caller
+/// holding a reply already sees it counted; wave counters post after
+/// their wave.
+class Ledger {
+ public:
+  /// Count one admitted query of `kind`.
+  void admit(QueryKind kind) {
+    admitted_[static_cast<std::size_t>(kind)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+
+  /// Count `r` once under its kind and `reply.status`, then fulfil its
+  /// promise.  Only the thread that owns `r` calls this, at most once:
+  /// `r.resolved` records that it ran.
+  void resolve(Request& r, Reply&& reply);
+
+  /// Count one executed wave of `width` requests (a request run alone
+  /// is a width-1 wave).
+  void wave(int width);
+
+  /// The counters as ServerStats (the registry mirrors left zero).
+  [[nodiscard]] ServerStats snapshot() const;
+
+ private:
+  template <std::size_t N>
+  using Counters = std::array<std::atomic<std::uint64_t>, N>;
+
+  Counters<kNumQueryKinds> admitted_{};
+  /// Resolutions, [QueryKind][Status].
+  std::array<Counters<kNumStatuses>, kNumQueryKinds> resolved_{};
+  Counters<kWaveHistBuckets> wave_hist_{};
+  std::atomic<std::uint64_t> batched_queries_{0};
+  std::atomic<std::uint64_t> widest_wave_{0};
 };
 
 class Server {
@@ -204,33 +244,16 @@ class Server {
                                      const algo::PageRankParams& params,
                                      clock::time_point deadline);
   [[nodiscard]] clock::time_point default_deadline_now() const;
-  /// Fulfill a request admission refused (bad graph, queue full,
-  /// shutdown) — its future resolves immediately.
-  static void refuse(Request& r, Status status);
 
   const GraphRegistry& registry_;
   ServerOptions opts_;
   RequestQueue queue_;
+  Ledger ledger_;
   mutable Mutex shutdown_mutex_;
   /// The worker threads: spawned once under the lock at construction,
   /// joined exactly once under it at shutdown.
   std::vector<std::thread> workers_ GUARDED_BY(shutdown_mutex_);
   bool stopped_ GUARDED_BY(shutdown_mutex_) = false;
-
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_bad_graph_{0};
-  std::atomic<std::uint64_t> shed_shutdown_{0};
-  std::atomic<std::uint64_t> shed_circuit_open_{0};
-  std::atomic<std::uint64_t> waves_{0};
-  std::atomic<std::uint64_t> batched_queries_{0};
-  std::atomic<std::uint64_t> widest_wave_{0};
-  std::array<std::atomic<std::uint64_t>, kNumQueryKinds> submitted_by_kind_{};
-  std::array<std::atomic<std::uint64_t>, kNumQueryKinds> completed_by_kind_{};
-  std::array<std::atomic<std::uint64_t>, kWaveHistBuckets> wave_hist_{};
 };
 
 }  // namespace bitgb::serving

@@ -1,5 +1,4 @@
-// Regression tests for the shared worker pool and the atomic helpers
-// (src/platform/parallel.*).
+// Regression tests for the shared worker pool (src/platform/parallel.*).
 //
 // The pool tests call detail::pool_run directly: parallel_for guards
 // empty ranges itself, but pool_run is an exported entry point and an
@@ -12,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 namespace bitgb {
@@ -76,34 +74,6 @@ TEST(ParallelFor, InvertedRangeIsANoOp) {
   std::atomic<int> hits{0};
   parallel_for(4, 10, 0, [&](int) { hits.fetch_add(1); });
   EXPECT_EQ(0, hits.load());
-}
-
-TEST(AtomicOrU32, ConcurrentOrsAllLand) {
-  // 32 threads OR one distinct bit each into the same word; every bit
-  // must survive (the old reinterpret_cast version worked by accident,
-  // the atomic_ref version works by contract — TSan runs this too).
-  std::uint32_t word = 0;
-  std::vector<std::thread> ts;
-  for (int b = 0; b < 32; ++b) {
-    ts.emplace_back([&word, b] {
-      for (int rep = 0; rep < 1000; ++rep) {
-        atomic_or_u32(&word, std::uint32_t{1} << b);
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(0xffffffffu, word);
-}
-
-TEST(AtomicOrU32, UnderParallelForFrontierScatter) {
-  // The real usage shape: parallel region scattering frontier bits into
-  // shared packed words.
-  std::vector<std::uint32_t> words(64, 0);
-  parallel_for(0, 64 * 32, [&](int i) {
-    atomic_or_u32(&words[static_cast<std::size_t>(i / 32)],
-                  std::uint32_t{1} << (i % 32));
-  });
-  for (const auto w : words) EXPECT_EQ(0xffffffffu, w);
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 // batched answers bit-identical to per-query serial runs under
 // concurrent submission, the kPagerank/kComponents differentials over
 // the oracle corpus (including memo invalidation across a registry
-// re-add), deadline-shed accounting, queue-full shedding, bad-graph
-// routing, the wave rule and its accounting, reply telemetry on every
-// resolution path, and drain-on-shutdown.  Single-graph cases serve a
-// registry of one.
+// re-add), deadline-shed accounting, a request counted before its
+// future resolves, queue-full shedding, bad-graph routing, the wave
+// rule and its accounting, reply telemetry on every resolution path,
+// and drain-on-shutdown.  Single-graph cases serve a registry of one.
 #include "serving/server.hpp"
 
 #include "algorithms/bfs.hpp"
@@ -317,6 +317,26 @@ TEST(Serving, ExpiredDeadlinesAreShedAndAccounted) {
   EXPECT_EQ(8u, st.shed_deadline);
   EXPECT_EQ(1u, st.completed);
   EXPECT_EQ(st.submitted, st.completed + st.shed_queue_full + st.shed_deadline);
+}
+
+TEST(Serving, RequestIsCountedByTheTimeItsFutureResolves) {
+  // No shutdown() before reading stats(): the ledger counts a request
+  // before it fulfils the promise, so a caller holding its reply
+  // already sees it counted, whichever worker answered.
+  const OneGraph served;
+  ServerOptions opts;
+  opts.workers = 2;
+  Server server(served.reg, opts);
+  const vidx_t n = served.g.num_vertices();
+  for (int i = 1; i <= 500; ++i) {
+    const Reply r =
+        server.submit(kGraph, QueryKind::kBfs, static_cast<vidx_t>(i) % n)
+            .get();
+    ASSERT_EQ(Status::kOk, r.status);
+    const auto st = server.stats();
+    ASSERT_EQ(static_cast<std::uint64_t>(i), st.completed) << "query " << i;
+    ASSERT_EQ(st.submitted, st.accounted()) << "query " << i;
+  }
 }
 
 TEST(Serving, QueueFullBackpressureShedsAtTheDoor) {

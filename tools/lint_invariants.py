@@ -16,9 +16,10 @@ encode THIS project's architecture (see BUILDING.md "Static analysis"):
                        layer's lifecycle-managed workers are an audited
                        allow-list exemption, not a second runtime.)
   no-ambient-rng       No rand()/srand()/std::random_device in src/:
-                       all randomness flows from seeds carried in
-                       options structs (GraphOptions::sample_seed,
-                       FaultInjector), so every run is replayable.
+                       all randomness flows from fixed or carried
+                       seeds (the sampling advisor's constant,
+                       Context::seed, FaultInjector), so every run is
+                       replayable.
   punning-audit        Every reinterpret_cast in src/ must be on the
                        allow-list with a written justification.  The
                        kernels use memcpy-based helpers (simd.cpp
@@ -35,6 +36,11 @@ encode THIS project's architecture (see BUILDING.md "Static analysis"):
                        entry, whose AVX2 body gets the instruction.  The
                        warp-sim transcriptions (bmm_sim.cpp,
                        bmv_sim.cpp) are the rule's home.
+  promise-confinement  set_value( / set_exception( only in
+                       serving/server.cpp, inside Ledger::resolve: every
+                       served request is counted under its kind and
+                       status before its future resolves, so a promise
+                       fulfilled anywhere else escapes ServerStats.
 
 Findings print as `path:line: rule-id: message` and exit non-zero.
 Suppressions live in tools/lint_allowlist.txt, one per line:
@@ -120,6 +126,13 @@ RULES = (
                 "is a libgcc call",
         home=("src/core/bmm_sim.cpp", "src/core/bmv_sim.cpp"),
         scope=("src/core/*.cpp",),
+    ),
+    Rule(
+        rule_id="promise-confinement",
+        pattern=re.compile(r"\bset_(?:value|exception)\s*\("),
+        message="promises resolve only through serving::Ledger::resolve "
+                "(serving/server.cpp), which counts the request first",
+        home=("src/serving/server.cpp",),
     ),
 )
 
@@ -238,6 +251,7 @@ _VIOLATIONS = {
     "punning-audit": "auto* p = reinterpret_cast<int*>(q);\n",
     "hot-path-alloc": "int* p = new int[16];\n",
     "kernel-popcount": "n += popcount(w);\n",
+    "promise-confinement": "r.promise.set_value(std::move(reply));\n",
 }
 
 
@@ -280,7 +294,20 @@ def self_test() -> int:
             failures.append("kernel-popcount fired outside src/core/*.cpp")
         header.unlink()
 
-        # 5. A justified allow-list entry suppresses; a stale one fails.
+        # 5. promise-confinement also fires on set_exception and stays
+        #    quiet in its home.
+        probe.write_text("r.promise.set_exception(e);\n")
+        if lint(root) == 0:
+            failures.append("promise-confinement missed set_exception")
+        probe.write_text("int ok() { return 1; }\n")
+        home = root / "src" / "serving" / "server.cpp"
+        home.parent.mkdir()
+        home.write_text(_VIOLATIONS["promise-confinement"])
+        if lint(root) != 0:
+            failures.append("promise-confinement fired in its home")
+        home.unlink()
+
+        # 6. A justified allow-list entry suppresses; a stale one fails.
         probe.write_text(_VIOLATIONS["punning-audit"])
         allow = root / ALLOWLIST
         allow.write_text(
