@@ -2,7 +2,7 @@
 //
 // Measures every vectorized hot path (the Boolean, counting and
 // semiring BMV pull kernels, both BMM sums, the batched frontier BMM
-// pull kernels and their push, packing and bit SpGEMM) at all four
+// pull and its push, packing and bit SpGEMM) at all four
 // tile dims on a fixed representative matrix — one cell per (kernel,
 // tile dim, threads), each running the SIMD body CPUID picked — repeats the
 // whole grid once per swept thread count (1 and the host's hardware
@@ -191,11 +191,6 @@ void bench_dim() {
     std::vector<value_t> y;
     track("bmv_bin_bin_full", Dim, nnz,
           [&](Exec e) { bmv_bin_bin_full(a, xb, y, e); });
-    PackedVecT<Dim> mask(a.nrows);
-    for (vidx_t i = 0; i < a.nrows; i += 3) mask.set(i);
-    std::vector<value_t> ym(static_cast<std::size_t>(a.nrows), 0.0f);
-    track("bmv_bin_bin_full_masked", Dim, nnz,
-          [&](Exec e) { bmv_bin_bin_full_masked(a, xb, mask, true, ym, e); });
     const auto xf = fixture_vector();
     std::vector<value_t> yf;
     track("bmv_bin_full_full", Dim, nnz,
@@ -240,8 +235,6 @@ void bench_dim() {
   {
     const FrontierBatch f = fixture_frontier(a.ncols);
     FrontierBatch next;
-    track("bmm_frontier", Dim, nnz,
-          [&](Exec e) { bmm_frontier(a, f, next, e); });
     FrontierBatch mask(a.nrows, 64);
     track("bmm_frontier_masked", Dim, nnz,
           [&](Exec e) { bmm_frontier_masked(a, f, mask, true, next, e); });

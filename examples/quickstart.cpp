@@ -8,8 +8,8 @@
 //                 forms materialize on first use or via prewarm());
 //   * Context   — the execution descriptor each call carries: backend,
 //                 thread budget, timer sink, RNG seed.  No globals, no
-//                 environment reads (Context::from_env() is opt-in
-//                 sugar); the kernels' SIMD body is picked by CPUID;
+//                 environment reads; the kernels' SIMD body is picked
+//                 by CPUID;
 //   * Workspace — optional caller-owned scratch, for query loops that
 //                 want zero steady-state allocations.
 #include "algorithms/bfs.hpp"

@@ -48,7 +48,8 @@ void bfs(const Context& ctx, const gb::Graph& g, const BfsParams& params,
 [[nodiscard]] BfsResult bfs(const Context& ctx, const gb::Graph& g,
                             const BfsParams& params);
 
-/// Serial gold reference (queue BFS) for validation.
+/// Serial gold reference (queue BFS): the tests' oracle, which only
+/// msbfs_gold calls.
 [[nodiscard]] std::vector<std::int32_t> bfs_gold(const Csr& a, vidx_t source);
 
 }  // namespace bitgb::algo

@@ -46,7 +46,8 @@ void connected_components(const Context& ctx, const gb::Graph& g,
                                             const gb::Graph& g,
                                             const CcParams& params = {});
 
-/// Union-find gold reference.
+/// Union-find gold reference: the tests' oracle, which no library code
+/// calls.
 [[nodiscard]] std::vector<vidx_t> cc_gold(const Csr& a);
 
 }  // namespace bitgb::algo

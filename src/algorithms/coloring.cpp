@@ -1,19 +1,13 @@
 #include "algorithms/coloring.hpp"
 
 #include "graphblas/ops.hpp"
+#include "platform/intrinsics.hpp"
 
 #include <algorithm>
 
 namespace bitgb::algo {
 
 namespace {
-
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Smallest color not used by v's already-colored neighbours — the
 // greedy rule that keeps the palette within max-degree + 1.
@@ -57,9 +51,9 @@ void jp_loop(const gb::Graph& g, std::uint64_t seed, Workspace& ws,
       prio[vi] =
           res.color[vi] < 0
               ? static_cast<value_t>(
-                    (mix(seed ^ (static_cast<std::uint64_t>(v) +
-                                 static_cast<std::uint64_t>(round) *
-                                     0x10001ull)) >>
+                    (splitmix64(seed ^ (static_cast<std::uint64_t>(v) +
+                                        static_cast<std::uint64_t>(round) *
+                                            0x10001ull)) >>
                      40) +
                     1)
               : MaxTimesOp::identity;

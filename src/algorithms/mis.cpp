@@ -1,20 +1,13 @@
 #include "algorithms/mis.hpp"
 
 #include "graphblas/ops.hpp"
+#include "platform/intrinsics.hpp"
 
 #include <limits>
 
 namespace bitgb::algo {
 
 namespace {
-
-// splitmix64: deterministic per-vertex priority for Luby rounds.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 template <typename MaxMxvFn>
 void luby_loop(const gb::Graph& g, std::uint64_t seed, Workspace& ws,
@@ -38,8 +31,8 @@ void luby_loop(const gb::Graph& g, std::uint64_t seed, Workspace& ws,
       const auto vi = static_cast<std::size_t>(v);
       prio[vi] = candidate[vi]
                      ? static_cast<value_t>(
-                           (mix(seed ^ (static_cast<std::uint64_t>(v) +
-                                        res.rounds * 0x10001ull)) >>
+                           (splitmix64(seed ^ (static_cast<std::uint64_t>(v) +
+                                               res.rounds * 0x10001ull)) >>
                             40) +
                            1)
                      : MaxTimesOp::identity;

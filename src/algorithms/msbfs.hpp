@@ -114,7 +114,8 @@ void scatter_reached(const FrontierBatch& reach, int b,
                      std::vector<std::uint8_t>& out);
 
 /// Gold reference: `batch` independent serial queue-BFS runs, assembled
-/// into the same row-major level matrix.
+/// into the same row-major level matrix.  The tests' oracle; no library
+/// code calls it.
 [[nodiscard]] std::vector<std::int32_t> msbfs_gold(
     const Csr& a, const std::vector<vidx_t>& sources);
 

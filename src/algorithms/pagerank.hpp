@@ -40,6 +40,7 @@ void pagerank(const Context& ctx, const gb::Graph& g,
                                       const PageRankParams& params = {});
 
 /// Serial gold reference: identical formula, no framework machinery.
+/// The tests' oracle; no library code calls it.
 [[nodiscard]] std::vector<value_t> pagerank_gold(
     const Csr& a, const PageRankParams& params = {});
 

@@ -46,7 +46,8 @@ void sssp(const Context& ctx, const gb::Graph& g, const SsspParams& params,
 [[nodiscard]] SsspResult sssp(const Context& ctx, const gb::Graph& g,
                               const SsspParams& params);
 
-/// Serial Bellman-Ford gold reference over unit weights.
+/// Serial Bellman-Ford gold reference over unit weights: the tests'
+/// oracle, which no library code calls.
 [[nodiscard]] std::vector<value_t> sssp_gold(const Csr& a, vidx_t source);
 
 }  // namespace bitgb::algo

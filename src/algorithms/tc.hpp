@@ -34,7 +34,8 @@ void triangle_count(const Context& ctx, const gb::Graph& g,
                                           const gb::Graph& g,
                                           const TcParams& params = {});
 
-/// Sorted-adjacency-intersection gold reference.
+/// Sorted-adjacency-intersection gold reference: the tests' oracle, which
+/// no library code calls.
 [[nodiscard]] std::int64_t tc_gold(const Csr& a);
 
 }  // namespace bitgb::algo

@@ -20,8 +20,4 @@ namespace bitgb::baseline {
 void csrmv(const Csr& a, const std::vector<value_t>& x,
            std::vector<value_t>& y, Exec exec = {});
 
-/// y = alpha * A * x + beta * y (the full cusparseScsrmv signature).
-void csrmv_axpby(const Csr& a, value_t alpha, const std::vector<value_t>& x,
-                 value_t beta, std::vector<value_t>& y, Exec exec = {});
-
 }  // namespace bitgb::baseline

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 namespace bitgb {
@@ -271,15 +270,6 @@ B2srT<Dim> bit_spgemm_reference(const B2srT<Dim>& a, const B2srT<Dim>& b,
         static_cast<vidx_t>(c.tile_colind.size());
   }
   return c;
-}
-
-B2srAny bit_spgemm_any(const B2srAny& a, const B2srAny& b, Exec exec) {
-  if (a.tile_dim() != b.tile_dim()) {
-    throw std::invalid_argument("bit_spgemm_any: mismatched tile dims");
-  }
-  return dispatch_tile_dim(a.tile_dim(), [&]<int Dim>() {
-    return B2srAny(bit_spgemm(a.as<Dim>(), b.as<Dim>(), exec));
-  });
 }
 
 #define BITGB_INSTANTIATE_SPGEMM(Dim)                                     \

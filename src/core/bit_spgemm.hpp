@@ -26,14 +26,11 @@ template <int Dim>
                                     Exec exec = {});
 
 /// The pre-rewrite implementation (per-tile-row vector-of-vectors
-/// staging), kept as the differential oracle for test_pack_pipeline.
+/// staging), kept as the differential oracle for test_pack_pipeline;
+/// no library code calls it.
 template <int Dim>
 [[nodiscard]] B2srT<Dim> bit_spgemm_reference(const B2srT<Dim>& a,
                                               const B2srT<Dim>& b,
                                               Exec exec = {});
-
-/// Runtime-dim dispatch (both operands must hold the same tile dim).
-[[nodiscard]] B2srAny bit_spgemm_any(const B2srAny& a, const B2srAny& b,
-                                     Exec exec = {});
 
 }  // namespace bitgb

@@ -120,24 +120,19 @@ void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
   }
 }
 
-namespace detail {
-
-/// The tile-row loop both counting kernels share: popcount-accumulate
-/// every non-empty tile-row through simd::bbf_row_accum, then store
-/// row r unless `mask` (null = keep all) drops it.  Empty tile-rows
-/// are not stored.
 template <int Dim>
-void counting_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
-                        const PackedVecT<Dim>* mask, bool complement,
-                        value_t* y, Exec exec) {
+void bmv_bin_bin_full(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
+                      std::vector<value_t>& y, Exec exec) {
   using word_t = typename TileTraits<Dim>::word_t;
   assert(x.n == a.ncols);
+  y.assign(static_cast<std::size_t>(a.nrows), 0.0f);
   const vidx_t* rowptr = a.tile_rowptr.data();
   const vidx_t* colind = a.tile_colind.data();
   const word_t* tiles = a.bits.data();
   const word_t* xw = x.words.data();
-  const word_t* mw = mask != nullptr ? mask->words.data() : nullptr;
+  value_t* yp = y.data();
   const vidx_t nrows = a.nrows;
+  // Value captures only (see parallel.hpp on closure escape).
   parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
     const vidx_t lo = rowptr[tr];
     const vidx_t hi = rowptr[tr + 1];
@@ -145,37 +140,12 @@ void counting_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
     // The paper's core identity, per bit-row: c_i = __popc(A_i & b).
     std::int32_t acc[Dim] = {};
     simd::bbf_row_accum<Dim>(tiles, colind, xw, lo, hi, acc);
-    auto keep = static_cast<word_t>(~word_t{0});
-    if (mw != nullptr) {
-      keep = mw[static_cast<std::size_t>(tr)];
-      if (complement) keep = static_cast<word_t>(~keep);
-    }
     const vidx_t r0 = tr * Dim;
     const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
     for (vidx_t r = r0; r < rend; ++r) {
-      if (get_bit(keep, static_cast<int>(r - r0)) != 0) {
-        y[static_cast<std::size_t>(r)] = static_cast<value_t>(acc[r - r0]);
-      }
+      yp[static_cast<std::size_t>(r)] = static_cast<value_t>(acc[r - r0]);
     }
   });
-}
-
-}  // namespace detail
-
-template <int Dim>
-void bmv_bin_bin_full(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
-                      std::vector<value_t>& y, Exec exec) {
-  y.assign(static_cast<std::size_t>(a.nrows), 0.0f);
-  detail::counting_tile_rows<Dim>(a, x, nullptr, false, y.data(), exec);
-}
-
-template <int Dim>
-void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
-                             const PackedVecT<Dim>& mask, bool complement,
-                             std::vector<value_t>& y, Exec exec) {
-  assert(mask.n == a.nrows);
-  assert(static_cast<vidx_t>(y.size()) == a.nrows);
-  detail::counting_tile_rows<Dim>(a, x, &mask, complement, y.data(), exec);
 }
 
 namespace detail {
@@ -246,9 +216,6 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
   template void bmv_bin_bin_full<Dim>(const B2srT<Dim>&,                    \
                                       const PackedVecT<Dim>&,               \
                                       std::vector<value_t>&, Exec);\
-  template void bmv_bin_bin_full_masked<Dim>(                               \
-      const B2srT<Dim>&, const PackedVecT<Dim>&, const PackedVecT<Dim>&,    \
-      bool, std::vector<value_t>&, Exec);                                   \
   template void detail::semiring_tile_rows<Dim>(                            \
       const B2srT<Dim>&, const value_t*, LaneReduce, value_t,               \
       const PackedVecT<Dim>*, bool, const std::vector<vidx_t>*, value_t*,   \

@@ -1,18 +1,23 @@
 // Binarized sparse Matrix-Vector kernels (BMV) — paper Table II.
 //
-// Six schemes over B2SR, named as in the paper:
+// Three schemes over B2SR, named as in the paper:
 //
 //   bmv_bin_bin_bin          1-bit A, 1-bit x, 1-bit y     (Boolean OR-AND)
 //   bmv_bin_bin_full         1-bit A, 1-bit x, 32-bit y    (popcount sums)
 //   bmv_bin_full_full<Op>    1-bit A, 32-bit x, 32-bit y   (semiring Op)
-//   *_masked                 same, with a bit-mask applied at the output
-//                            store (the paper's masking design: "the
-//                            bitmask is applied right before the output
-//                            store, having bit-wise AND with the negation
-//                            of [the] visited vertex vector", §V) —
-//                            masked-off positions keep their prior value.
-//                            The Boolean and semiring pulls read the mask
-//                            first and skip a tile-row it closes whole.
+//
+// and the masked forms the Table IV algorithms call:
+//
+//   bmv_bin_bin_bin_masked        the BFS pull, and its push dual
+//   bmv_bin_bin_bin_push_masked   for sparse frontiers
+//   bmv_bin_full_full_masked<Op>  frontier SSSP's candidate rows
+//
+// A masked form applies its bit-mask at the output store (the paper's
+// masking design: "the bitmask is applied right before the output
+// store, having bit-wise AND with the negation of [the] visited vertex
+// vector", §V): masked-off positions store zero in a Boolean y and keep
+// their prior value in a semiring y.  The pulls read the mask first and
+// skip a tile-row it closes whole.
 //
 // Parallelization: one tile-row per task (the paper's one-warp-per-
 // tile-row mapping, §IV "warp-consolidation model"); output rows of
@@ -93,11 +98,6 @@ void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
 template <int Dim>
 void bmv_bin_bin_full(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                       std::vector<value_t>& y, Exec exec = {});
-
-template <int Dim>
-void bmv_bin_bin_full_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
-                             const PackedVecT<Dim>& mask, bool complement,
-                             std::vector<value_t>& y, Exec exec = {});
 
 // --- bin x full -> full (general semiring Op; SSSP/PR/CC) ---
 

@@ -48,50 +48,6 @@ bool FrontierBatch::validate() const {
   return true;
 }
 
-namespace {
-
-// Shared tile sweep: accumulate OR_{j in adj(i)} f.rows[j] for the Dim
-// rows of one tile-row into acc, through the engine's bit-to-lane OR
-// accumulation (platform/simd.hpp).  Set bits of a tail tile-column
-// never exceed ncols (the B2SR zero-tail invariant), so f.rows[base + j]
-// is always in range.
-template <int Dim>
-inline void accumulate_tile_row(const B2srT<Dim>& a, const FrontierBatch& f,
-                                vidx_t tr, FrontierBatch::word_t* acc) {
-  const vidx_t* rowptr = a.tile_rowptr.data();
-  simd::frontier_row_accum<Dim>(a.bits.data(), a.tile_colind.data(),
-                                rowptr[tr], rowptr[tr + 1], f.rows.data(),
-                                f.rows.size(), acc);
-}
-
-}  // namespace
-
-template <int Dim>
-void bmm_frontier(const B2srT<Dim>& a, const FrontierBatch& f,
-                  FrontierBatch& next, Exec exec) {
-  assert(f.n == a.ncols);
-  next.resize(a.nrows, f.batch);
-  const FrontierBatch::word_t lanes = f.lane_mask();
-  // Value captures only (see parallel.hpp on closure escape).
-  const B2srT<Dim>* ap = &a;
-  const FrontierBatch* fp = &f;
-  FrontierBatch::word_t* next_rows = next.rows.data();
-  const vidx_t nrows = a.nrows;
-  const vidx_t* rowptr = a.tile_rowptr.data();
-  parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    const auto lo = rowptr[tr];
-    const auto hi = rowptr[tr + 1];
-    if (lo == hi) return;
-    FrontierBatch::word_t acc[Dim] = {};
-    accumulate_tile_row<Dim>(*ap, *fp, tr, acc);
-    const vidx_t r0 = tr * Dim;
-    const vidx_t rend = std::min<vidx_t>(nrows, r0 + Dim);
-    for (vidx_t r = r0; r < rend; ++r) {
-      next_rows[static_cast<std::size_t>(r)] = acc[r - r0] & lanes;
-    }
-  });
-}
-
 template <int Dim>
 void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
                          const FrontierBatch& mask, bool complement,
@@ -108,14 +64,19 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
   for (const word_t w : f.rows) live |= w;
   if (live == 0) return;
   const word_t flip = complement ? ~word_t{0} : word_t{0};
-  const B2srT<Dim>* ap = &a;
-  const FrontierBatch* fp = &f;
+  // Value captures only (see parallel.hpp on closure escape).
+  const typename TileTraits<Dim>::word_t* tiles = a.bits.data();
+  const vidx_t* colind = a.tile_colind.data();
+  const word_t* f_rows = f.rows.data();
+  const std::size_t f_n = f.rows.size();
   const word_t* mask_rows = mask.rows.data();
   word_t* next_rows = next.rows.data();
   const vidx_t nrows = a.nrows;
   const vidx_t* rowptr = a.tile_rowptr.data();
   parallel_for(exec.threads, vidx_t{0}, a.n_tile_rows(), [=](vidx_t tr) {
-    if (rowptr[tr] == rowptr[tr + 1]) return;
+    const vidx_t lo = rowptr[tr];
+    const vidx_t hi = rowptr[tr + 1];
+    if (lo == hi) return;
     const vidx_t r0 = tr * Dim;
     const auto rows = static_cast<int>(std::min<vidx_t>(nrows - r0, Dim));
     // §V mask first, lifted to the batch: a tile-row where no live lane
@@ -128,8 +89,12 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
       open |= keep[r];
     }
     if (open == 0) return;
+    // OR_{j in adj(i)} f.rows[j] for the tile-row's Dim rows, through
+    // the engine's bit-to-lane OR accumulation (platform/simd.hpp).  Set
+    // bits of a tail tile-column never exceed ncols (the B2SR zero-tail
+    // invariant), so f.rows[base + j] is always in range.
     word_t acc[Dim] = {};
-    accumulate_tile_row<Dim>(*ap, *fp, tr, acc);
+    simd::frontier_row_accum<Dim>(tiles, colind, lo, hi, f_rows, f_n, acc);
     for (int r = 0; r < rows; ++r) {
       next_rows[static_cast<std::size_t>(r0 + r)] = acc[r] & keep[r];
     }
@@ -186,8 +151,6 @@ void bmm_frontier_push_masked(const B2srT<Dim>& a, const FrontierBatch& f,
 }
 
 #define BITGB_INSTANTIATE_BMM_FRONTIER(Dim)                                \
-  template void bmm_frontier<Dim>(const B2srT<Dim>&, const FrontierBatch&, \
-                                  FrontierBatch&, Exec);          \
   template void bmm_frontier_masked<Dim>(const B2srT<Dim>&,                \
                                          const FrontierBatch&,             \
                                          const FrontierBatch&, bool,       \

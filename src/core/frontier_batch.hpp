@@ -80,13 +80,6 @@ struct FrontierBatch {
     return c;
   }
 
-  /// Set bits of one frontier column.
-  [[nodiscard]] eidx_t column_count(int b) const {
-    eidx_t c = 0;
-    for (const word_t w : rows) c += static_cast<eidx_t>(get_bit(w, b));
-    return c;
-  }
-
   [[nodiscard]] bool any() const {
     for (const word_t w : rows) {
       if (w != 0) return true;
@@ -133,17 +126,14 @@ struct FrontierBatch {
 // disjoint, so no atomics.  Requires f.n == a.ncols; next is resized to
 // a.nrows with f's batch width.
 
-/// The pull kernels take a trailing Exec (platform/exec.hpp) carrying
-/// the thread budget and accumulate through the SIMD engine's
+/// The pull takes a trailing Exec (platform/exec.hpp) carrying the
+/// thread budget and accumulates through the SIMD engine's
 /// frontier_row_accum (64-bit ORs, exact in either CPUID-picked body).
 /// The push kernel is a frontier-proportional scatter and stays a
 /// plain loop by design.
-template <int Dim>
-void bmm_frontier(const B2srT<Dim>& a, const FrontierBatch& f,
-                  FrontierBatch& next, Exec exec = {});
-
-/// Masked form: the mask row word is AND-ed right before the output
-/// store (the paper's §V masking design lifted to the batch), so
+///
+/// The pull is masked: the mask row word is AND-ed right before the
+/// output store (the paper's §V masking design lifted to the batch), so
 /// masked-off (row, lane) positions store zero.  complement applies the
 /// GraphBLAS structural complement — BFS passes visited with
 /// complement=true.  The kernel first ORs f's rows into a live-lane

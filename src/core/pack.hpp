@@ -36,9 +36,9 @@ template <int Dim>
 [[nodiscard]] B2srT<Dim> pack_from_csr(const Csr& a, Exec exec = {});
 
 /// The pre-rewrite packer (per-nonzero sort+unique walk plus
-/// binary-search scatter), kept as the differential oracle: the
-/// rewritten pipeline must be bit-for-bit identical to this
-/// (test_pack_pipeline) and the conversion bench ablates the two.
+/// binary-search scatter), kept as the differential oracle: no library
+/// code calls it, and the rewritten pipeline must be bit-for-bit
+/// identical to it (test_pack_pipeline).
 template <int Dim>
 [[nodiscard]] B2srT<Dim> pack_from_csr_reference(const Csr& a);
 
@@ -55,7 +55,10 @@ template <int Dim>
 /// B2SR of A^T: the upper level is transposed CSR->CSC (the paper uses
 /// cusparseScsr2csc for this, §III-A merit 1) and each tile is
 /// bit-transposed — equivalently, the column-major packing of A's tiles
-/// re-read as row-major (paper Figure 2).
+/// re-read as row-major (paper Figure 2).  No library path calls it or
+/// transpose_any (Graph packs its CSR transpose instead); they stay as
+/// the paper's §III-A B2SR transpose, which the `transpose` cells of
+/// bench_micro_kernels measure and test_transpose checks.
 template <int Dim>
 [[nodiscard]] B2srT<Dim> transpose(const B2srT<Dim>& a, Exec exec = {});
 

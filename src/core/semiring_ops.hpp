@@ -1,10 +1,15 @@
 // Semiring operator bundles for the full-precision BMV schemes.
 //
-// Paper Table IV maps semirings to algorithms:
-//   Boolean {0,1}            -> BFS (bin-bin-bin)
-//   Arithmetic (R, +, x)     -> PR, TC (bin-full-full / bin-bin-full)
-//   Tropical min-plus        -> SSSP, CC (bin-full-full)
-//   Tropical max-times       -> MIS, GC (bin-full-full)
+// Paper Table IV maps semirings to algorithms and BMV schemes:
+//
+// | semiring           | domain      | algorithms        | scheme        |
+// |--------------------|-------------|-------------------|---------------|
+// | Boolean            | {0,1}       | BFS, diameter,    | bin-bin-bin   |
+// |                    |             | MIS, GC           |               |
+// | Arithmetic         | R           | LGC, PR, TC       | bin-full-full |
+// |                    |             |                   | / bin-bin-full|
+// | Tropical min-plus  | R ∪ {+inf}  | SSSP, CC          | bin-full-full |
+// | Tropical max-times | R           | MIS, GC           | bin-full-full |
 //
 // Because the matrix is binary, the "multiply" of the semiring collapses
 // to a map over the vector element at each adjacent column: an adjacency

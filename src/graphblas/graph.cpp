@@ -5,6 +5,9 @@
 #include "sparse/convert.hpp"
 #include "sparse/snapshot.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace bitgb::gb {
 
 namespace {
@@ -55,6 +58,12 @@ Graph Graph::from_coo(const Coo& edges, const GraphOptions& opts) {
 }
 
 Graph Graph::from_csr(Csr adjacency, const GraphOptions& opts) {
+  if (adjacency.nrows != adjacency.ncols) {
+    throw std::invalid_argument(
+        "Graph: adjacency must be square, got " +
+        std::to_string(adjacency.nrows) + " x " +
+        std::to_string(adjacency.ncols));
+  }
   Graph g;
   adjacency.val.clear();  // homogeneous: pattern only
   if (opts.strip_self_loops) adjacency = strip_diagonal(adjacency);

@@ -77,10 +77,12 @@ struct GraphOptions {
 class Graph {
  public:
   /// Build from an edge list (values, if any, are dropped: homogeneous).
+  /// Throws std::invalid_argument unless the matrix is square.
   [[nodiscard]] static Graph from_coo(const Coo& edges,
                                       const GraphOptions& opts = {});
 
-  /// Build from an existing binary CSR (takes a copy).
+  /// Build from an existing binary CSR (takes a copy).  Throws
+  /// std::invalid_argument unless the matrix is square.
   [[nodiscard]] static Graph from_csr(Csr adjacency,
                                       const GraphOptions& opts = {});
 
@@ -152,8 +154,8 @@ class Graph {
   /// cache (formats() reports it immediately) and is validate()d, with
   /// cross-format consistency (dims, nnz, fingerprint) checked on top.
   /// Throws snap::SnapshotError (bad magic / truncation / CRC mismatch
-  /// / version skew / structural failure); NEVER returns a partially
-  /// loaded graph.
+  /// / version skew / structural failure, a non-square adjacency
+  /// included); NEVER returns a partially loaded graph.
   [[nodiscard]] static Graph load(const std::string& path);
 
  private:

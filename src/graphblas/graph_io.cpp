@@ -175,6 +175,11 @@ Graph Graph::load(const std::string& path) NO_THREAD_SAFETY_ANALYSIS {
   const snap::Snapshot s = snap::Snapshot::read_file(path);
   const auto& h = s.header();
 
+  if (h.nrows != h.ncols) {
+    invalid("adjacency is " + std::to_string(h.nrows) + " x " +
+            std::to_string(h.ncols) + ", not square");
+  }
+
   Graph g;
   g.opts_.symmetrize = (h.flags & snap::kFlagSymmetrized) != 0;
   g.opts_.strip_self_loops = (h.flags & snap::kFlagLoopsStripped) != 0;

@@ -106,26 +106,6 @@ void ref_mxv_weighted_rows(const Context& ctx, const Csr& a,
   });
 }
 
-/// Masked dense semiring mxv; positions failing the mask keep their
-/// previous y (y pre-sized by caller).  mask is a dense 0/1 byte vector.
-template <typename Op>
-void ref_mxv_masked(const Context& ctx, const Csr& a,
-                    const std::vector<value_t>& x,
-                    const std::vector<std::uint8_t>& mask, bool complement,
-                    std::vector<value_t>& y) {
-  KernelTimerScope timer(ctx.timer);
-  parallel_for(ctx.threads, vidx_t{0}, a.nrows, [&](vidx_t r) {
-    const bool pass =
-        (mask[static_cast<std::size_t>(r)] != 0) != complement;
-    if (!pass) return;  // GraphBLAST-style early exit on the mask
-    value_t acc = Op::identity;
-    for (const vidx_t c : a.row_cols(r)) {
-      acc = Op::reduce(acc, Op::map(x[static_cast<std::size_t>(c)]));
-    }
-    y[static_cast<std::size_t>(r)] = acc;
-  });
-}
-
 /// Boolean vxm, push direction: expand a sparse frontier through A's
 /// rows, drop visited vertices, produce the new frontier (sorted,
 /// deduplicated) into `next` — an out-parameter so steady-state BFS

@@ -10,11 +10,10 @@
 // concurrent-serving north star needs and which process-global knobs
 // made structurally impossible.
 //
-// No hot path reads globals or environment variables; the environment
-// is one-time construction sugar (Context::from_env), which is also the
-// single place BITGB_THREADS / BITGB_BACKEND are parsed and validated.
-// Which inner loop a kernel runs is no descriptor field: the SIMD engine
-// picks it from CPUID (platform/simd.hpp).
+// No hot path reads globals, and the library reads no environment
+// variable: every knob is a field the caller sets.  Which inner loop a
+// kernel runs is no descriptor field: the SIMD engine picks it from
+// CPUID (platform/simd.hpp).
 #pragma once
 
 #include "platform/cancel.hpp"
@@ -110,15 +109,6 @@ struct Context {
     c.fault = inj;
     return c;
   }
-
-  /// One-time environment sugar — THE single place the library touches
-  /// getenv.  Reads and validates:
-  ///   BITGB_THREADS          integer >= 1 (no trailing junk)
-  ///   BITGB_BACKEND          "bit" | "reference"
-  /// and throws std::invalid_argument naming the variable and the
-  /// offending value on anything else — garbage fails loudly instead of
-  /// silently falling back.  Unset variables keep the defaults above.
-  [[nodiscard]] static Context from_env();
 };
 
 }  // namespace bitgb

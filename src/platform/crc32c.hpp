@@ -36,7 +36,8 @@ namespace detail {
 
 /// The portable slice-by-8 software path, callable directly so the
 /// parity suite can diff it against the dispatched result on SSE4.2
-/// hosts.  Same composable-value semantics as crc32c().
+/// hosts; no library code calls it.  Same composable-value semantics as
+/// crc32c().
 [[nodiscard]] std::uint32_t crc32c_sw(const void* data, std::size_t len,
                                       std::uint32_t crc = 0);
 

@@ -1,21 +1,10 @@
 #include "platform/fault_injector.hpp"
 
+#include "platform/intrinsics.hpp"
+
 #include <thread>
 
 namespace bitgb {
-
-namespace {
-
-/// splitmix64 — the stateless mixer: full-avalanche, so consecutive
-/// counter values produce independent-looking draws from one seed.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 bool FaultInjector::bernoulli(double rate, std::uint64_t counter) {
   if (rate <= 0.0) return false;

@@ -89,4 +89,15 @@ constexpr void for_each_set_bit(W w, Fn&& fn) {
   }
 }
 
+/// splitmix64, the stateless mixer: full-avalanche, so consecutive
+/// counter values give independent-looking draws from one seed.  The
+/// fault injector's Bernoulli draws and the MIS / coloring vertex
+/// priorities all hash (seed ^ counter) through it.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace bitgb

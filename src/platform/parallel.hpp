@@ -32,12 +32,11 @@ namespace bitgb {
 /// parallel region resolves to — a cached std::thread::hardware_concurrency.
 [[nodiscard]] int hardware_width() noexcept;
 
-/// Hard ceiling on any explicit worker request — the same bound
-/// Context::from_env validates against, so a value that parses is a
-/// value that is honored.  Explicit widths above the hardware width are
-/// allowed (deliberate oversubscription, and the escape hatch for
-/// hosts where hardware_concurrency() misreports 0); the ceiling only
-/// stops a pathological budget from spawning unbounded OS threads.
+/// Hard ceiling on any explicit worker request.  Explicit widths above
+/// the hardware width are allowed (deliberate oversubscription, and the
+/// escape hatch for hosts where hardware_concurrency() misreports 0);
+/// the ceiling only stops a pathological budget from spawning unbounded
+/// OS threads.
 inline constexpr int kMaxWorkerWidth = 4096;
 
 /// Resolve a requested worker width: <= 0 means "all hardware threads";

@@ -204,8 +204,9 @@ void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
                        typename TileTraits<Dim>::word_t* cacc);
 
 /// The portable bodies of the entries above, same signatures and
-/// results: what a host without AVX2 runs, and the reference the
-/// parity tests compare the dispatched entries against.
+/// results: what a host without AVX2 runs, and the oracle the parity
+/// tests compare the dispatched entries against (on an AVX2 host only
+/// the tests call them).
 namespace portable {
 
 template <int Dim>

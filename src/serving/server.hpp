@@ -230,12 +230,6 @@ class Server {
   void shutdown() EXCLUDES(shutdown_mutex_);
 
   [[nodiscard]] ServerStats stats() const;
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
-  [[nodiscard]] int worker_count() const EXCLUDES(shutdown_mutex_) {
-    const MutexLock lk(shutdown_mutex_);
-    return static_cast<int>(workers_.size());
-  }
-  [[nodiscard]] const ServerOptions& options() const { return opts_; }
 
  private:
   void worker_main();

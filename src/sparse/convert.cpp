@@ -51,23 +51,4 @@ std::vector<value_t> csr_to_dense(const Csr& a) {
   return d;
 }
 
-Csr dense_to_csr(const std::vector<value_t>& dense, vidx_t nrows,
-                 vidx_t ncols) {
-  Csr out;
-  out.nrows = nrows;
-  out.ncols = ncols;
-  out.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
-  for (vidx_t r = 0; r < nrows; ++r) {
-    for (vidx_t c = 0; c < ncols; ++c) {
-      if (dense[static_cast<std::size_t>(r) * static_cast<std::size_t>(ncols) +
-                static_cast<std::size_t>(c)] != 0.0f) {
-        out.colind.push_back(c);
-      }
-    }
-    out.rowptr[static_cast<std::size_t>(r) + 1] =
-        static_cast<vidx_t>(out.colind.size());
-  }
-  return out;
-}
-
 }  // namespace bitgb

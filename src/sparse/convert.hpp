@@ -1,4 +1,4 @@
-// Format conversions (COO <-> CSR, dense test helpers).  B2SR packing
+// Format conversions (COO <-> CSR, a dense test oracle).  B2SR packing
 // lives in core/pack.hpp; an edge list reaches it through coo_to_csr.
 #pragma once
 
@@ -14,11 +14,8 @@ namespace bitgb {
 /// Expand CSR back to (sorted) COO.
 [[nodiscard]] Coo csr_to_coo(const Csr& a);
 
-/// Dense row-major expansion for small-matrix tests and gold references.
+/// Dense row-major expansion: the small-matrix tests' oracle, which no
+/// library code calls.
 [[nodiscard]] std::vector<value_t> csr_to_dense(const Csr& a);
-
-/// Build a binary CSR from a dense row-major 0/1 matrix (test helper).
-[[nodiscard]] Csr dense_to_csr(const std::vector<value_t>& dense, vidx_t nrows,
-                               vidx_t ncols);
 
 }  // namespace bitgb

@@ -73,7 +73,8 @@ struct Csr {
 /// Out-degree per row (the PR auxiliary vector v_out_degree, §V).
 [[nodiscard]] std::vector<vidx_t> out_degrees(const Csr& a);
 
-/// True if the pattern is symmetric (used by test invariants).
+/// True if the pattern is symmetric: a test-invariant oracle, which no
+/// library code calls.
 [[nodiscard]] bool is_symmetric(const Csr& a);
 
 }  // namespace bitgb

@@ -73,6 +73,13 @@ Coo read_matrix_market(std::istream& in) {
     }
   }
   if (nr < 0 || nc < 0 || nz < 0) throw MatrixMarketError("negative size");
+  // Mirroring entry (r, c) to (c, r) only makes sense in a square
+  // matrix; in a rectangular one the mirror falls outside the shape.
+  if (h.symmetric && nr != nc) {
+    throw MatrixMarketError((h.skew ? "skew-symmetric" : "symmetric") +
+                            std::string(" matrix must be square, got ") +
+                            std::to_string(nr) + " x " + std::to_string(nc));
+  }
   // Range-check the header against the library's index types before the
   // narrowing casts: a dimension beyond vidx_t would otherwise truncate
   // silently and mis-index every entry, and symmetric inputs store up

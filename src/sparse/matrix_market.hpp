@@ -3,9 +3,10 @@
 // The paper's dataset is the SuiteSparse Matrix Collection, which is
 // distributed in Matrix Market format.  This reader handles the subset
 // the collection uses for graphs: `matrix coordinate
-// {pattern|real|integer} {general|symmetric}` with 1-based indices and
-// '%' comments.  Symmetric inputs are expanded to both triangles, which
-// is how SuiteSparse graph consumers interpret them.
+// {pattern|real|integer} {general|symmetric|skew-symmetric}` with
+// 1-based indices and '%' comments.  Symmetric inputs must be square
+// and are expanded to both triangles, which is how SuiteSparse graph
+// consumers interpret them.
 #pragma once
 
 #include "sparse/coo.hpp"

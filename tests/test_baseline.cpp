@@ -46,19 +46,6 @@ TEST(Csrmv, UsesWeightsWhenPresent) {
   EXPECT_FLOAT_EQ(0.0f, y[2]);
 }
 
-TEST(Csrmv, AxpbyFullSignature) {
-  const Csr m = coo_to_csr(gen_random(40, 200, 201));
-  const auto x = test::random_vector(m.ncols, 0.2, 202);
-  std::vector<value_t> base;
-  baseline::csrmv(m, x, base);
-
-  std::vector<value_t> y(static_cast<std::size_t>(m.nrows), 2.0f);
-  baseline::csrmv_axpby(m, 3.0f, x, 0.5f, y);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(3.0f * base[i] + 0.5f * 2.0f, y[i], 1e-3);
-  }
-}
-
 TEST(Csrgemm, MatchesDenseProduct) {
   const Csr a = coo_to_csr(gen_random(30, 200, 203));
   const Csr b = coo_to_csr(gen_random(30, 200, 204));

@@ -347,16 +347,6 @@ TEST_P(BitSpgemmTest, RectangularChainAssociativityPattern) {
   });
 }
 
-TEST(BitSpgemmAny, RejectsMixedDims) {
-  const Csr m = coo_to_csr(gen_random(20, 60, 87));
-  const B2srAny a4 = pack_any(m, 4);
-  const B2srAny a8 = pack_any(m, 8);
-  EXPECT_THROW(bit_spgemm_any(a4, a8), std::invalid_argument);
-  // Same dims work.
-  const B2srAny c = bit_spgemm_any(a4, a4);
-  EXPECT_EQ(4, c.tile_dim());
-}
-
 INSTANTIATE_TEST_SUITE_P(AllDims, BitSpgemmTest,
                          ::testing::ValuesIn({4, 8, 16, 32}),
                          [](const auto& info) {

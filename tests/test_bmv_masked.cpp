@@ -135,37 +135,6 @@ TEST_P(MaskedBmvTest, BinBinBinMaskedClusteredMasksMatchReference) {
   });
 }
 
-TEST_P(MaskedBmvTest, BinBinFullMaskedKeepsPreviousWhereMasked) {
-  const int dim = GetParam();
-  const Csr m = coo_to_csr(gen_random(66, 500, 63));
-  const auto xb = test::random_vector(m.ncols, 0.4, 64);
-  const auto mb = test::random_vector(m.nrows, 0.5, 65);
-  std::vector<bool> xbool(static_cast<std::size_t>(m.ncols));
-  for (vidx_t i = 0; i < m.ncols; ++i) {
-    xbool[static_cast<std::size_t>(i)] = xb[static_cast<std::size_t>(i)] != 0.0f;
-  }
-  const auto expected = test::ref_count_mxv(m, xbool);
-
-  dispatch_tile_dim(dim, [&]<int Dim>() {
-    const B2srT<Dim> a = pack_from_csr<Dim>(m);
-    const auto x = PackedVecT<Dim>::from_bools(xbool);
-    const auto mask = PackedVecT<Dim>::from_values(mb);
-
-    const value_t sentinel = -123.0f;
-    std::vector<value_t> y(static_cast<std::size_t>(m.nrows), sentinel);
-    bmv_bin_bin_full_masked(a, x, mask, /*complement=*/false, y);
-    for (vidx_t r = 0; r < m.nrows; ++r) {
-      if (mask.get(r)) {
-        EXPECT_FLOAT_EQ(expected[static_cast<std::size_t>(r)],
-                        y[static_cast<std::size_t>(r)]);
-      } else {
-        EXPECT_FLOAT_EQ(sentinel, y[static_cast<std::size_t>(r)]);
-      }
-    }
-    return 0;
-  });
-}
-
 TEST_P(MaskedBmvTest, BinFullFullMaskedMinPlus) {
   const int dim = GetParam();
   const Csr m = coo_to_csr(gen_stripe(80, 3, 0.8, 66));
@@ -340,13 +309,6 @@ TEST_P(MaskedBmvTest, FullMaskEqualsUnmasked) {
     std::vector<value_t> masked(static_cast<std::size_t>(m.nrows), 0.0f);
     bmv_bin_full_full_masked<Dim, PlusTimesOp>(a, xf, all, false, masked);
     EXPECT_EQ(unmasked, masked);
-
-    const auto xb = PackedVecT<Dim>::from_values(xf);
-    std::vector<value_t> counts;
-    bmv_bin_bin_full(a, xb, counts);
-    std::vector<value_t> masked_counts(static_cast<std::size_t>(m.nrows), 0.0f);
-    bmv_bin_bin_full_masked(a, xb, all, false, masked_counts);
-    EXPECT_EQ(counts, masked_counts);
     return 0;
   });
 }

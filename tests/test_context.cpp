@@ -1,8 +1,6 @@
 // Context/Descriptor execution API tests — the concurrent-serving
 // contract of the redesign:
 //
-//   * Context::from_env() is the single, validating environment parser
-//     (garbage fails loudly; valid values land in the descriptor);
 //   * two Contexts with different thread budgets / backends / timer
 //     sinks can run concurrently over ONE shared Graph and produce
 //     results bit-identical to serial runs;
@@ -25,7 +23,6 @@
 #include "algorithms/workspace.hpp"
 #include "graphblas/graph.hpp"
 #include "platform/context.hpp"
-#include "platform/parallel.hpp"
 #include "sparse/generators.hpp"
 
 #include "test_util.hpp"
@@ -33,89 +30,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 namespace bitgb {
 namespace {
-
-// ---------------------------------------------------------------------
-// Context::from_env — one place, validated (satellite: reject garbage
-// with a clear error instead of silently falling back).
-// ---------------------------------------------------------------------
-
-/// Scoped setenv: restores the previous value on destruction so the
-/// env-sensitive tests compose with each other and with whatever the
-/// environment already holds.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
-TEST(ContextFromEnv, DefaultsWhenUnset) {
-  const ScopedEnv t("BITGB_THREADS", nullptr);
-  const ScopedEnv b("BITGB_BACKEND", nullptr);
-  const Context ctx = Context::from_env();
-  EXPECT_EQ(0, ctx.threads);
-  EXPECT_EQ(Backend::kBit, ctx.backend);
-}
-
-TEST(ContextFromEnv, ParsesValidValues) {
-  const ScopedEnv t("BITGB_THREADS", "3");
-  const ScopedEnv b("BITGB_BACKEND", "reference");
-  const Context ctx = Context::from_env();
-  EXPECT_EQ(3, ctx.threads);
-  EXPECT_EQ(Backend::kReference, ctx.backend);
-}
-
-TEST(ContextFromEnv, RejectsGarbageThreads) {
-  for (const char* bad : {"0", "-4", "2x", "", "four", "99999"}) {
-    const ScopedEnv t("BITGB_THREADS", bad);
-    EXPECT_THROW((void)Context::from_env(), std::invalid_argument)
-        << "BITGB_THREADS=" << bad;
-  }
-}
-
-TEST(ContextFromEnv, RejectsGarbageBackend) {
-  const ScopedEnv b("BITGB_BACKEND", "gpu");
-  EXPECT_THROW((void)Context::from_env(), std::invalid_argument);
-}
-
-TEST(ContextFromEnv, ErrorNamesVariableAndValue) {
-  const ScopedEnv b("BITGB_BACKEND", "gpu");
-  try {
-    (void)Context::from_env();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(std::string::npos, msg.find("BITGB_BACKEND"));
-    EXPECT_NE(std::string::npos, msg.find("gpu"));
-  }
-}
 
 TEST(Context, FluentCopiesCompose) {
   KernelTimeSink sink;

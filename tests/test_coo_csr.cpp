@@ -86,14 +86,6 @@ TEST(CooCsr, UnsortedInputProducesSortedCsr) {
   EXPECT_EQ(4, r0[1]);
 }
 
-TEST(Csr, DenseRoundTrip) {
-  const Csr c = coo_to_csr(gen_banded(40, 4, 0.6, 7));
-  const auto d = csr_to_dense(c);
-  const Csr back = dense_to_csr(d, c.nrows, c.ncols);
-  EXPECT_EQ(c.rowptr, back.rowptr);
-  EXPECT_EQ(c.colind, back.colind);
-}
-
 TEST(Csr, TransposeMatchesDenseTranspose) {
   const Csr c = coo_to_csr(gen_random(37, 250, 8));
   const Csr t = transpose(c);

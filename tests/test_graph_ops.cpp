@@ -1,13 +1,15 @@
 // Graph facade and GraphBLAS-layer operation tests.
 #include "graphblas/graph.hpp"
 #include "graphblas/ops.hpp"
-#include "graphblas/semiring.hpp"
 #include "core/pack.hpp"
 #include "sparse/convert.hpp"
 
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <utility>
 
 namespace bitgb {
 namespace {
@@ -23,6 +25,23 @@ TEST(Graph, FromCooSymmetrizesAndStripsLoops) {
     for (const vidx_t c : g.adjacency().row_cols(r)) EXPECT_NE(r, c);
   }
   EXPECT_EQ(4, g.num_edges());  // 2 undirected edges
+}
+
+TEST(Graph, RejectsNonSquareAdjacency) {
+  // An adjacency indexes vertices by both row and column: symmetrize
+  // would read past A^T's rowptr, and the algorithms would index their
+  // n-sized vectors by column ids >= n.
+  for (const auto& [nrows, ncols] : {std::pair{6, 2}, std::pair{2, 6}}) {
+    Coo a{nrows, ncols, {}, {}, {}};
+    a.push(1, 1);
+    a.push(nrows - 1, ncols - 1);
+    for (const bool symmetrize : {true, false}) {
+      gb::GraphOptions opts;
+      opts.symmetrize = symmetrize;
+      EXPECT_THROW((void)gb::Graph::from_coo(a, opts), std::invalid_argument)
+          << nrows << " x " << ncols << " symmetrize=" << symmetrize;
+    }
+  }
 }
 
 TEST(Graph, DirectedOptionKeepsAsymmetry) {
@@ -93,14 +112,6 @@ TEST(Graph, FixturePatternsRoundTripThroughEveryTileDim) {
   }
 }
 
-TEST(Semiring, NamesAndSchemes) {
-  using gb::Semiring;
-  EXPECT_STREQ("boolean", gb::semiring_name(Semiring::kBoolean));
-  EXPECT_STREQ("min-plus", gb::semiring_name(Semiring::kMinPlus));
-  EXPECT_STREQ("bmv_bin_bin_bin", gb::semiring_scheme(Semiring::kBoolean));
-  EXPECT_STREQ("bmv_bin_full_full", gb::semiring_scheme(Semiring::kMinPlus));
-}
-
 TEST(RefOps, PushAndPullAgree) {
   const Csr a = symmetrize(coo_to_csr(gen_random(80, 500, 6)));
   const Csr at = transpose(a);
@@ -166,25 +177,6 @@ TEST(Graph, UnitAdjacencyCarriesOnes) {
   EXPECT_EQ(g.adjacency_t().colind, ut.colind);
   ASSERT_EQ(static_cast<std::size_t>(ut.nnz()), ut.val.size());
   for (const value_t v : ut.val) EXPECT_FLOAT_EQ(1.0f, v);
-}
-
-TEST(RefOps, MaskedMxvEarlyExitsOnMask) {
-  const Csr a = coo_to_csr(gen_banded(50, 4, 0.8, 7));
-  const auto x = test::random_vector(50, 0.2, 8);
-  std::vector<std::uint8_t> mask(50, 0);
-  for (vidx_t i = 0; i < 50; i += 2) mask[static_cast<std::size_t>(i)] = 1;
-
-  std::vector<value_t> y(50, -1.0f);
-  gb::ref_mxv_masked<PlusTimesOp>(Context{}, a, x, mask, false, y);
-  const auto full = test::ref_semiring_mxv<PlusTimesOp>(a, x);
-  for (vidx_t i = 0; i < 50; ++i) {
-    if (mask[static_cast<std::size_t>(i)]) {
-      EXPECT_NEAR(full[static_cast<std::size_t>(i)],
-                  y[static_cast<std::size_t>(i)], 1e-4);
-    } else {
-      EXPECT_FLOAT_EQ(-1.0f, y[static_cast<std::size_t>(i)]);
-    }
-  }
 }
 
 TEST(BitOps, VxmBoolMaskedMatchesRefPush) {

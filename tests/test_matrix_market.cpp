@@ -8,6 +8,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 namespace bitgb {
 namespace {
@@ -61,6 +62,25 @@ TEST(MatrixMarket, SkewSymmetricNegatesMirror) {
   // Entries sorted: (0,1) = -3, (1,0) = 3.
   EXPECT_FLOAT_EQ(-3.0f, a.val[0]);
   EXPECT_FLOAT_EQ(3.0f, a.val[1]);
+}
+
+TEST(MatrixMarket, SymmetricNeedsASquareSizeLine) {
+  // A symmetric banner mirrors (r, c) to (c, r), which leaves a
+  // rectangular shape: (5, 2) of a 5 x 3 matrix would mirror to (1, 4).
+  for (const std::string sym : {"symmetric", "skew-symmetric"}) {
+    std::istringstream in("%%MatrixMarket matrix coordinate real " + sym +
+                          "\n"
+                          "5 3 1\n"
+                          "5 2 1.0\n");
+    EXPECT_THROW(read_matrix_market(in), MatrixMarketError) << sym;
+  }
+  std::istringstream square(
+      "%%MatrixMarket matrix coordinate pattern symmetric\n"
+      "5 5 1\n"
+      "5 2\n");
+  const Coo a = read_matrix_market(square);
+  EXPECT_TRUE(a.validate());
+  EXPECT_EQ(2, a.nnz());
 }
 
 TEST(MatrixMarket, RejectsMissingBanner) {

@@ -8,6 +8,7 @@
 #include "platform/crc32c.hpp"
 #include "platform/fault_injector.hpp"
 #include "serving/server.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/snapshot.hpp"
 
 #include "test_util.hpp"
@@ -351,6 +352,51 @@ TEST_F(SnapshotTest, RecoverQuarantinesCorruptionWithoutFailingOthers) {
   }
   // The quarantined file is left in place for forensics.
   EXPECT_TRUE(fs::exists(beta_file));
+}
+
+TEST_F(SnapshotTest, NonSquareSnapshotFailsLoadAndIsQuarantined) {
+  // A CRC-clean snapshot whose 6 x 2 CSR validates on its own: only the
+  // square-adjacency check stands between it and the algorithms.
+  Coo c{6, 2, {}, {}, {}};
+  c.push(0, 1);
+  c.push(3, 0);
+  c.push(5, 1);
+  const Csr wide = coo_to_csr(c);
+  ASSERT_TRUE(wide.validate());
+  snap::SnapshotHeader h;
+  h.nrows = wide.nrows;
+  h.ncols = wide.ncols;
+  h.nnz = wide.nnz();
+  h.fingerprint = snap::csr_fingerprint(wide);
+  snap::SnapshotWriter w(h);
+  w.add_vector(snap::SectionId::kCsrRowptr, wide.rowptr);
+  w.add_vector(snap::SectionId::kCsrColind, wide.colind);
+  const std::string file = "snap-wide.bgbs";
+  w.write_file(path(file));
+  try {
+    (void)gb::Graph::load(path(file));
+    FAIL() << "a 6 x 2 adjacency loaded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), SnapshotError::Kind::kInvalidStructure) << e.what();
+  }
+
+  // Named in a manifest beside sound entries, it is quarantined and the
+  // others still recover.
+  serving::GraphRegistry reg;
+  fill_registry(reg);
+  reg.save_all(dir_.string());
+  char fp_hex[17];
+  std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
+                static_cast<unsigned long long>(h.fingerprint));
+  std::ofstream(path(serving::GraphRegistry::kManifestFile), std::ios::app)
+      << file << ' ' << fp_hex << " wide\n";
+
+  serving::GraphRegistry fresh;
+  const auto report = fresh.recover(dir_.string());
+  EXPECT_EQ(report.recovered(), 3u);
+  EXPECT_EQ(report.quarantined(), 1u);
+  EXPECT_EQ(fresh.lookup("wide"), nullptr);
+  EXPECT_NE(fresh.lookup("alpha"), nullptr);
 }
 
 TEST_F(SnapshotTest, RecoverReportsMissingSnapshotFiles) {
