@@ -1,23 +1,24 @@
 #include "sparse/convert.hpp"
 
+#include <utility>
+
 namespace bitgb {
 
-Csr coo_to_csr(const Coo& a) {
-  Coo sorted = a;
-  sorted.sort_and_dedup();
+Csr coo_to_csr(Coo a) {
+  a.sort_and_dedup();
 
   Csr out;
-  out.nrows = sorted.nrows;
-  out.ncols = sorted.ncols;
-  out.rowptr.assign(static_cast<std::size_t>(sorted.nrows) + 1, 0);
-  out.colind = std::move(sorted.col);
-  out.val = std::move(sorted.val);
-  for (const vidx_t r : sorted.row) {
+  out.nrows = a.nrows;
+  out.ncols = a.ncols;
+  out.rowptr.assign(static_cast<std::size_t>(a.nrows) + 1, 0);
+  for (const vidx_t r : a.row) {
     ++out.rowptr[static_cast<std::size_t>(r) + 1];
   }
   for (std::size_t i = 1; i < out.rowptr.size(); ++i) {
     out.rowptr[i] += out.rowptr[i - 1];
   }
+  out.colind = std::move(a.col);
+  out.val = std::move(a.val);
   return out;
 }
 

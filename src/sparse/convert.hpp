@@ -8,8 +8,12 @@
 namespace bitgb {
 
 /// Build CSR from COO.  Input need not be sorted; duplicates are merged
-/// (values summed, pattern kept single) as in Coo::sort_and_dedup.
-[[nodiscard]] Csr coo_to_csr(const Coo& a);
+/// (values summed in input order, pattern kept single) as in
+/// Coo::sort_and_dedup, which sorts `a` in place: input that is already
+/// sorted is not re-sorted, and extra memory is O(nnz).  `a` is taken
+/// by value and its columns and values move into the CSR, so a caller
+/// that passes an rvalue copies nothing.
+[[nodiscard]] Csr coo_to_csr(Coo a);
 
 /// Expand CSR back to (sorted) COO.
 [[nodiscard]] Coo csr_to_coo(const Csr& a);

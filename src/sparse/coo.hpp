@@ -36,7 +36,10 @@ struct Coo {
 
   /// Sort entries by (row, col) and merge duplicates.  Duplicate merge
   /// for binary matrices keeps a single entry; for weighted matrices the
-  /// values are summed (Matrix Market convention).
+  /// values are summed (Matrix Market convention), in input order.
+  /// Entries that already increase strictly cost one scan and are left
+  /// as they are; others go through a stable radix sort whose extra
+  /// memory is O(nnz), whatever the shape.
   void sort_and_dedup();
 
   /// Structural sanity: indices in range, val size consistent.
@@ -49,6 +52,7 @@ struct Coo {
 [[nodiscard]] Coo with_unit_values(const Coo& a);
 
 /// Drop values, keeping only the pattern (the representation B2SR packs).
+/// Copies the indices, never the values.
 [[nodiscard]] Coo pattern_of(const Coo& a);
 
 }  // namespace bitgb

@@ -1,7 +1,10 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 
 namespace bitgb {
 
@@ -69,26 +72,90 @@ Csr transpose(const Csr& a) {
   return t;
 }
 
-Csr lower_triangle(const Csr& a) {
-  Csr l;
-  l.nrows = a.nrows;
-  l.ncols = a.ncols;
-  l.rowptr.assign(static_cast<std::size_t>(a.nrows) + 1, 0);
-  const bool weighted = !a.val.empty();
+namespace {
+
+/// A copy of `a` without one run of each row: the positions [lo, hi)
+/// that `cut(r, cols)` returns.  Rows are sorted, so a column range is
+/// such a run.  The output is reserved from the cuts first, so its
+/// arrays hold exactly nnz.
+template <typename Cut>
+Csr without_runs(const Csr& a, Cut cut) {
+  Csr out;
+  out.nrows = a.nrows;
+  out.ncols = a.ncols;
+  out.rowptr.assign(static_cast<std::size_t>(a.nrows) + 1, 0);
   for (vidx_t r = 0; r < a.nrows; ++r) {
-    const auto lo = a.rowptr[static_cast<std::size_t>(r)];
-    const auto hi = a.rowptr[static_cast<std::size_t>(r) + 1];
-    for (vidx_t k = lo; k < hi; ++k) {
-      const vidx_t c = a.colind[static_cast<std::size_t>(k)];
-      if (c < r) {
-        l.colind.push_back(c);
-        if (weighted) l.val.push_back(a.val[static_cast<std::size_t>(k)]);
-      }
-    }
-    l.rowptr[static_cast<std::size_t>(r) + 1] =
-        static_cast<vidx_t>(l.colind.size());
+    const auto cols = a.row_cols(r);
+    const auto [lo, hi] = cut(r, cols);
+    out.rowptr[static_cast<std::size_t>(r) + 1] =
+        out.rowptr[static_cast<std::size_t>(r)] +
+        static_cast<vidx_t>(cols.size() - (hi - lo));
   }
-  return l;
+  const auto nnz = static_cast<std::size_t>(out.rowptr.back());
+  out.colind.reserve(nnz);
+  const bool weighted = !a.val.empty();
+  if (weighted) out.val.reserve(nnz);
+  for (vidx_t r = 0; r < a.nrows; ++r) {
+    const auto cols = a.row_cols(r);
+    const auto [lo, hi] = cut(r, cols);
+    out.colind.insert(out.colind.end(), cols.begin(), cols.begin() + lo);
+    out.colind.insert(out.colind.end(), cols.begin() + hi, cols.end());
+    if (weighted) {
+      const auto vals = a.row_vals(r);
+      out.val.insert(out.val.end(), vals.begin(), vals.begin() + lo);
+      out.val.insert(out.val.end(), vals.begin() + hi, vals.end());
+    }
+  }
+  return out;
+}
+
+/// Position of the first column >= c in a sorted row.
+std::ptrdiff_t first_at_least(std::span<const vidx_t> cols, vidx_t c) {
+  return std::lower_bound(cols.begin(), cols.end(), c) - cols.begin();
+}
+
+/// Writes the union of row r of a and row r of t to `cols` / `vals`
+/// (vals may be null), in column order; a column in both takes the
+/// larger value, and a binary side counts as 1.0.
+void merge_row_union(const Csr& a, const Csr& t, vidx_t r, vidx_t* cols,
+                     value_t* vals) {
+  const auto ac = a.row_cols(r);
+  const auto tc = t.row_cols(r);
+  const auto av = a.row_vals(r);
+  const auto tv = t.row_vals(r);
+  const auto a_val = [&](std::size_t i) { return av.empty() ? 1.0f : av[i]; };
+  const auto t_val = [&](std::size_t j) { return tv.empty() ? 1.0f : tv[j]; };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t k = 0;
+  while (i < ac.size() && j < tc.size()) {
+    const vidx_t x = ac[i];
+    const vidx_t y = tc[j];
+    cols[k] = std::min(x, y);
+    if (vals != nullptr) {
+      vals[k] = x < y ? a_val(i) : y < x ? t_val(j) : std::max(a_val(i), t_val(j));
+    }
+    i += x <= y ? 1 : 0;
+    j += y <= x ? 1 : 0;
+    ++k;
+  }
+  for (; i < ac.size(); ++i, ++k) {
+    cols[k] = ac[i];
+    if (vals != nullptr) vals[k] = a_val(i);
+  }
+  for (; j < tc.size(); ++j, ++k) {
+    cols[k] = tc[j];
+    if (vals != nullptr) vals[k] = t_val(j);
+  }
+}
+
+}  // namespace
+
+Csr lower_triangle(const Csr& a) {
+  return without_runs(a, [](vidx_t r, std::span<const vidx_t> cols) {
+    return std::pair{first_at_least(cols, r),
+                     static_cast<std::ptrdiff_t>(cols.size())};
+  });
 }
 
 Csr symmetrize(const Csr& a) {
@@ -97,63 +164,43 @@ Csr symmetrize(const Csr& a) {
   s.nrows = a.nrows;
   s.ncols = a.ncols;
   s.rowptr.assign(static_cast<std::size_t>(a.nrows) + 1, 0);
-  const bool weighted = !a.val.empty() || !t.val.empty();
-  for (vidx_t r = 0; r < a.nrows; ++r) {
-    // Merge the sorted rows of a and a^T.
-    auto ac = a.row_cols(r);
-    auto tc = t.row_cols(r);
-    auto av = a.row_vals(r);
-    auto tv = t.row_vals(r);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < ac.size() || j < tc.size()) {
-      vidx_t c;
-      value_t v = 1.0f;
-      if (j >= tc.size() || (i < ac.size() && ac[i] < tc[j])) {
-        c = ac[i];
-        if (!av.empty()) v = av[i];
-        ++i;
-      } else if (i >= ac.size() || tc[j] < ac[i]) {
-        c = tc[j];
-        if (!tv.empty()) v = tv[j];
-        ++j;
-      } else {  // present in both
-        c = ac[i];
-        const value_t va = av.empty() ? 1.0f : av[i];
-        const value_t vb = tv.empty() ? 1.0f : tv[j];
-        v = std::max(va, vb);
-        ++i;
-        ++j;
+  // Size the output from the union counts, then merge into it.  A row
+  // of t adds the columns its row of a did not mark; a marker array
+  // counts that without the merge's chain of dependent compares.
+  {
+    std::vector<vidx_t> marked_by(static_cast<std::size_t>(a.ncols), -1);
+    for (vidx_t r = 0; r < a.nrows; ++r) {
+      vidx_t n = 0;
+      for (const vidx_t c : a.row_cols(r)) {
+        marked_by[static_cast<std::size_t>(c)] = r;
+        ++n;
       }
-      s.colind.push_back(c);
-      if (weighted) s.val.push_back(v);
+      for (const vidx_t c : t.row_cols(r)) {
+        n += marked_by[static_cast<std::size_t>(c)] != r ? 1 : 0;
+      }
+      s.rowptr[static_cast<std::size_t>(r) + 1] =
+          s.rowptr[static_cast<std::size_t>(r)] + n;
     }
-    s.rowptr[static_cast<std::size_t>(r) + 1] =
-        static_cast<vidx_t>(s.colind.size());
+  }
+  const auto nnz = static_cast<std::size_t>(s.rowptr.back());
+  s.colind.resize(nnz);
+  const bool weighted = !a.val.empty() || !t.val.empty();
+  if (weighted) s.val.resize(nnz);
+  for (vidx_t r = 0; r < a.nrows; ++r) {
+    const auto at = static_cast<std::size_t>(s.rowptr[static_cast<std::size_t>(r)]);
+    merge_row_union(a, t, r, s.colind.data() + at,
+                    weighted ? s.val.data() + at : nullptr);
   }
   return s;
 }
 
 Csr strip_diagonal(const Csr& a) {
-  Csr d;
-  d.nrows = a.nrows;
-  d.ncols = a.ncols;
-  d.rowptr.assign(static_cast<std::size_t>(a.nrows) + 1, 0);
-  const bool weighted = !a.val.empty();
-  for (vidx_t r = 0; r < a.nrows; ++r) {
-    const auto lo = a.rowptr[static_cast<std::size_t>(r)];
-    const auto hi = a.rowptr[static_cast<std::size_t>(r) + 1];
-    for (vidx_t k = lo; k < hi; ++k) {
-      const vidx_t c = a.colind[static_cast<std::size_t>(k)];
-      if (c != r) {
-        d.colind.push_back(c);
-        if (weighted) d.val.push_back(a.val[static_cast<std::size_t>(k)]);
-      }
-    }
-    d.rowptr[static_cast<std::size_t>(r) + 1] =
-        static_cast<vidx_t>(d.colind.size());
-  }
-  return d;
+  return without_runs(a, [](vidx_t r, std::span<const vidx_t> cols) {
+    const std::ptrdiff_t at = first_at_least(cols, r);
+    const bool diagonal =
+        at < static_cast<std::ptrdiff_t>(cols.size()) && cols[static_cast<std::size_t>(at)] == r;
+    return std::pair{at, at + (diagonal ? 1 : 0)};
+  });
 }
 
 std::vector<vidx_t> out_degrees(const Csr& a) {

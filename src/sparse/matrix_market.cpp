@@ -2,20 +2,133 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace bitgb {
 
 namespace {
 
-std::string to_lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string to_lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return s;
+  return out;
 }
+
+/// The characters `std::istream >>` skips before a field in the classic
+/// locale.  A line never holds the '\n' that ends it.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// The input split as `std::getline` splits it: at each '\n', with a
+/// last line only if bytes follow the last '\n'.
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : text_(text) {}
+
+  bool next(std::string_view& line) {
+    if (pos_ >= text_.size()) return false;
+    const char* begin = text_.data() + pos_;
+    const auto* nl = static_cast<const char*>(
+        std::memchr(begin, '\n', text_.size() - pos_));
+    const std::size_t len =
+        nl != nullptr ? static_cast<std::size_t>(nl - begin) : text_.size() - pos_;
+    line = text_.substr(pos_, len);
+    pos_ += len + (nl != nullptr ? 1 : 0);
+    return true;
+  }
+
+  [[nodiscard]] std::size_t remaining() const { return text_.size() - pos_; }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+/// Reads the fields of one line left to right under the rules of
+/// `std::istream >>` on the same text: skip whitespace, take the longest
+/// prefix that forms the field, and ignore whatever follows the last
+/// field read.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  std::string_view word() {
+    skip_space();
+    const char* begin = p_;
+    while (p_ != end_ && !is_space(*p_)) ++p_;
+    return {begin, static_cast<std::size_t>(p_ - begin)};
+  }
+
+  bool integer(long long& v) {
+    const char* first = number_start(false);
+    if (first == nullptr) return false;
+    const auto [ptr, ec] = std::from_chars(first, end_, v);
+    if (ec != std::errc{}) return false;
+    p_ = ptr;
+    return true;
+  }
+
+  bool real(double& v) {
+    const char* first = number_start(true);
+    if (first == nullptr) return false;
+    const auto [ptr, ec] = std::from_chars(first, end_, v);
+    if (ec == std::errc::result_out_of_range) {
+      // Beyond double's range.  `>>` parses with strtod (C locale) and
+      // fails an overflow to infinity but keeps an underflow's rounded
+      // value.
+      v = std::strtod(std::string(first, ptr).c_str(), nullptr);
+      if (std::isinf(v)) return false;
+    } else if (ec != std::errc{}) {
+      return false;
+    }
+    // `>>` takes an exponent mark even with no digits after it, and
+    // then fails; std::from_chars stops before such a mark.
+    const auto is_exp = [](char c) { return c == 'e' || c == 'E'; };
+    if (ptr != end_ && is_exp(*ptr) && std::none_of(first, ptr, is_exp)) {
+      return false;
+    }
+    p_ = ptr;
+    return true;
+  }
+
+ private:
+  void skip_space() {
+    while (p_ != end_ && is_space(*p_)) ++p_;
+  }
+
+  /// Moves to the next field and returns where std::from_chars should
+  /// parse it, or nullptr where `>>` would fail.  `>>` takes one '+' or
+  /// '-' and then needs a digit (or, in a real, a point), so inf, nan
+  /// and a doubled sign fail; std::from_chars takes no '+'.
+  const char* number_start(bool point_ok) {
+    skip_space();
+    const char* first = p_;
+    if (first != end_ && *first == '+') ++first;
+    const char* lead =
+        (first == p_ && first != end_ && *first == '-') ? first + 1 : first;
+    if (lead == end_ || !(is_digit(*lead) || (point_ok && *lead == '.'))) {
+      return nullptr;
+    }
+    return first;
+  }
+
+  const char* p_;
+  const char* end_;
+};
 
 struct Header {
   bool pattern = false;
@@ -23,10 +136,13 @@ struct Header {
   bool skew = false;
 };
 
-Header parse_banner(const std::string& line) {
-  std::istringstream ss(line);
-  std::string tag, object, fmt, field, sym;
-  ss >> tag >> object >> fmt >> field >> sym;
+Header parse_banner(std::string_view line) {
+  Fields words(line);
+  const std::string_view tag = words.word();
+  const std::string_view object = words.word();
+  const std::string_view fmt = words.word();
+  const std::string_view field = words.word();
+  const std::string_view sym = words.word();
   if (tag != "%%MatrixMarket") {
     throw MatrixMarketError("missing %%MatrixMarket banner");
   }
@@ -38,7 +154,7 @@ Header parse_banner(const std::string& line) {
   if (f == "pattern") {
     h.pattern = true;
   } else if (f != "real" && f != "integer" && f != "double") {
-    throw MatrixMarketError("unsupported field type: " + field);
+    throw MatrixMarketError("unsupported field type: " + std::string(field));
   }
   const std::string s = to_lower(sym);
   if (s == "symmetric") {
@@ -47,29 +163,36 @@ Header parse_banner(const std::string& line) {
     h.symmetric = true;
     h.skew = true;
   } else if (s != "general") {
-    throw MatrixMarketError("unsupported symmetry: " + sym);
+    throw MatrixMarketError("unsupported symmetry: " + std::string(sym));
   }
   return h;
 }
 
-}  // namespace
+/// Appends the rest of `in` to `buf`.
+void append_all(std::istream& in, std::string& buf) {
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    buf.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+}
 
-Coo read_matrix_market(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) throw MatrixMarketError("empty input");
+Coo parse_matrix_market(std::string_view text) {
+  Lines lines(text);
+  std::string_view line;
+  if (!lines.next(line)) throw MatrixMarketError("empty input");
   const Header h = parse_banner(line);
 
-  // Skip comments, find the size line.
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') break;
-  }
+  // Skip comments and empty lines, find the size line.
+  bool found = false;
+  while (!found && lines.next(line)) found = !line.empty() && line[0] != '%';
+  if (!found) line = {};
   long long nr = 0;
   long long nc = 0;
   long long nz = 0;
   {
-    std::istringstream ss(line);
-    if (!(ss >> nr >> nc >> nz)) {
-      throw MatrixMarketError("malformed size line: " + line);
+    Fields size(line);
+    if (!(size.integer(nr) && size.integer(nc) && size.integer(nz))) {
+      throw MatrixMarketError("malformed size line: " + std::string(line));
     }
   }
   if (nr < 0 || nc < 0 || nz < 0) throw MatrixMarketError("negative size");
@@ -100,28 +223,33 @@ Coo read_matrix_market(std::istream& in) {
   Coo out;
   out.nrows = static_cast<vidx_t>(nr);
   out.ncols = static_cast<vidx_t>(nc);
-  // Symmetric inputs mirror every off-diagonal entry, so reserving only
-  // nz would force a reallocation mid-parse; 2*nz covers the worst case.
-  const auto stored_cap = static_cast<std::size_t>(nz * stored_factor);
+  // Reserve for the declared entries, but no more than the rest of the
+  // input can hold (an entry line takes at least 4 bytes, "1 1\n"): a
+  // size line that overstates the count then fails below as "fewer
+  // entries than declared", not as an allocation failure.  Symmetric
+  // inputs mirror every off-diagonal entry, so they reserve twice that.
+  const auto fit = static_cast<long long>(lines.remaining() / 4 + 1);
+  const auto stored_cap =
+      static_cast<std::size_t>(std::min(nz, fit) * stored_factor);
   out.row.reserve(stored_cap);
   out.col.reserve(stored_cap);
   if (!h.pattern) out.val.reserve(stored_cap);
 
   long long seen = 0;
-  while (seen < nz && std::getline(in, line)) {
+  while (seen < nz && lines.next(line)) {
     if (line.empty() || line[0] == '%') continue;
-    std::istringstream ss(line);
+    Fields entry(line);
     long long r1 = 0;
     long long c1 = 0;
     double v = 1.0;
-    if (!(ss >> r1 >> c1)) {
-      throw MatrixMarketError("malformed entry: " + line);
+    if (!entry.integer(r1) || !entry.integer(c1)) {
+      throw MatrixMarketError("malformed entry: " + std::string(line));
     }
-    if (!h.pattern && !(ss >> v)) {
-      throw MatrixMarketError("missing value: " + line);
+    if (!h.pattern && !entry.real(v)) {
+      throw MatrixMarketError("missing value: " + std::string(line));
     }
     if (r1 < 1 || r1 > nr || c1 < 1 || c1 > nc) {
-      throw MatrixMarketError("index out of range: " + line);
+      throw MatrixMarketError("index out of range: " + std::string(line));
     }
     const vidx_t r = static_cast<vidx_t>(r1 - 1);
     const vidx_t c = static_cast<vidx_t>(c1 - 1);
@@ -141,20 +269,33 @@ Coo read_matrix_market(std::istream& in) {
   // non-comment data after the last declared entry means the size line
   // and the body disagree, and silently dropping the tail would hand
   // back a graph missing edges the file plainly contains.
-  while (std::getline(in, line)) {
+  while (lines.next(line)) {
     const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '%') continue;
+    if (pos == std::string_view::npos || line[pos] == '%') continue;
     throw MatrixMarketError("trailing data after the " + std::to_string(nz) +
-                            " declared entries: " + line);
+                            " declared entries: " + std::string(line));
   }
   out.sort_and_dedup();
   return out;
 }
 
+}  // namespace
+
+Coo read_matrix_market(std::istream& in) {
+  std::string text;
+  append_all(in, text);
+  return parse_matrix_market(text);
+}
+
 Coo read_matrix_market_file(const std::string& path) {
-  std::ifstream f(path);
+  std::ifstream f(path, std::ios::binary);
   if (!f) throw MatrixMarketError("cannot open " + path);
-  return read_matrix_market(f);
+  std::string text;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (!ec) text.reserve(static_cast<std::size_t>(size));
+  append_all(f, text);
+  return parse_matrix_market(text);
 }
 
 void write_matrix_market(std::ostream& out, const Coo& a) {
@@ -174,6 +315,10 @@ void write_matrix_market_file(const std::string& path, const Coo& a) {
   std::ofstream f(path);
   if (!f) throw MatrixMarketError("cannot open " + path + " for writing");
   write_matrix_market(f, a);
+  // A full disk fails the buffered writes only as they reach the file;
+  // close() flushes the rest, so check after it.
+  f.close();
+  if (!f) throw MatrixMarketError("failed writing " + path);
 }
 
 }  // namespace bitgb

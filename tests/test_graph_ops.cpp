@@ -27,6 +27,21 @@ TEST(Graph, FromCooSymmetrizesAndStripsLoops) {
   EXPECT_EQ(4, g.num_edges());  // 2 undirected edges
 }
 
+TEST(Graph, AdjacencyHoldsNoSpareCapacity) {
+  // Construction sizes each structural pass from a count, so the CSR a
+  // Graph keeps for its lifetime carries no push_back slack; the lower
+  // triangle that prewarm builds is sized the same way.
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(9, 4096, 5));
+  const Csr& a = g.adjacency();
+  EXPECT_EQ(a.colind.size(), a.colind.capacity());
+  EXPECT_EQ(a.val.size(), a.val.capacity());
+  EXPECT_EQ(g.lower().colind.size(), g.lower().colind.capacity());
+  gb::GraphOptions keep_loops;
+  keep_loops.strip_self_loops = false;
+  const gb::Graph h = gb::Graph::from_coo(gen_rmat(9, 4096, 5), keep_loops);
+  EXPECT_EQ(h.adjacency().colind.size(), h.adjacency().colind.capacity());
+}
+
 TEST(Graph, RejectsNonSquareAdjacency) {
   // An adjacency indexes vertices by both row and column: symmetrize
   // would read past A^T's rowptr, and the algorithms would index their

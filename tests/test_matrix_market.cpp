@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -174,6 +175,42 @@ TEST(MatrixMarket, RejectsSymmetricNnzBeyondEdgeType) {
       "100 100 5000000000000000000\n"
       "2 1\n");
   EXPECT_THROW(read_matrix_market(in), MatrixMarketError);
+}
+
+TEST(MatrixMarket, OverstatedSizeLineFailsAsShortInput) {
+  // The declared count must not size an allocation by itself: a size
+  // line that promises 10^15 entries over three lines of input fails as
+  // a short input, not as std::bad_alloc from the up-front reserve.
+  for (const std::string sym : {"general", "symmetric"}) {
+    std::istringstream in("%%MatrixMarket matrix coordinate pattern " + sym +
+                          "\n"
+                          "2 2 1000000000000000\n"
+                          "1 1\n");
+    try {
+      (void)read_matrix_market(in);
+      ADD_FAILURE() << sym << ": an overstated count was accepted";
+    } catch (const MatrixMarketError& e) {
+      EXPECT_STREQ("fewer entries than declared", e.what()) << sym;
+    }
+  }
+}
+
+TEST(MatrixMarket, FileWriterReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC; the
+  // writer must say so rather than leave a truncated file behind.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  Coo a{4, 4, {}, {}, {}};
+  for (vidx_t i = 0; i < 4; ++i) a.push(i, 3 - i);
+  a.sort_and_dedup();
+  try {
+    write_matrix_market_file("/dev/full", a);
+    ADD_FAILURE() << "a write to /dev/full returned normally";
+  } catch (const MatrixMarketError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MatrixMarket, SymmetricReserveAvoidsMidParseRealloc) {

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 namespace bitgb {
 namespace {
@@ -150,6 +152,64 @@ TEST_P(PropertyTest, NibblePackingAgreesWithPlainB2sr4) {
   EXPECT_EQ(direct.bytes, via.bytes);
   const B2sr4 back = from_nibble4(direct);
   EXPECT_EQ(b.bits, back.bits);
+}
+
+TEST_P(PropertyTest, SortAndDedupMatchesStableReference) {
+  // The radix sort against a comparator stable sort: same entries, and
+  // duplicate values summed in input order, bit for bit.  Index ranges
+  // vary with the seed so that every key byte is exercised, negative
+  // indices (which validate() rejects) included, along with inputs that
+  // arrive sorted, sorted with duplicates, or reversed.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  std::mt19937_64 rng(seed + 9000);
+  const int bits = 1 + static_cast<int>(seed * 3 % 31);
+  const auto draw = [&] {
+    return static_cast<vidx_t>(rng() % (std::uint64_t{1} << bits)) -
+           (seed % 4 == 3 ? vidx_t{1} << (bits - 1) : 0);
+  };
+  const std::size_t n = 1 + static_cast<std::size_t>(rng() % 3000);
+  Coo a{1, 1, {}, {}, {}};
+  for (std::size_t i = 0; i < n; ++i) {
+    // Near 1e7 a float's spacing is 1, so sums of these values round
+    // differently in a different order: a wrong order shows in the bits.
+    a.push(draw(), draw(), static_cast<value_t>(rng() % 4096) * 0.25f + 1e7f);
+    if (rng() % 4 == 0) a.push(a.row.back(), a.col.back(), 0.75f);
+  }
+  const auto stable_order = [](const Coo& m) {
+    std::vector<std::size_t> order(m.row.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return m.row[x] != m.row[y] ? m.row[x] < m.row[y] : m.col[x] < m.col[y];
+    });
+    return order;
+  };
+  if (seed % 3 == 1) {  // arrive sorted, duplicates included
+    Coo s{1, 1, {}, {}, {}};
+    for (const std::size_t i : stable_order(a)) s.push(a.row[i], a.col[i], a.val[i]);
+    a = s;
+  } else if (seed % 3 == 2) {  // arrive reversed
+    std::reverse(a.row.begin(), a.row.end());
+    std::reverse(a.col.begin(), a.col.end());
+    std::reverse(a.val.begin(), a.val.end());
+  }
+  Coo expect{1, 1, {}, {}, {}};
+  for (const std::size_t i : stable_order(a)) {
+    if (!expect.row.empty() && expect.row.back() == a.row[i] &&
+        expect.col.back() == a.col[i]) {
+      expect.val.back() += a.val[i];
+    } else {
+      expect.push(a.row[i], a.col[i], a.val[i]);
+    }
+  }
+  Coo pattern = pattern_of(a);
+  a.sort_and_dedup();
+  EXPECT_EQ(expect.row, a.row);
+  EXPECT_EQ(expect.col, a.col);
+  EXPECT_EQ(expect.val, a.val);
+  pattern.sort_and_dedup();
+  EXPECT_EQ(expect.row, pattern.row);
+  EXPECT_EQ(expect.col, pattern.col);
+  EXPECT_TRUE(pattern.is_binary());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest, ::testing::Range(0, 12),
