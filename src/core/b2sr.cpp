@@ -43,7 +43,8 @@ bool B2srT<Dim>::validate() const {
   for (vidx_t tr = 0; tr < n_tile_rows(); ++tr) {
     const auto lo = tile_rowptr[static_cast<std::size_t>(tr)];
     const auto hi = tile_rowptr[static_cast<std::size_t>(tr) + 1];
-    if (lo > hi) return false;
+    // A later tile-row's decrease would fail too late: bound hi first.
+    if (lo > hi || hi > tile_rowptr.back()) return false;
     const vidx_t valid_rows = std::min<vidx_t>(Dim, nrows - tr * Dim);
     for (vidx_t t = lo; t < hi; ++t) {
       const vidx_t tc = tile_colind[static_cast<std::size_t>(t)];

@@ -87,6 +87,7 @@ int Graph::tile_dim() const {
 }
 
 const Csr& Graph::adjacency_t() const {
+  if (opts_.symmetrize) return csr_;  // A symmetric A is its own transpose.
   Lazy& l = *lazy_;
   return materialize(l.built, kFmtCsrT, l.csr_t_mu, l.csr_t,
                      [&] { return transpose(csr_); });
@@ -100,6 +101,7 @@ const B2srAny& Graph::packed() const {
 }
 
 const B2srAny& Graph::packed_t() const {
+  if (opts_.symmetrize) return packed();
   Lazy& l = *lazy_;
   return materialize(l.built, kFmtB2srT, l.b2sr_t_mu, l.b2sr_t, [&] {
     return pack_any(adjacency_t(), tile_dim(), opts_.ingest);
@@ -138,7 +140,14 @@ const std::vector<vidx_t>& Graph::degrees() const {
 FormatSet Graph::formats() const {
   // Mask the private tile-dim / fingerprint bits: they are publication
   // state, not formats.
-  return lazy_->built.load(std::memory_order_acquire) & kPublicFormatMask;
+  FormatSet f =
+      lazy_->built.load(std::memory_order_acquire) & kPublicFormatMask;
+  // A symmetric graph's transposes are A's own formats.
+  if (opts_.symmetrize) {
+    f |= kFmtCsrT;
+    if ((f & kFmtB2sr) != 0) f |= kFmtB2srT;
+  }
+  return f;
 }
 
 void Graph::prewarm(FormatSet want) const {

@@ -19,6 +19,14 @@
 //   * the strict lower triangle and its B2SR for TC (paper §V), and
 //     the out-degree vector for PR.
 //
+// A symmetric graph (built with `symmetrize`, or loaded from a snapshot
+// whose symmetrized flag the loader proved) is its own transpose:
+// adjacency_t() returns adjacency() and packed_t() returns packed(), so
+// neither transpose is built, packed or stored a second time.  Only the
+// unit-valued copy keeps its own storage, because its floats are the
+// reference baseline's cost model.  A directed graph builds both
+// transposes lazily like every other format.
+//
 // formats() reports which representations exist; prewarm() materializes
 // a chosen set eagerly, so a server can pay the one-time conversions
 // (the cost the paper amortizes, §III-B) before queries arrive instead
@@ -102,7 +110,7 @@ class Graph {
   /// Binary adjacency, CSR (always materialized).
   [[nodiscard]] const Csr& adjacency() const { return csr_; }
   /// Transposed adjacency (thread-safe, cached on first use — as are
-  /// all accessors below).
+  /// all accessors below).  adjacency() itself on a symmetric graph.
   [[nodiscard]] const Csr& adjacency_t() const;
   /// Unit-valued (1.0f per nonzero) copy of the transpose — what the
   /// float-CSR framework baseline actually stores and reads for the
@@ -111,7 +119,7 @@ class Graph {
   [[nodiscard]] const Csr& unit_adjacency_t() const;
   /// B2SR-packed adjacency.
   [[nodiscard]] const B2srAny& packed() const;
-  /// B2SR of the transpose.
+  /// B2SR of the transpose: packed() itself on a symmetric graph.
   [[nodiscard]] const B2srAny& packed_t() const;
 
   /// Strict lower triangle L — the TC operand (paper §V).
@@ -122,8 +130,10 @@ class Graph {
   /// Out-degrees (the PR auxiliary vector, paper §V).
   [[nodiscard]] const std::vector<vidx_t>& degrees() const;
 
-  /// Which formats are materialized right now (kFmtCsr always set).
-  /// Safe to call concurrently with materialization.
+  /// Which formats exist right now (kFmtCsr always set).  On a
+  /// symmetric graph kFmtCsrT is set from construction and kFmtB2srT
+  /// whenever kFmtB2sr is, because those transposes are A's own
+  /// formats.  Safe to call concurrently with materialization.
   [[nodiscard]] FormatSet formats() const;
 
   /// Materialize every format in `want` now, off the query path — the
@@ -142,7 +152,9 @@ class Graph {
   /// `want`, prewarmed first if absent — so a snapshot taken from a
   /// serving registry carries the expensive caches with it.  The
   /// unit-valued CSR copy is never persisted (trivially derived: 1.0f
-  /// per nonzero; it re-materializes lazily).  Written
+  /// per nonzero; it re-materializes lazily), and neither are a
+  /// symmetric graph's transposes (a wanted kFmtB2srT persists A's
+  /// B2SR).  Written
   /// crash-consistently (temp file + fsync + atomic rename); `fault`
   /// threads the FaultInjector io_* knobs through every physical
   /// write.  Throws snap::SnapshotError(kIo) on failure.
@@ -153,6 +165,10 @@ class Graph {
   /// re-prewarm — every persisted format lands directly in the lazy
   /// cache (formats() reports it immediately) and is validate()d, with
   /// cross-format consistency (dims, nnz, fingerprint) checked on top.
+  /// The symmetrized flag and a persisted CSR transpose are proven
+  /// against the adjacency (is_transpose_of); a symmetrized file's
+  /// transposed sections, which older writers persisted, must equal A's
+  /// and are dropped.
   /// Throws snap::SnapshotError (bad magic / truncation / CRC mismatch
   /// / version skew / structural failure, a non-square adjacency
   /// included); NEVER returns a partially loaded graph.
@@ -196,6 +212,8 @@ class Graph {
   };
 
   Csr csr_;
+  /// opts_.symmetrize also records that csr_ is symmetric: from_csr
+  /// symmetrized it, or load proved the flag.
   GraphOptions opts_{};
   std::unique_ptr<Lazy> lazy_ = std::make_unique<Lazy>();
 };

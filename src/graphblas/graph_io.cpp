@@ -7,12 +7,23 @@
 // populated slots), so a loaded serving graph answers its first query
 // without re-parsing text or re-packing B2SR.
 //
+// A symmetric graph is its own transpose (graph.hpp), so save() writes
+// no transposed section for it.  Older v1 writers did; load() checks
+// such sections byte-equal to A's and drops them, so files from either
+// writer load the same graph and the format version stays 1.
+//
 // Loads are paranoid by design: the snapshot container has already
 // proven magic/version/CRCs by the time this layer runs, and this layer
 // adds the STRUCTURAL defenses — Csr/B2sr validate(), cross-format
 // dimension and nnz agreement, degrees recomputation, and the content
 // fingerprint — so a CRC-clean but logically inconsistent file can
-// never become a serving graph.  Any failure throws SnapshotError and
+// never become a serving graph.  Two claims are proven outright in
+// O(nnz), because a wrong one would answer every pull wrongly: the
+// symmetrized flag (is_symmetric, since the flag makes Aᵀ alias A) and
+// a directed graph's persisted CSR transpose (is_transpose_of).  The
+// B2SR sections are checked by validate() and their nonzero count
+// only: proving them against the CSR would cost about a re-pack, the
+// work a snapshot exists to skip.  Any failure throws SnapshotError and
 // the partially built Graph is destroyed on unwind.
 #include "graphblas/graph.hpp"
 
@@ -20,6 +31,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -99,6 +111,13 @@ void require_pair(const snap::Snapshot& s, SectionId a, SectionId b,
   }
 }
 
+/// True if two present sections hold the same bytes.
+bool same_bytes(const snap::Snapshot& s, SectionId a, SectionId b) {
+  const auto x = s.section(a);
+  const auto y = s.section(b);
+  return std::equal(x.begin(), x.end(), y.begin(), y.end());
+}
+
 Csr load_csr_pair(const snap::Snapshot& s, SectionId rowptr, SectionId colind,
                   vidx_t nrows, vidx_t ncols, const char* what) {
   Csr a;
@@ -119,6 +138,12 @@ void Graph::save(const std::string& path, FormatSet want,
   // The unit-valued copy re-derives in O(nnz) with no graph analysis;
   // persisting nnz floats to save that would bloat every snapshot.
   want &= ~kFmtUnitCsrT;
+  // A symmetric graph's transposes are A's own formats: their sections
+  // would repeat A's bytes.
+  if (opts_.symmetrize) {
+    if ((want & kFmtB2srT) != 0) want |= kFmtB2sr;
+    want &= ~(kFmtCsrT | kFmtB2srT);
+  }
   prewarm(want);
 
   const bool any_b2sr =
@@ -192,6 +217,10 @@ Graph Graph::load(const std::string& path) NO_THREAD_SAFETY_ANALYSIS {
   if (snap::csr_fingerprint(a) != h.fingerprint) {
     invalid("content fingerprint disagrees with the header");
   }
+  // The flag makes adjacency_t() and packed_t() alias A, so prove it.
+  if (g.opts_.symmetrize && !is_symmetric(a)) {
+    invalid("symmetrized flag over an asymmetric adjacency");
+  }
   g.csr_ = std::move(a);
 
   Lazy& l = *g.lazy_;
@@ -200,11 +229,21 @@ Graph Graph::load(const std::string& path) NO_THREAD_SAFETY_ANALYSIS {
 
   require_pair(s, SectionId::kCsrTRowptr, SectionId::kCsrTColind, "transpose");
   if (s.has(SectionId::kCsrTRowptr)) {
-    Csr t = load_csr_pair(s, SectionId::kCsrTRowptr, SectionId::kCsrTColind,
-                          h.ncols, h.nrows, "transpose");
-    if (t.nnz() != h.nnz) invalid("transpose nnz disagrees with adjacency");
-    l.csr_t = std::move(t);
-    built |= kFmtCsrT;
+    if (g.opts_.symmetrize) {
+      // An older writer's copy of A: check it and keep nothing.
+      if (!same_bytes(s, SectionId::kCsrTRowptr, SectionId::kCsrRowptr) ||
+          !same_bytes(s, SectionId::kCsrTColind, SectionId::kCsrColind)) {
+        invalid("transpose of a symmetrized graph differs from its adjacency");
+      }
+    } else {
+      Csr t = load_csr_pair(s, SectionId::kCsrTRowptr, SectionId::kCsrTColind,
+                            h.ncols, h.nrows, "transpose");
+      if (!is_transpose_of(t, g.csr_)) {
+        invalid("transpose disagrees with the adjacency");
+      }
+      l.csr_t = std::move(t);
+      built |= kFmtCsrT;
+    }
   }
 
   require_pair(s, SectionId::kLowerRowptr, SectionId::kLowerColind, "lower");
@@ -237,10 +276,25 @@ Graph Graph::load(const std::string& path) NO_THREAD_SAFETY_ANALYSIS {
   require_trio(s, SectionId::kB2srTRowptr, SectionId::kB2srTColind,
                SectionId::kB2srTBits, "b2sr_t");
   if (s.has(SectionId::kB2srTRowptr)) {
-    l.b2sr_t = load_b2sr(s, SectionId::kB2srTRowptr, SectionId::kB2srTColind,
-                         SectionId::kB2srTBits, h.ncols, h.nrows, h.nnz,
+    if (!g.opts_.symmetrize) {
+      l.b2sr_t = load_b2sr(s, SectionId::kB2srTRowptr,
+                           SectionId::kB2srTColind, SectionId::kB2srTBits,
+                           h.ncols, h.nrows, h.nnz, "b2sr_t");
+      built |= kFmtB2srT;
+    } else if (l.b2sr) {
+      // An older writer's copy of A's B2SR: check it and keep nothing.
+      if (!same_bytes(s, SectionId::kB2srTRowptr, SectionId::kB2srRowptr) ||
+          !same_bytes(s, SectionId::kB2srTColind, SectionId::kB2srColind) ||
+          !same_bytes(s, SectionId::kB2srTBits, SectionId::kB2srBits)) {
+        invalid("b2sr_t of a symmetrized graph differs from its b2sr");
+      }
+    } else {
+      // Persisted without A's trio, it is A's B2SR all the same.
+      l.b2sr = load_b2sr(s, SectionId::kB2srTRowptr, SectionId::kB2srTColind,
+                         SectionId::kB2srTBits, h.nrows, h.ncols, h.nnz,
                          "b2sr_t");
-    built |= kFmtB2srT;
+      built |= kFmtB2sr;
+    }
   }
   require_trio(s, SectionId::kB2srLowerRowptr, SectionId::kB2srLowerColind,
                SectionId::kB2srLowerBits, "b2sr_lower");

@@ -28,7 +28,8 @@ bool Csr::validate() const {
   for (vidx_t r = 0; r < nrows; ++r) {
     const auto lo = rowptr[static_cast<std::size_t>(r)];
     const auto hi = rowptr[static_cast<std::size_t>(r) + 1];
-    if (lo > hi) return false;
+    // A later row's decrease would fail too late: bound hi by nnz first.
+    if (lo > hi || hi > rowptr.back()) return false;
     for (vidx_t k = lo; k < hi; ++k) {
       const vidx_t c = colind[static_cast<std::size_t>(k)];
       if (c < 0 || c >= ncols) return false;
@@ -213,10 +214,27 @@ std::vector<vidx_t> out_degrees(const Csr& a) {
   return deg;
 }
 
-bool is_symmetric(const Csr& a) {
-  if (a.nrows != a.ncols) return false;
-  const Csr t = transpose(a);
-  return t.rowptr == a.rowptr && t.colind == a.colind;
+bool is_transpose_of(const Csr& t, const Csr& a) {
+  if (t.nrows != a.ncols || t.ncols != a.nrows || t.nnz() != a.nnz()) {
+    return false;
+  }
+  // Entry (r, c) of a must be the next unmatched entry of row c of t.
+  // Every entry of a then claims a distinct entry of t, and the equal
+  // counts leave none of t unclaimed.
+  std::vector<vidx_t> cursor(t.rowptr.begin(), t.rowptr.end() - 1);
+  for (vidx_t r = 0; r < a.nrows; ++r) {
+    for (const vidx_t c : a.row_cols(r)) {
+      vidx_t& at = cursor[static_cast<std::size_t>(c)];
+      if (at == t.rowptr[static_cast<std::size_t>(c) + 1] ||
+          t.colind[static_cast<std::size_t>(at)] != r) {
+        return false;
+      }
+      ++at;
+    }
+  }
+  return true;
 }
+
+bool is_symmetric(const Csr& a) { return is_transpose_of(a, a); }
 
 }  // namespace bitgb

@@ -73,8 +73,14 @@ struct Csr {
 /// Out-degree per row (the PR auxiliary vector v_out_degree, §V).
 [[nodiscard]] std::vector<vidx_t> out_degrees(const Csr& a);
 
-/// True if the pattern is symmetric: a test-invariant oracle, which no
-/// library code calls.
+/// True if t's pattern is the transpose of a's, in O(nnz + ncols) time
+/// and with no transpose built: each column of a keeps a cursor into the
+/// matching row of t, and a's rows, walked in order, must meet t's
+/// entries in order.  Both must validate().  Graph::load proves a
+/// persisted transpose, and the symmetrized flag, with it.
+[[nodiscard]] bool is_transpose_of(const Csr& t, const Csr& a);
+
+/// True if the pattern is symmetric: is_transpose_of(a, a).
 [[nodiscard]] bool is_symmetric(const Csr& a);
 
 }  // namespace bitgb

@@ -306,7 +306,14 @@ void write_matrix_market(std::ostream& out, const Coo& a) {
   for (eidx_t i = 0; i < a.nnz(); ++i) {
     const auto k = static_cast<std::size_t>(i);
     out << (a.row[k] + 1) << ' ' << (a.col[k] + 1);
-    if (!pattern) out << ' ' << a.val[k];
+    if (!pattern) {
+      // The shortest form that reads back to the same float; the
+      // stream's default six digits would round most values.
+      char buf[32];
+      const char* end = std::to_chars(buf, buf + sizeof buf, a.val[k]).ptr;
+      out << ' ';
+      out.write(buf, end - buf);
+    }
     out << '\n';
   }
 }

@@ -38,6 +38,12 @@
 // accepts exactly its own kFormatVersion and throws kVersionSkew for
 // anything else (snapshots are caches — regenerating beats migrating).
 //
+// A symmetrized graph (kFlagSymmetrized) is its own transpose, so its
+// snapshot carries no kCsrT* or kB2srT* section.  Earlier v1 files
+// carry them; Graph::load checks them byte-equal to A's sections and
+// drops them.  Either layout is version 1 and loads on either reader
+// (tests/data/snapshot pins the earlier one).
+//
 // Every load is validated in depth order: magic, header CRC, version,
 // field sanity, per-section header CRCs and bounds, payload CRCs, and
 // finally the structural invariants of the decoded formats
@@ -84,7 +90,7 @@ inline constexpr std::uint32_t kFlagLoopsStripped = 1u << 1;
 enum class SectionId : std::uint32_t {
   kCsrRowptr = 1,   ///< canonical adjacency rowptr (vidx_t)
   kCsrColind = 2,   ///< canonical adjacency colind (vidx_t)
-  kCsrTRowptr = 3,  ///< transposed adjacency
+  kCsrTRowptr = 3,  ///< transposed adjacency (directed graphs only)
   kCsrTColind = 4,
   kLowerRowptr = 5,  ///< strict lower triangle L
   kLowerColind = 6,
@@ -92,7 +98,7 @@ enum class SectionId : std::uint32_t {
   kB2srRowptr = 16,  ///< B2SR of the adjacency (tile_rowptr / tile_colind
   kB2srColind = 17,  ///< in vidx_t, bits in the dim's word type)
   kB2srBits = 18,
-  kB2srTRowptr = 19,  ///< B2SR of the transpose
+  kB2srTRowptr = 19,  ///< B2SR of the transpose (directed graphs only)
   kB2srTColind = 20,
   kB2srTBits = 21,
   kB2srLowerRowptr = 22,  ///< B2SR of L

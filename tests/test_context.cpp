@@ -59,7 +59,11 @@ TEST(Context, FluentCopiesCompose) {
 // ---------------------------------------------------------------------
 
 TEST(GraphFormats, LazyMaterializationIsObservable) {
-  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5));
+  // Directed, so that the transposes are formats of their own (a
+  // symmetric graph's are A's).
+  gb::GraphOptions directed;
+  directed.symmetrize = false;
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5), directed);
   EXPECT_EQ(gb::kFmtCsr, g.formats());  // only the CSR exists up front
   (void)g.adjacency_t();
   EXPECT_EQ(gb::kFmtCsr | gb::kFmtCsrT, g.formats());

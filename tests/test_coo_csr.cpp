@@ -193,6 +193,17 @@ TEST(Csr, ValidateCatchesBrokenRowptr) {
   EXPECT_FALSE(c.validate());
 }
 
+TEST(Csr, ValidateRejectsARowptrThatOvershootsNnz) {
+  // Row 0 claims 100 entries of a 1-entry colind before row 1 falls
+  // back: validate must stop at the row bound, not read past colind.
+  Csr c;
+  c.nrows = 2;
+  c.ncols = 2;
+  c.rowptr = {0, 100, 1};
+  c.colind = {0};
+  EXPECT_FALSE(c.validate());
+}
+
 TEST(Csr, IsSymmetricDetectsAsymmetry) {
   Coo a{3, 3, {}, {}, {}};
   a.push(0, 1);

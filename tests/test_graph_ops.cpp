@@ -100,6 +100,61 @@ TEST(Graph, PackedTransposeMatchesAdjacencyTranspose) {
   EXPECT_EQ(g.adjacency_t().colind, back.colind);
 }
 
+TEST(Graph, SymmetricGraphIsItsOwnTranspose) {
+  // A symmetrized adjacency equals its transpose, so the transposed
+  // accessors return A's own formats instead of second copies.
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5));
+  EXPECT_EQ(&g.adjacency_t(), &g.adjacency());
+  EXPECT_EQ(&g.packed_t(), &g.packed());
+  // The unit-valued copy keeps its own floats: the reference baseline
+  // reads them.
+  const Csr& unit = g.unit_adjacency_t();
+  EXPECT_NE(&unit, &g.adjacency());
+  EXPECT_EQ(unit.colind, g.adjacency().colind);
+  EXPECT_EQ(unit.val.size(), static_cast<std::size_t>(g.num_edges()));
+}
+
+TEST(Graph, SymmetricGraphReportsItsTransposesWithA) {
+  // kFmtCsrT from construction, and kFmtB2srT whenever kFmtB2sr exists,
+  // whichever accessor packed it.
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 6));
+  EXPECT_EQ(gb::kFmtCsr | gb::kFmtCsrT, g.formats());
+  (void)g.packed_t();
+  EXPECT_EQ(gb::kFmtCsr | gb::kFmtCsrT | gb::kFmtB2sr | gb::kFmtB2srT,
+            g.formats());
+  const gb::Graph h = gb::Graph::from_coo(gen_rmat(8, 1500, 6));
+  (void)h.packed();
+  EXPECT_EQ(gb::kFmtCsr | gb::kFmtCsrT | gb::kFmtB2sr | gb::kFmtB2srT,
+            h.formats());
+  h.prewarm(gb::kBitFormats);
+  EXPECT_EQ(gb::kBitFormats, h.formats());
+}
+
+TEST(Graph, DirectedTransposesStayLazyAndSeparate) {
+  gb::GraphOptions opts;
+  opts.symmetrize = false;
+  opts.tile_dim = 8;
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5), opts);
+  EXPECT_EQ(gb::kFmtCsr, g.formats());
+
+  const Csr& t = g.adjacency_t();
+  EXPECT_EQ(gb::kFmtCsr | gb::kFmtCsrT, g.formats());
+  EXPECT_NE(&t, &g.adjacency());
+  const Csr want = transpose(g.adjacency());
+  EXPECT_EQ(want.rowptr, t.rowptr);
+  EXPECT_EQ(want.colind, t.colind);
+  EXPECT_NE(want.colind, g.adjacency().colind);  // really directed
+
+  const auto& pt = g.packed_t().as<8>();
+  EXPECT_EQ(0u, g.formats() & gb::kFmtB2sr);  // A itself is not packed
+  EXPECT_NE(static_cast<const void*>(&pt),
+            static_cast<const void*>(&g.packed().as<8>()));
+  const B2srAny want_packed = pack_any(want, 8);
+  EXPECT_EQ(want_packed.as<8>().tile_rowptr, pt.tile_rowptr);
+  EXPECT_EQ(want_packed.as<8>().tile_colind, pt.tile_colind);
+  EXPECT_TRUE(want_packed.as<8>().bits == pt.bits);
+}
+
 TEST(Graph, DegreesMatchRowLengths) {
   const gb::Graph g = gb::Graph::from_coo(gen_road(9, 9, 0.0, 5));
   const auto& deg = g.degrees();

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace bitgb {
 namespace {
@@ -271,6 +276,43 @@ TEST(MatrixMarket, WriteReadRoundTripWeighted) {
   ASSERT_EQ(a.val.size(), b.val.size());
   for (std::size_t i = 0; i < a.val.size(); ++i) {
     EXPECT_FLOAT_EQ(a.val[i], b.val[i]);
+  }
+}
+
+TEST(MatrixMarket, WriteReadRoundTripIsBitExact) {
+  // Six significant digits turned 16777215 into 16777200; every finite
+  // float must come back with the same bits.
+  using lim = std::numeric_limits<float>;
+  std::vector<float> vals = {16777215.0f,        1.23456789f,
+                             lim::max(),         -lim::max(),
+                             lim::min(),         -lim::min(),
+                             lim::denorm_min(),  -lim::denorm_min(),
+                             lim::min() / 3.0f,  lim::epsilon(),
+                             0.1f,               -1.0f / 3.0f};
+  std::mt19937 rng(0x6d6d);
+  while (vals.size() < 4096) {
+    const float f = std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
+    if (std::isfinite(f)) vals.push_back(f);
+  }
+  // One row, one column per value, so the entries stay in input order.
+  Coo a{1, static_cast<vidx_t>(vals.size()), {}, {}, {}};
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    a.push(0, static_cast<vidx_t>(i), vals[i]);
+  }
+  std::ostringstream out;
+  write_matrix_market(out, a);
+  std::istringstream in(out.str());
+  const Coo b = read_matrix_market(in);
+  ASSERT_EQ(a.col, b.col);
+  ASSERT_EQ(a.val.size(), b.val.size());
+  int mismatches = 0;
+  for (std::size_t i = 0; i < a.val.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a.val[i]) !=
+        std::bit_cast<std::uint32_t>(b.val[i])) {
+      ADD_FAILURE() << "value " << i << ": wrote " << a.val[i] << ", read "
+                    << b.val[i];
+      if (++mismatches == 10) break;
+    }
   }
 }
 

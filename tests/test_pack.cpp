@@ -114,6 +114,17 @@ TEST(Pack, ValidateRejectsUnsortedTileColumns) {
   EXPECT_FALSE(b.validate());
 }
 
+TEST(Pack, ValidateRejectsATileRowptrThatOvershoots) {
+  // Tile-row 0 claims 100 tiles of a 1-tile store before tile-row 1
+  // falls back: validate must stop at the bound, not read past it.
+  Coo a{8, 8, {}, {}, {}};
+  a.push(0, 0);
+  B2sr4 b = pack_from_csr<4>(coo_to_csr(a));
+  ASSERT_EQ(b.tile_rowptr, (std::vector<vidx_t>{0, 1, 1}));
+  b.tile_rowptr[1] = 100;
+  EXPECT_FALSE(b.validate());
+}
+
 TEST(PackDispatch, RejectsUnsupportedDim) {
   const Csr m = coo_to_csr(gen_random(16, 30, 5));
   EXPECT_THROW(pack_any(m, 7), std::invalid_argument);

@@ -9,6 +9,7 @@
 #include "platform/fault_injector.hpp"
 #include "serving/server.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/generators.hpp"
 #include "sparse/snapshot.hpp"
 
 #include "test_util.hpp"
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bitgb {
@@ -162,7 +164,12 @@ TEST_F(SnapshotTest, UnitFormatsAreDerivedNotPersisted) {
 }
 
 TEST_F(SnapshotTest, CsrOnlySnapshotRewarmsLazily) {
-  const gb::Graph g = gb::Graph::from_csr(test::small_matrix(4).second);
+  // Directed, so that no transpose exists until it is built (a
+  // symmetric graph's transposes are A's).
+  gb::GraphOptions directed;
+  directed.symmetrize = false;
+  const gb::Graph g =
+      gb::Graph::from_csr(test::small_matrix(4).second, directed);
   const std::string p = path("csr-only.bgbs");
   g.save(p, gb::kFmtCsr);  // nothing but the canonical adjacency
   const gb::Graph loaded = gb::Graph::load(p);
@@ -170,6 +177,162 @@ TEST_F(SnapshotTest, CsrOnlySnapshotRewarmsLazily) {
   // Derived formats still build on demand and agree with the original.
   EXPECT_EQ(loaded.packed().nnz(), g.num_edges());
   EXPECT_EQ(loaded.degrees(), g.degrees());
+}
+
+// ---------------------------------------------------------------------
+// Transposes: a symmetric graph persists none; a persisted one is proven
+// ---------------------------------------------------------------------
+
+using snap::SectionId;
+
+/// Writes `path` with header `h` and one section per (id, from) pair,
+/// each holding the bytes of `src`'s section `from`.
+void write_sections(const std::string& path, const snap::SnapshotHeader& h,
+                    const snap::Snapshot& src,
+                    const std::vector<std::pair<SectionId, SectionId>>& secs) {
+  snap::SnapshotWriter w(h);
+  for (const auto& [id, from] : secs) {
+    const auto bytes = src.section(from);
+    w.add_section(id, bytes.data(), bytes.size());
+  }
+  w.write_file(path);
+}
+
+/// Every section of `s`, each written under its own id.
+std::vector<std::pair<SectionId, SectionId>> own_sections(
+    const snap::Snapshot& s) {
+  std::vector<std::pair<SectionId, SectionId>> out;
+  for (const auto& sec : s.sections()) out.emplace_back(sec.id, sec.id);
+  return out;
+}
+
+void expect_invalid_structure(const std::string& path, const char* what) {
+  try {
+    (void)gb::Graph::load(path);
+    FAIL() << what << ": loaded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), SnapshotError::Kind::kInvalidStructure)
+        << what << ": " << e.what();
+  }
+}
+
+constexpr SectionId kTransposedSections[] = {
+    SectionId::kCsrTRowptr, SectionId::kCsrTColind, SectionId::kB2srTRowptr,
+    SectionId::kB2srTColind, SectionId::kB2srTBits};
+
+TEST_F(SnapshotTest, SymmetrizedSnapshotPersistsNoTranspose) {
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5));
+  const std::string p = path("sym.bgbs");
+  g.save(p, gb::kBitFormats);
+  const snap::Snapshot s = snap::Snapshot::read_file(p);
+  for (const SectionId id : kTransposedSections) {
+    EXPECT_FALSE(s.has(id)) << static_cast<std::uint32_t>(id);
+  }
+  EXPECT_TRUE(s.has(SectionId::kB2srBits));
+
+  const gb::Graph loaded = gb::Graph::load(p);
+  EXPECT_EQ(loaded.formats() & gb::kBitFormats, gb::kBitFormats);
+  EXPECT_EQ(&loaded.adjacency_t(), &loaded.adjacency());
+  EXPECT_EQ(&loaded.packed_t(), &loaded.packed());
+
+  // Asking for A's B2SR transpose alone persists A's B2SR.
+  const std::string p2 = path("sym-b2srt.bgbs");
+  g.save(p2, gb::kFmtB2srT);
+  const snap::Snapshot s2 = snap::Snapshot::read_file(p2);
+  EXPECT_TRUE(s2.has(SectionId::kB2srBits));
+  EXPECT_FALSE(s2.has(SectionId::kB2srTBits));
+  EXPECT_NE(gb::Graph::load(p2).formats() & gb::kFmtB2srT, 0u);
+}
+
+TEST_F(SnapshotTest, SymmetrizedSnapshotWithTransposesLoadsAfterTheCheck) {
+  // The layout older writers used: A's bytes again under the transposed
+  // ids.  It loads to the same graph; a transpose that is not A's bytes
+  // fails.
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5));
+  const std::string p = path("sym.bgbs");
+  g.save(p, gb::kBitFormats);
+  const snap::Snapshot s = snap::Snapshot::read_file(p);
+  const Context ctx = Context{}.with_threads(1);
+  const auto levels = algo::bfs(ctx, g, {vidx_t{3}}).levels;
+
+  auto legacy = own_sections(s);
+  legacy.emplace_back(SectionId::kCsrTRowptr, SectionId::kCsrRowptr);
+  legacy.emplace_back(SectionId::kCsrTColind, SectionId::kCsrColind);
+  legacy.emplace_back(SectionId::kB2srTRowptr, SectionId::kB2srRowptr);
+  legacy.emplace_back(SectionId::kB2srTColind, SectionId::kB2srColind);
+  legacy.emplace_back(SectionId::kB2srTBits, SectionId::kB2srBits);
+  write_sections(path("legacy.bgbs"), s.header(), s, legacy);
+  const gb::Graph loaded = gb::Graph::load(path("legacy.bgbs"));
+  EXPECT_EQ(loaded.formats() & gb::kBitFormats, gb::kBitFormats);
+  EXPECT_EQ(&loaded.packed_t(), &loaded.packed());
+  EXPECT_EQ(algo::bfs(ctx, loaded, {vidx_t{3}}).levels, levels);
+  loaded.save(path("resaved.bgbs"), gb::kBitFormats);
+  EXPECT_EQ(slurp(p), slurp(path("resaved.bgbs")));
+
+  // A B2SR transpose persisted without A's trio stands in for it.
+  std::vector<std::pair<SectionId, SectionId>> t_only = {
+      {SectionId::kCsrRowptr, SectionId::kCsrRowptr},
+      {SectionId::kCsrColind, SectionId::kCsrColind},
+      {SectionId::kB2srTRowptr, SectionId::kB2srRowptr},
+      {SectionId::kB2srTColind, SectionId::kB2srColind},
+      {SectionId::kB2srTBits, SectionId::kB2srBits}};
+  write_sections(path("t-only.bgbs"), s.header(), s, t_only);
+  const gb::Graph t_loaded = gb::Graph::load(path("t-only.bgbs"));
+  EXPECT_NE(t_loaded.formats() & gb::kFmtB2sr, 0u);
+  EXPECT_EQ(algo::bfs(ctx, t_loaded, {vidx_t{3}}).levels, levels);
+
+  // L's valid CSR and B2SR in place of A's transposes.
+  auto csr_lie = own_sections(s);
+  csr_lie.emplace_back(SectionId::kCsrTRowptr, SectionId::kLowerRowptr);
+  csr_lie.emplace_back(SectionId::kCsrTColind, SectionId::kLowerColind);
+  write_sections(path("csr-lie.bgbs"), s.header(), s, csr_lie);
+  expect_invalid_structure(path("csr-lie.bgbs"), "CSR transpose lie");
+  auto b2sr_lie = own_sections(s);
+  b2sr_lie.emplace_back(SectionId::kB2srTRowptr, SectionId::kB2srLowerRowptr);
+  b2sr_lie.emplace_back(SectionId::kB2srTColind, SectionId::kB2srLowerColind);
+  b2sr_lie.emplace_back(SectionId::kB2srTBits, SectionId::kB2srLowerBits);
+  write_sections(path("b2sr-lie.bgbs"), s.header(), s, b2sr_lie);
+  expect_invalid_structure(path("b2sr-lie.bgbs"), "B2SR transpose lie");
+}
+
+TEST_F(SnapshotTest, DirectedSnapshotTransposeIsProven) {
+  gb::GraphOptions directed;
+  directed.symmetrize = false;
+  const gb::Graph g = gb::Graph::from_coo(gen_rmat(8, 1500, 5), directed);
+  const std::string p = path("directed.bgbs");
+  g.save(p, gb::kBitFormats);
+  const snap::Snapshot s = snap::Snapshot::read_file(p);
+  ASSERT_TRUE(s.has(SectionId::kCsrTColind));
+  ASSERT_TRUE(s.has(SectionId::kB2srTBits));
+
+  // A directed load keeps a transpose of its own.
+  const gb::Graph loaded = gb::Graph::load(p);
+  EXPECT_NE(&loaded.adjacency_t(), &loaded.adjacency());
+  EXPECT_EQ(loaded.adjacency_t().colind, g.adjacency_t().colind);
+
+  // Every transposed section replaced by A's, each CRC valid.
+  std::vector<std::pair<SectionId, SectionId>> lie;
+  for (const auto& sec : s.sections()) {
+    SectionId from = sec.id;
+    switch (sec.id) {
+      case SectionId::kCsrTRowptr: from = SectionId::kCsrRowptr; break;
+      case SectionId::kCsrTColind: from = SectionId::kCsrColind; break;
+      case SectionId::kB2srTRowptr: from = SectionId::kB2srRowptr; break;
+      case SectionId::kB2srTColind: from = SectionId::kB2srColind; break;
+      case SectionId::kB2srTBits: from = SectionId::kB2srBits; break;
+      default: break;
+    }
+    lie.emplace_back(sec.id, from);
+  }
+  write_sections(path("transpose-lie.bgbs"), s.header(), s, lie);
+  expect_invalid_structure(path("transpose-lie.bgbs"),
+                           "A's sections as the transpose");
+
+  // The symmetrized flag over the directed adjacency: Aᵀ would alias A.
+  snap::SnapshotHeader h = s.header();
+  h.flags |= snap::kFlagSymmetrized;
+  write_sections(path("flag-lie.bgbs"), h, s, own_sections(s));
+  expect_invalid_structure(path("flag-lie.bgbs"), "symmetrized flag lie");
 }
 
 TEST_F(SnapshotTest, FingerprintKeysContentNotConstructionPath) {
@@ -397,6 +560,27 @@ TEST_F(SnapshotTest, NonSquareSnapshotFailsLoadAndIsQuarantined) {
   EXPECT_EQ(report.quarantined(), 1u);
   EXPECT_EQ(fresh.lookup("wide"), nullptr);
   EXPECT_NE(fresh.lookup("alpha"), nullptr);
+}
+
+TEST_F(SnapshotTest, OvershootingRowptrFailsStructurally) {
+  // CRC-clean, and row 0 claims 100 entries of a 1-entry colind before
+  // row 1 falls back: validation must reject it without reading past
+  // colind (the sanitizer lanes would abort on such a read).
+  Csr bad;
+  bad.nrows = 2;
+  bad.ncols = 2;
+  bad.rowptr = {0, 100, 1};
+  bad.colind = {0};
+  snap::SnapshotHeader h;
+  h.nrows = bad.nrows;
+  h.ncols = bad.ncols;
+  h.nnz = bad.nnz();
+  h.fingerprint = snap::csr_fingerprint(bad);
+  snap::SnapshotWriter w(h);
+  w.add_vector(SectionId::kCsrRowptr, bad.rowptr);
+  w.add_vector(SectionId::kCsrColind, bad.colind);
+  w.write_file(path("overshoot.bgbs"));
+  expect_invalid_structure(path("overshoot.bgbs"), "overshooting rowptr");
 }
 
 TEST_F(SnapshotTest, RecoverReportsMissingSnapshotFiles) {
