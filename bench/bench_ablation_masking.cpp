@@ -6,10 +6,11 @@
 // output store.  A tile-row's mask is uniform for the warp that owns
 // it, so both kernels here skip a closed tile-row whole; they differ
 // inside an open row, where the host analog of "divergence" is a
-// per-row branch in the inner loop vs a branch-free word-AND at store
-// time.  This bench compares the shipped kernel (closed tile-rows
-// skipped, mask AND-ed at the store) against a per-row early-exit
-// variant implemented here, across visited-fraction levels.
+// per-row branch in the inner loop vs branch-free word operations.
+// This bench compares the shipped kernel (closed tile-rows skipped, an
+// open one stopped as a whole once its open rows are set, the mask
+// AND-ed at the store) against a per-row early-exit variant
+// implemented here, across visited-fraction levels.
 #include "core/bmv.hpp"
 #include "core/pack.hpp"
 #include "platform/timer.hpp"
@@ -104,7 +105,7 @@ int main() {
   }
   std::printf("\n(the paper's rationale: in warp kernels a per-row early "
               "exit only adds divergence; a closed tile-row is skipped "
-              "whole, and inside an open row the at-store AND is "
-              "branch-free)\n");
+              "whole, an open one stops as a whole once its open rows "
+              "are set, and the at-store AND is branch-free)\n");
   return 0;
 }

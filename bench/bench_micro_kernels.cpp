@@ -70,13 +70,18 @@ const B2srT<Dim>& powerlaw_lower_packed() {
   return b;
 }
 
-/// The msbfs wave's operand on a power-law graph, the second fixture
-/// of the frontier pull: the symmetrized gen_rmat(12, 1 << 15, 42),
-/// whose tiles mostly hold one bit.
+/// The power-law traversal fixture: the symmetrized
+/// gen_rmat(12, 1 << 15, 42), whose tiles mostly hold one bit.
+const Csr& powerlaw_matrix() {
+  static const Csr m = symmetrize(coo_to_csr(gen_rmat(12, 1 << 15, 42)));
+  return m;
+}
+
+/// The msbfs wave's operand on the power-law fixture, the second
+/// fixture of the frontier pull, and BFS's pull operand.
 template <int Dim>
 const B2srT<Dim>& powerlaw_packed() {
-  static const B2srT<Dim> b = pack_from_csr<Dim>(
-      symmetrize(coo_to_csr(gen_rmat(12, 1 << 15, 42))));
+  static const B2srT<Dim> b = pack_from_csr<Dim>(powerlaw_matrix());
   return b;
 }
 
@@ -186,6 +191,31 @@ void bench_dim() {
     track("bmv_bin_bin_bin_masked_late", Dim, nnz, [&](Exec e) {
       bmv_bin_bin_bin_masked(a, xb, visited, true, y, e);
     });
+    // BFS's level-2 pull from the power-law fixture's hub: the frontier
+    // is the hub's neighbours, and visited holds them, the hub and the
+    // isolated vertices (BFS closes those before its first pull).  Most
+    // open tile-rows settle long before their last tile, which the
+    // banded fixture's 3-9 dense tiles per tile-row cannot show.
+    const Csr& pm = powerlaw_matrix();
+    const auto& p = powerlaw_packed<Dim>();
+    vidx_t hub = 0;
+    for (vidx_t v = 1; v < pm.nrows; ++v) {
+      if (pm.row_cols(v).size() > pm.row_cols(hub).size()) hub = v;
+    }
+    PackedVecT<Dim> pfrontier(pm.ncols);
+    PackedVecT<Dim> pvisited(pm.nrows);
+    pvisited.set(hub);
+    for (const vidx_t v : pm.row_cols(hub)) {
+      pfrontier.set(v);
+      pvisited.set(v);
+    }
+    for (vidx_t v = 0; v < pm.nrows; ++v) {
+      if (pm.row_cols(v).empty()) pvisited.set(v);
+    }
+    track("bmv_bin_bin_bin_masked_powerlaw", Dim,
+          static_cast<double>(p.nnz()), [&](Exec e) {
+            bmv_bin_bin_bin_masked(p, pfrontier, pvisited, true, y, e);
+          });
   }
   {
     std::vector<value_t> y;

@@ -3,6 +3,8 @@
 #include "graphblas/ops.hpp"
 
 #include <deque>
+#include <stdexcept>
+#include <string>
 
 namespace bitgb::algo {
 
@@ -37,6 +39,7 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
   touched.clear();
 
   std::int32_t level = 0;
+  bool pulled = false;
   while (frontier_count > 0) {
     // Level boundary: the fault hook may throw, the cancellation poll
     // returns early with the levels scattered so far (a valid prefix —
@@ -46,7 +49,8 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
     ++level;
     // Direction optimization, as in GraphBLAST: push (frontier-
     // proportional, active-list) while the frontier is sparse, pull
-    // (masked mxv over A^T, skipping the tile-rows visited has closed)
+    // (masked mxv over A^T, skipping the tile-rows visited has closed
+    // and stopping each open one once its open rows have a parent)
     // once it densifies.  Both apply the visited mask at the output
     // store (§V).
     // `next` is all-zero here: the scatter loop below clears every word
@@ -58,6 +62,14 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
       bmv_bin_bin_bin_push_masked(a, frontier, active, visited,
                                   /*complement=*/true, next, touched);
     } else {
+      if (!pulled) {
+        // Before the first pull, close the vertices no edge reaches:
+        // their levels stay kUnreached either way, and an open row
+        // that can never be set would hold its tile-row open to the
+        // last tile.  The push never sets them, so it is unaffected.
+        pulled = true;
+        for (const vidx_t v : g.no_in_edges()) visited.set(v);
+      }
       gb::bit_vxm_bool_masked<Dim>(ctx, at, frontier, visited, next);
       for (std::size_t w = 0; w < next.words.size(); ++w) {
         if (next.words[w] != 0) touched.push_back(static_cast<vidx_t>(w));
@@ -74,12 +86,12 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
       const auto word = next.words[w];
       next.words[w] = 0;
       frontier.words[w] = word;
-      frontier_count += popcount(word);
       visited.words[w] = static_cast<typename TileTraits<Dim>::word_t>(
           visited.words[w] | word);
       for_each_set_bit(word, [&](int j) {
         const auto v = w * Dim + static_cast<std::size_t>(j);
         res.levels[v] = level;
+        ++frontier_count;
       });
     }
     std::swap(active, touched);
@@ -144,6 +156,12 @@ void bfs_ref(const Context& ctx, const gb::Graph& g, vidx_t source,
 
 void bfs(const Context& ctx, const gb::Graph& g, const BfsParams& params,
          Workspace& ws, BfsResult& out) {
+  if (params.source < 0 || params.source >= g.num_vertices()) {
+    throw std::invalid_argument("bfs: source " +
+                                std::to_string(params.source) +
+                                " outside [0, " +
+                                std::to_string(g.num_vertices()) + ")");
+  }
   if (ctx.backend == Backend::kReference) {
     bfs_ref(ctx, g, params.source, ws, out);
     return;

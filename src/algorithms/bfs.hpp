@@ -4,11 +4,15 @@
 // applied to drop already-seen vertices.  The bit backend pushes sparse
 // frontiers through the active-list bmv_bin_bin_bin_push_masked and
 // pulls dense ones through bmv_bin_bin_bin_masked.  The pull skips a
-// tile-row the visited mask has closed whole; inside an open row the
-// mask is AND-ed at the output store (no per-row early exit — §V
-// explains it would diverge the warp that owns a tile-row).  The
-// reference backend is the GraphBLAST-style direction-optimized
-// push/pull with early exit.
+// tile-row the visited mask has closed whole, and stops an open one
+// once each of its open rows has a parent in the frontier; the
+// tile-row stops as a whole, with no per-row exit (§V explains one
+// would diverge the warp that owns a tile-row).  Before its first pull
+// it closes the vertices no edge reaches (gb::Graph::no_in_edges,
+// cached per graph), which stay kUnreached either way but would hold
+// their tile-rows open to the last tile.  The reference backend is the
+// GraphBLAST-style direction-optimized push/pull with a per-row early
+// exit.
 //
 // API shape (all algorithms follow it): `Result run(const Context&,
 // const Graph&, Params)`, plus a Workspace + out-parameter overload
@@ -40,7 +44,8 @@ struct BfsResult {
 };
 
 /// Zero-allocation form: scratch lives in `ws`, result buffers reuse
-/// `out`'s capacity.
+/// `out`'s capacity.  Throws std::invalid_argument, leaving `out` as it
+/// was, unless params.source is in [0, num_vertices()).
 void bfs(const Context& ctx, const gb::Graph& g, const BfsParams& params,
          Workspace& ws, BfsResult& out);
 

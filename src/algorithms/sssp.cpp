@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace bitgb::algo {
 
@@ -81,12 +83,12 @@ void sssp_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
         if (relaxed[v] < res.dist[v]) {
           res.dist[v] = relaxed[v];
           next = set_bit(next, j);
+          ++count;
         }
       });
       if (next == 0) return;
       changed.words[static_cast<std::size_t>(w)] = next;
       active.push_back(w);
-      count += popcount(next);
     };
     if (push) {
       for (const vidx_t w : touched) {
@@ -149,6 +151,12 @@ void sssp_ref(const Context& ctx, const gb::Graph& g, vidx_t source,
 
 void sssp(const Context& ctx, const gb::Graph& g, const SsspParams& params,
           Workspace& ws, SsspResult& out) {
+  if (params.source < 0 || params.source >= g.num_vertices()) {
+    throw std::invalid_argument("sssp: source " +
+                                std::to_string(params.source) +
+                                " outside [0, " +
+                                std::to_string(g.num_vertices()) + ")");
+  }
   if (ctx.backend == Backend::kReference) {
     sssp_ref(ctx, g, params.source, ws, out);
     return;

@@ -38,7 +38,8 @@ struct SsspResult {
 };
 
 /// Zero-allocation form: scratch lives in `ws`, result buffers reuse
-/// `out`'s capacity.
+/// `out`'s capacity.  Throws std::invalid_argument, leaving `out` as it
+/// was, unless params.source is in [0, num_vertices()).
 void sssp(const Context& ctx, const gb::Graph& g, const SsspParams& params,
           Workspace& ws, SsspResult& out);
 

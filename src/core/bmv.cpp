@@ -9,7 +9,8 @@ namespace detail {
 /// The tile-row loop both Boolean kernels share: take each tile-row's
 /// store mask (`mask`, complemented if asked, clipped to Dim bits; null
 /// = keep all), skip the row when that mask is zero, else OR the row
-/// through simd::bbb_row_or and store its word AND-ed with the mask.
+/// through simd::bbb_row_or with the mask as its wanted rows (the OR
+/// stops once they are all set) and store the masked word it returns.
 /// Empty and closed tile-rows store the zero resize() wrote.
 template <int Dim>
 void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
@@ -35,9 +36,10 @@ void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
     const vidx_t hi = rowptr[tr + 1];
     if (lo == hi) return;
     // Paper §V, mask first: a tile-row's mask is uniform for the warp
-    // that owns it, so a closed tile-row is skipped whole; inside an
-    // open row there is no per-row early exit (it would diverge the
-    // warp) and the mask is AND-ed right before the output store.
+    // that owns it, so a closed tile-row is skipped whole.  An open one
+    // stops as a whole once every open row has a frontier neighbour, a
+    // test the warp takes together; there is no per-row exit (it would
+    // diverge the warp), and only the open rows are stored.
     word_t keep = row_bits;
     if (mw != nullptr) {
       keep = mw[static_cast<std::size_t>(tr)];
@@ -45,8 +47,8 @@ void boolean_tile_rows(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
       keep = static_cast<word_t>(keep & row_bits);
       if (keep == 0) return;
     }
-    const word_t out = simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi);
-    yw[static_cast<std::size_t>(tr)] = static_cast<word_t>(out & keep);
+    yw[static_cast<std::size_t>(tr)] =
+        simd::bbb_row_or<Dim>(tiles, colind, xw, lo, hi, keep);
   });
   // Clamp tail bits beyond nrows (complemented masks set them).
   if (a.nrows % Dim != 0 && !y.words.empty()) {

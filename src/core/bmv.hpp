@@ -17,7 +17,11 @@
 // store, having bit-wise AND with the negation of [the] visited vertex
 // vector", §V): masked-off positions store zero in a Boolean y and keep
 // their prior value in a semiring y.  The pulls read the mask first and
-// skip a tile-row it closes whole.
+// skip a tile-row it closes whole.  The Boolean pull hands an open
+// tile-row's open rows to simd::bbb_row_or as its wanted rows, so the
+// tile-row stops once each has a set bit: the output's sparsity, which
+// GraphBLAST exploits per row, exploited per tile-row (one warp's
+// decision, so no warp diverges).  The unmasked pull wants every row.
 //
 // Parallelization: one tile-row per task (the paper's one-warp-per-
 // tile-row mapping, §IV "warp-consolidation model"); output rows of
@@ -69,7 +73,8 @@ template <int Dim>
 void bmv_bin_bin_bin(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                      PackedVecT<Dim>& y, Exec exec = {});
 
-/// Masked: y_bits &= (complement ? ~mask : mask) at store time.
+/// Masked: y_bits &= (complement ? ~mask : mask) at store time; an
+/// open tile-row stops once every open row is set.
 template <int Dim>
 void bmv_bin_bin_bin_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
                             const PackedVecT<Dim>& mask, bool complement,

@@ -12,9 +12,10 @@ namespace bitgb::gb {
 
 namespace {
 
-/// Private `built` bits for the two lazily-decided scalars that are not
-/// public formats.  They live above bit 8 (kFmtDegrees) and are masked
-/// out of formats().
+/// Private `built` bits for the caches that are not public formats: the
+/// two lazily-decided scalars and the no-in-edge list.  They live above
+/// bit 8 (kFmtDegrees) and are masked out of formats().
+constexpr FormatSet kBuiltNoInEdges = 1u << 29;
 constexpr FormatSet kBuiltTileDim = 1u << 30;
 constexpr FormatSet kBuiltFingerprint = 1u << 31;
 constexpr FormatSet kPublicFormatMask = kAllFormats;
@@ -137,9 +138,24 @@ const std::vector<vidx_t>& Graph::degrees() const {
                      [&] { return out_degrees(csr_); });
 }
 
+const std::vector<vidx_t>& Graph::no_in_edges() const {
+  Lazy& l = *lazy_;
+  return materialize(l.built, kBuiltNoInEdges, l.no_in_mu, l.no_in_edges, [&] {
+    // The columns absent from colind: the empty rows of A^T.
+    const vidx_t n = csr_.nrows;
+    std::vector<vidx_t> out;
+    std::vector<std::uint8_t> reached(static_cast<std::size_t>(n), 0);
+    for (const vidx_t c : csr_.colind) reached[static_cast<std::size_t>(c)] = 1;
+    for (vidx_t v = 0; v < n; ++v) {
+      if (reached[static_cast<std::size_t>(v)] == 0) out.push_back(v);
+    }
+    return out;
+  });
+}
+
 FormatSet Graph::formats() const {
-  // Mask the private tile-dim / fingerprint bits: they are publication
-  // state, not formats.
+  // Mask the private tile-dim / fingerprint / no-in-edge bits: they are
+  // publication state, not formats.
   FormatSet f =
       lazy_->built.load(std::memory_order_acquire) & kPublicFormatMask;
   // A symmetric graph's transposes are A's own formats.
@@ -155,7 +171,12 @@ void Graph::prewarm(FormatSet want) const {
   if (want & kFmtUnitCsrT) (void)unit_adjacency_t();
   if (want & kFmtLower) (void)lower();
   if (want & kFmtB2sr) (void)packed();
-  if (want & kFmtB2srT) (void)packed_t();
+  if (want & kFmtB2srT) {
+    // The BFS pull's operand, and the list it closes before its first
+    // pull level.
+    (void)packed_t();
+    (void)no_in_edges();
+  }
   if (want & kFmtB2srLower) (void)packed_lower();
   if (want & kFmtDegrees) (void)degrees();
 }

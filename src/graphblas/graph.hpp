@@ -130,6 +130,13 @@ class Graph {
   /// Out-degrees (the PR auxiliary vector, paper §V).
   [[nodiscard]] const std::vector<vidx_t>& degrees() const;
 
+  /// The vertices no edge reaches — the empty rows of A^T, the isolated
+  /// vertices of a symmetric graph — ascending.  BFS closes them in its
+  /// pull mask.  Derived from the CSR on first use, or by prewarm()
+  /// along with kFmtB2srT (the pull's operand); no Format bit, not
+  /// persisted.
+  [[nodiscard]] const std::vector<vidx_t>& no_in_edges() const;
+
   /// Which formats exist right now (kFmtCsr always set).  On a
   /// symmetric graph kFmtCsrT is set from construction and kFmtB2srT
   /// whenever kFmtB2sr is, because those transposes are A's own
@@ -138,7 +145,8 @@ class Graph {
 
   /// Materialize every format in `want` now, off the query path — the
   /// server-side warm-up (kReferenceFormats / kBitFormats /
-  /// kAllFormats, or any combination of Format bits).
+  /// kAllFormats, or any combination of Format bits).  kFmtB2srT also
+  /// builds no_in_edges(), which the BFS pull reads with it.
   void prewarm(FormatSet want) const;
 
   /// 64-bit content fingerprint of the canonical adjacency pattern
@@ -192,9 +200,10 @@ class Graph {
   /// hazard that shaped GraphSlot's component memo.)
   struct Lazy {
     Mutex dim_mu, csr_t_mu, unit_t_mu, lower_mu, b2sr_mu, b2sr_t_mu,
-        b2sr_lower_mu, degrees_mu, fp_mu;
+        b2sr_lower_mu, degrees_mu, no_in_mu, fp_mu;
     /// Publication word: public Format bits plus the private tile-dim /
-    /// fingerprint bits defined in graph.cpp (masked out of formats()).
+    /// fingerprint / no-in-edge bits defined in graph.cpp (masked out of
+    /// formats()).
     std::atomic<FormatSet> built{kFmtCsr};
     // The optionals double as the load() seam: Graph::load fills them
     // directly (snapshot sections, already validated) before the handle
@@ -208,6 +217,7 @@ class Graph {
     std::optional<B2srAny> b2sr_t GUARDED_BY(b2sr_t_mu);
     std::optional<B2srAny> b2sr_lower GUARDED_BY(b2sr_lower_mu);
     std::optional<std::vector<vidx_t>> degrees GUARDED_BY(degrees_mu);
+    std::optional<std::vector<vidx_t>> no_in_edges GUARDED_BY(no_in_mu);
     std::optional<std::uint64_t> fp GUARDED_BY(fp_mu);
   };
 

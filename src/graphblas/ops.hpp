@@ -16,9 +16,11 @@
 //
 // The bit backend routes to the B2SR kernels of src/core.  Its masked
 // pulls (Boolean and semiring) read the mask per tile-row: a closed
-// tile-row is skipped whole, and inside an open row the mask is AND-ed
-// at the output store (no per-row early exit — the paper's §V design
-// choice, because the rows of a tile-row share a warp).
+// tile-row is skipped whole, and only an open tile-row's open rows are
+// stored.  The Boolean pull also stops an open tile-row once each of
+// its open rows has a frontier neighbour: the tile-row decides as a
+// whole, as the warp that owns it would, so the paper's §V reason for
+// having no per-row early exit (it would diverge the warp) still holds.
 //
 // Every operation contributes to the Context's kernel-time sink (when
 // set), which is how the bench harness splits "algorithm" from

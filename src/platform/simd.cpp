@@ -100,12 +100,17 @@ constexpr std::array<std::uint64_t, 256> kByteSelect = [] {
 // them under the AVX2 target.
 // =====================================================================
 
+/// bbb_row_or over [lo, hi), starting from the rows `out` already holds
+/// (the AVX2 bodies finish their scalar tails here).  `want` arrives
+/// clipped to Dim bits; the loop returns as soon as it is covered.
 template <int Dim>
 [[gnu::always_inline]] inline typename TileTraits<Dim>::word_t bbb_row_or_body(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
+    typename TileTraits<Dim>::word_t want,
+    typename TileTraits<Dim>::word_t out = 0) {
   using word_t = typename TileTraits<Dim>::word_t;
-  word_t out = 0;
+  if ((out & want) == want) return want;
   if constexpr (Dim == 8) {
     for (vidx_t t = lo; t < hi; ++t) {
       const std::uint64_t xw = xwords[static_cast<std::size_t>(colind[t])];
@@ -113,6 +118,7 @@ template <int Dim>
       const std::uint64_t v = load_tile8(tiles + static_cast<std::size_t>(t) * 8) &
                               (xw * 0x0101010101010101ull);
       out = static_cast<word_t>(out | swar_bytes_nonzero_mask(v));
+      if ((out & want) == want) return want;
     }
   } else if constexpr (Dim == 4) {
     for (vidx_t t = lo; t < hi; ++t) {
@@ -124,6 +130,7 @@ template <int Dim>
       const std::uint32_t hi4 =
           (v | ((v & 0x7F7F7F7Fu) + 0x7F7F7F7Fu)) & 0x80808080u;
       out = static_cast<word_t>(out | (((hi4 >> 7) * 0x01020408u) >> 24));
+      if ((out & want) == want) return want;
     }
   } else {
     for (vidx_t t = lo; t < hi; ++t) {
@@ -133,9 +140,10 @@ template <int Dim>
       for (int r = 0; r < Dim; ++r) {
         if ((w[r] & xw) != 0) out = set_bit(out, r);
       }
+      if ((out & want) == want) return want;
     }
   }
-  return out;
+  return static_cast<word_t>(out & want);
 }
 
 template <int Dim>
@@ -591,8 +599,11 @@ namespace portable {
 template <int Dim>
 typename TileTraits<Dim>::word_t bbb_row_or(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
-  return bbb_row_or_body<Dim>(tiles, colind, xwords, lo, hi);
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
+    typename TileTraits<Dim>::word_t want) {
+  using word_t = typename TileTraits<Dim>::word_t;
+  want = static_cast<word_t>(want & low_mask<word_t>(Dim));
+  return bbb_row_or_body<Dim>(tiles, colind, xwords, lo, hi, want);
 }
 
 template <int Dim>
@@ -717,13 +728,16 @@ BITGB_TGT_AVX2 inline std::uint64_t avx2_hor_epi64(__m256i v) {
 template <int Dim>
 BITGB_TGT_AVX2 typename TileTraits<Dim>::word_t bbb_row_or_avx2(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
+    typename TileTraits<Dim>::word_t want) {
   using word_t = typename TileTraits<Dim>::word_t;
+  want = static_cast<word_t>(want & low_mask<word_t>(Dim));
+  if (want == 0) return 0;
   const __m256i zero = _mm256_setzero_si256();
   if constexpr (Dim == 8) {
-    // 4 tiles (32 bytes) per iteration; each tile's 8 rows land in one
-    // byte group of the movemask, OR-folded into the shared out word.
-    std::uint32_t out4 = 0;
+    // 4 tiles (32 bytes) per step; each tile's 8 rows land in one byte
+    // group of the movemask, folded into `out` for the exit check.
+    word_t out = 0;
     vidx_t t = lo;
     for (; t + 4 <= hi; t += 4) {
       const std::uint64_t b0 = xwords[static_cast<std::size_t>(colind[t])];
@@ -739,23 +753,16 @@ BITGB_TGT_AVX2 typename TileTraits<Dim>::word_t bbb_row_or_avx2(
       const __m256i tv = loadu256(
           tiles + static_cast<std::size_t>(t) * 8);
       const __m256i z = _mm256_cmpeq_epi8(_mm256_and_si256(tv, xv), zero);
-      out4 |= ~static_cast<std::uint32_t>(_mm256_movemask_epi8(z));
+      std::uint32_t m = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(z));
+      m |= m >> 16;
+      m |= m >> 8;
+      out = static_cast<word_t>(out | (m & 0xFF));
+      if ((out & want) == want) return want;
     }
-    out4 |= out4 >> 16;
-    out4 |= out4 >> 8;
-    auto out = static_cast<word_t>(out4 & 0xFF);
-    for (; t < hi; ++t) {
-      const std::uint64_t xw = xwords[static_cast<std::size_t>(colind[t])];
-      if (xw == 0) continue;
-      const std::uint64_t v =
-          load_tile8(tiles + static_cast<std::size_t>(t) * 8) &
-          (xw * 0x0101010101010101ull);
-      out = static_cast<word_t>(out | swar_bytes_nonzero_mask(v));
-    }
-    return out;
+    return bbb_row_or_body<Dim>(tiles, colind, xwords, t, hi, want, out);
   } else if constexpr (Dim == 4) {
-    // 8 tiles (32 bytes) per iteration, 4 movemask bits per tile.
-    std::uint32_t out8 = 0;
+    // 8 tiles (32 bytes) per step, 4 movemask bits per tile.
+    word_t out = 0;
     vidx_t t = lo;
     for (; t + 8 <= hi; t += 8) {
       std::uint32_t d[8];
@@ -774,23 +781,14 @@ BITGB_TGT_AVX2 typename TileTraits<Dim>::word_t bbb_row_or_avx2(
       const __m256i tv = loadu256(
           tiles + static_cast<std::size_t>(t) * 4);
       const __m256i z = _mm256_cmpeq_epi8(_mm256_and_si256(tv, xv), zero);
-      out8 |= ~static_cast<std::uint32_t>(_mm256_movemask_epi8(z));
+      std::uint32_t m = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(z));
+      m |= m >> 16;
+      m |= m >> 8;
+      m |= m >> 4;
+      out = static_cast<word_t>(out | (m & 0xF));
+      if ((out & want) == want) return want;
     }
-    out8 |= out8 >> 16;
-    out8 |= out8 >> 8;
-    out8 |= out8 >> 4;
-    auto out = static_cast<word_t>(out8 & 0xF);
-    for (; t < hi; ++t) {
-      const std::uint32_t xw = xwords[static_cast<std::size_t>(colind[t])];
-      if (xw == 0) continue;
-      const std::uint32_t v =
-          load_tile4(tiles + static_cast<std::size_t>(t) * 4) &
-          (xw * 0x01010101u);
-      const std::uint32_t hi4 =
-          (v | ((v & 0x7F7F7F7Fu) + 0x7F7F7F7Fu)) & 0x80808080u;
-      out = static_cast<word_t>(out | (((hi4 >> 7) * 0x01020408u) >> 24));
-    }
-    return out;
+    return bbb_row_or_body<Dim>(tiles, colind, xwords, t, hi, want, out);
   } else if constexpr (Dim == 16) {
     // One tile (16 uint16 rows) per 256-bit load.
     word_t out = 0;
@@ -805,8 +803,9 @@ BITGB_TGT_AVX2 typename TileTraits<Dim>::word_t bbb_row_or_avx2(
           _mm256_castsi256_si128(z), _mm256_extracti128_si256(z, 1));
       out = static_cast<word_t>(
           out | static_cast<word_t>(~_mm_movemask_epi8(packed)));
+      if ((out & want) == want) return want;
     }
-    return out;
+    return static_cast<word_t>(out & want);
   } else {
     // One tile = 32 uint32 rows = four 256-bit loads, 8 mask bits each.
     word_t out = 0;
@@ -824,8 +823,9 @@ BITGB_TGT_AVX2 typename TileTraits<Dim>::word_t bbb_row_or_avx2(
         m |= (~zk & 0xFFu) << (8 * k);
       }
       out |= m;
+      if ((out & want) == want) return want;
     }
-    return out;
+    return out & want;
   }
 }
 
@@ -1603,13 +1603,14 @@ const char* backend_name(Backend b) {
 template <int Dim>
 typename TileTraits<Dim>::word_t bbb_row_or(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi) {
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
+    typename TileTraits<Dim>::word_t want) {
 #if BITGB_SIMD_X86
   if (active_backend() == Backend::kAvx2) {
-    return bbb_row_or_avx2<Dim>(tiles, colind, xwords, lo, hi);
+    return bbb_row_or_avx2<Dim>(tiles, colind, xwords, lo, hi, want);
   }
 #endif
-  return portable::bbb_row_or<Dim>(tiles, colind, xwords, lo, hi);
+  return portable::bbb_row_or<Dim>(tiles, colind, xwords, lo, hi, want);
 }
 
 template <int Dim>
@@ -1717,7 +1718,8 @@ void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
 #define BITGB_INSTANTIATE_SIMD(ns, Dim)                                      \
   template TileTraits<Dim>::word_t ns::bbb_row_or<Dim>(                      \
       const TileTraits<Dim>::word_t*, const vidx_t*,                        \
-      const TileTraits<Dim>::word_t*, vidx_t, vidx_t);                       \
+      const TileTraits<Dim>::word_t*, vidx_t, vidx_t,                        \
+      TileTraits<Dim>::word_t);                                              \
   template void ns::bbf_row_accum<Dim>(const TileTraits<Dim>::word_t*,       \
                                        const vidx_t*,                        \
                                        const TileTraits<Dim>::word_t*,       \

@@ -62,12 +62,25 @@ enum class Backend { kAvx2, kPortable };
 // the same result.
 // ---------------------------------------------------------------------
 
-/// Boolean pull BMV inner loop: the output word of one tile-row,
-///   out bit r = OR_t ((tiles[t][r] & xwords[colind[t]]) != 0).
+/// Boolean pull BMV inner loop: the output word of one tile-row, kept
+/// to the rows `want` asks for,
+///   out bit r = want bit r && OR_t ((tiles[t][r] & xwords[colind[t]]) != 0).
+/// The result is exactly (OR over [lo, hi)) & want for every `want`
+/// (bits at or above Dim are ignored; the default asks for every row).
+/// The loop stops once every wanted bit is set, because no later tile
+/// can change the answer: the portable body checks after each tile it
+/// reads (a tile under a zero frontier word is skipped unread), the
+/// AVX2 bodies once per vector step (8 tiles at dim 4, 4 at dim 8, one
+/// at dims 16 and 32) and after each tile of their scalar tails.  A
+/// zero `want` reads no tile.  The stop is per tile-row, as the warp
+/// that owns a tile-row would decide it together (paper §V); it is the
+/// masked pull's analog of GraphBLAST's early exit.
 template <int Dim>
 [[nodiscard]] typename TileTraits<Dim>::word_t bbb_row_or(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi);
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
+    typename TileTraits<Dim>::word_t want =
+        low_mask<typename TileTraits<Dim>::word_t>(Dim));
 
 /// Counting pull BMV inner loop: acc[r] += popc(tiles[t][r] &
 /// xwords[colind[t]]) over the tile range.
@@ -212,7 +225,9 @@ namespace portable {
 template <int Dim>
 [[nodiscard]] typename TileTraits<Dim>::word_t bbb_row_or(
     const typename TileTraits<Dim>::word_t* tiles, const vidx_t* colind,
-    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi);
+    const typename TileTraits<Dim>::word_t* xwords, vidx_t lo, vidx_t hi,
+    typename TileTraits<Dim>::word_t want =
+        low_mask<typename TileTraits<Dim>::word_t>(Dim));
 
 template <int Dim>
 void bbf_row_accum(const typename TileTraits<Dim>::word_t* tiles,

@@ -17,6 +17,7 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 namespace bitgb {
@@ -195,6 +196,123 @@ TEST(Bfs, PullLevelsThatCloseMostTileRowsMatchGold) {
       EXPECT_EQ(gold, res.levels) << gb::backend_name(backend);
       EXPECT_EQ(4, res.iterations) << gb::backend_name(backend);
     }
+  }
+}
+
+TEST(Bfs, PullClosesVerticesNoEdgeReaches) {
+  // The bit pull closes the vertices no edge reaches before its first
+  // level.  Two graphs on n = 771 (not a multiple of 32), each pulling
+  // at least one level from its reachable source:
+  //   * symmetric: an R-MAT graph on the ids v % 3 != 2, so every third
+  //     vertex is isolated and the isolated rows sit in open tile-rows;
+  //   * directed (`symmetrize = false`): a directed R-MAT graph with
+  //     every edge into a multiple of 5 dropped, so those vertices keep
+  //     their out-edges but no edge reaches them.
+  // Vertices 768-770 have no edge at all.  Each graph runs from a
+  // reachable source (the symmetric graph's hub, the directed graph's
+  // zero-in-degree hub) and from isolated vertex 770, at every dim.
+  constexpr vidx_t n = 771;
+  const Coo rmat = gen_rmat(9, 3000, 17);
+  Coo sym{n, n, {}, {}, {}};
+  Coo dir{n, n, {}, {}, {}};
+  for (std::size_t e = 0; e < rmat.row.size(); ++e) {
+    const vidx_t u = rmat.row[e];
+    const vidx_t v = rmat.col[e];
+    sym.push(u + u / 2, v + v / 2);  // skips every id v % 3 == 2
+    if (v % 5 != 0) dir.push(u, v);
+  }
+  for (const bool symmetric : {true, false}) {
+    for (const int dim : kTileDims) {
+      SCOPED_TRACE(::testing::Message()
+                   << (symmetric ? "symmetric" : "directed") << " dim "
+                   << dim);
+      gb::GraphOptions opts;
+      opts.tile_dim = dim;
+      opts.symmetrize = symmetric;
+      const gb::Graph g = gb::Graph::from_coo(symmetric ? sym : dir, opts);
+      const Csr& a = g.adjacency();
+
+      // The cache lists exactly the empty rows of A^T.
+      const Csr at = transpose(a);
+      std::vector<vidx_t> no_in;
+      for (vidx_t v = 0; v < n; ++v) {
+        if (at.row_cols(v).empty()) no_in.push_back(v);
+      }
+      EXPECT_EQ(no_in, g.no_in_edges());
+      EXPECT_GT(no_in.size(), static_cast<std::size_t>(n / 5));
+      EXPECT_TRUE(std::binary_search(no_in.begin(), no_in.end(), 770));
+
+      // The reachable source: the vertex of highest out-degree, among
+      // the zero-in-degree vertices on the directed graph.
+      vidx_t hub = no_in.front();
+      for (vidx_t v = 0; v < n; ++v) {
+        const bool candidate =
+            symmetric || std::binary_search(no_in.begin(), no_in.end(), v);
+        if (candidate && a.row_cols(v).size() > a.row_cols(hub).size()) {
+          hub = v;
+        }
+      }
+      ASSERT_FALSE(a.row_cols(hub).empty());
+      for (const vidx_t src : {hub, vidx_t{770}}) {
+        SCOPED_TRACE(::testing::Message() << "source " << src);
+        const auto gold = algo::bfs_gold(a, src);
+        if (src == hub) {
+          // The premise: some level pulls (its frontier holds at least
+          // n / 32 vertices) and reaches new vertices.
+          bool pulls = false;
+          for (std::int32_t level = 1;; ++level) {
+            const auto reached = std::count(gold.begin(), gold.end(), level);
+            if (reached == 0) break;
+            pulls = pulls || std::count(gold.begin(), gold.end(), level - 1) >=
+                                 n / gb::kPushPullDenominator;
+          }
+          EXPECT_TRUE(pulls);
+        }
+        const auto ref =
+            algo::bfs(test::ctx(gb::Backend::kReference), g, {src});
+        EXPECT_EQ(gold, ref.levels);
+        for (const int threads : {1, 4}) {
+          const auto bit = algo::bfs(
+              test::ctx(gb::Backend::kBit).with_threads(threads), g, {src});
+          EXPECT_EQ(gold, bit.levels) << "threads " << threads;
+          EXPECT_EQ(ref.iterations, bit.iterations) << "threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(Bfs, SourceOutsideTheGraphThrows) {
+  const gb::Graph g = gb::Graph::from_coo(gen_road(4, 4, 0.0, 1));
+  const gb::Graph empty = gb::Graph::from_coo(Coo{0, 0, {}, {}, {}});
+  for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
+    SCOPED_TRACE(gb::backend_name(backend));
+    const Context ctx = test::ctx(backend);
+    EXPECT_THROW((void)algo::bfs(ctx, g, {-1}), std::invalid_argument);
+    EXPECT_THROW((void)algo::bfs(ctx, g, {g.num_vertices()}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)algo::bfs(ctx, empty, {0}), std::invalid_argument);
+    EXPECT_THROW((void)algo::sssp(ctx, g, {-1}), std::invalid_argument);
+    EXPECT_THROW((void)algo::sssp(ctx, g, {g.num_vertices()}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)algo::sssp(ctx, empty, {0}), std::invalid_argument);
+    // The check comes before any buffer is sized: a reused result keeps
+    // what it held.
+    algo::Workspace ws;
+    algo::BfsResult levels;
+    levels.levels = {7};
+    algo::SsspResult dist;
+    dist.dist = {7.0f};
+    EXPECT_THROW(algo::bfs(ctx, g, {16}, ws, levels), std::invalid_argument);
+    EXPECT_THROW(algo::sssp(ctx, g, {16}, ws, dist), std::invalid_argument);
+    EXPECT_EQ(std::vector<std::int32_t>{7}, levels.levels);
+    EXPECT_EQ(std::vector<value_t>{7.0f}, dist.dist);
+  }
+  try {
+    (void)algo::bfs(test::ctx(gb::Backend::kBit), g, {-1});
+    ADD_FAILURE() << "bfs from -1 did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ("bfs: source -1 outside [0, 16)", e.what());
   }
 }
 

@@ -111,7 +111,8 @@ TEST(GraphFormats, ConcurrentLazyMaterializationIsSafe) {
       dims[static_cast<std::size_t>(t)] = g.tile_dim();
       t_nnz[static_cast<std::size_t>(t)] =
           g.adjacency_t().nnz() + g.unit_adjacency_t().nnz() +
-          g.lower().nnz() + static_cast<eidx_t>(g.degrees().size());
+          g.lower().nnz() + static_cast<eidx_t>(g.degrees().size()) +
+          static_cast<eidx_t>(g.no_in_edges().size());
       tiles[static_cast<std::size_t>(t)] = g.packed().nnz_tiles() +
                                            g.packed_t().nnz_tiles() +
                                            g.packed_lower().nnz_tiles();

@@ -5,11 +5,13 @@
 // multiples of any tile dim) and an all-ones complete graph, at all
 // four tile dims.  frontier_row_accum also runs on synthetic tile-rows
 // (every B2SR-4 tile pattern, a long random B2SR-8 row, tail tile
-// columns of every width), and masked_row_dot on synthetic B
-// tile-rows of every length 0..40 at dims 4 and 8.  The integer
-// entries (OR / popcount-add) are exact, and the semiring entry's two
-// bodies fold the same float lanes in the same order, so every
-// comparison is ==, not a tolerance.  The kernels' own semantics are
+// columns of every width), masked_row_dot on synthetic B tile-rows of
+// every length 0..40 at dims 4 and 8, and bbb_row_or's wanted rows
+// (its early exit) on synthetic tile-rows of every length 0..40 at
+// every dim, against the full OR.  The integer entries (OR /
+// popcount-add) are exact, and the semiring entry's two bodies fold
+// the same float lanes in the same order, so every comparison is ==,
+// not a tolerance.  The kernels' own semantics are
 // pinned against dense references in test_bmv, test_bmm and
 // test_bmv_masked; this suite pins the two engine bodies to each
 // other, plus the semiring kernel's thread-count invariance and the
@@ -162,6 +164,81 @@ TEST_P(SimdParityTest, BbbRowOr) {
       });
     }
   });
+}
+
+/// bbb_row_or's `want` contract on synthetic tile-rows of every length
+/// 0..40 at every dim: for want in {0, one row, the last row, random,
+/// every row} both bodies return exactly (full OR) & want.  Only tile p
+/// reaches the last row, and p runs over every position of the row (and
+/// past its end), so the every-row and last-row exits land in each
+/// AVX2 vector step and in each tile of the scalar tail.
+TEST(SimdBbbRowOr, WantedRowsEqualTheFullOrMasked) {
+  for (const int dim : kTileDims) {
+    dispatch_tile_dim(dim, [&]<int Dim>() {
+      using word_t = typename TileTraits<Dim>::word_t;
+      constexpr word_t all = low_mask<word_t>(Dim);
+      constexpr vidx_t kLo = 3;  // the tile-row starts past tile 0
+      constexpr vidx_t kMaxLen = 40;
+      std::mt19937_64 rng(static_cast<std::uint64_t>(211 + Dim));
+      const auto sparse_word = [&] {
+        return static_cast<word_t>(rng() & rng() & rng() & all);
+      };
+      std::vector<word_t> tiles(static_cast<std::size_t>(kLo + kMaxLen) * Dim);
+      std::vector<vidx_t> colind(static_cast<std::size_t>(kLo + kMaxLen));
+      std::vector<word_t> xwords(static_cast<std::size_t>(kMaxLen));
+      int mismatches = 0;
+      std::string first;
+      for (vidx_t len = 0; len <= kMaxLen; ++len) {
+        const vidx_t hi = kLo + len;
+        for (vidx_t p = 0; p <= len; ++p) {
+          for (vidx_t t = kLo; t < hi; ++t) {
+            const auto ti = static_cast<std::size_t>(t);
+            const bool settles = t == kLo + p;
+            // 7 is prime to 40: distinct tiles read distinct x words.
+            colind[ti] = (t * 7) % kMaxLen;
+            xwords[static_cast<std::size_t>(colind[ti])] =
+                settles ? all
+                        : (rng() % 4 == 0 ? word_t{0}
+                                          : static_cast<word_t>(rng() & all));
+            for (int r = 0; r < Dim; ++r) {
+              tiles[ti * Dim + static_cast<std::size_t>(r)] =
+                  settles ? all : r == Dim - 1 ? word_t{0} : sparse_word();
+            }
+          }
+          word_t full = 0;
+          for (vidx_t t = kLo; t < hi; ++t) {
+            const auto ti = static_cast<std::size_t>(t);
+            const word_t xw = xwords[static_cast<std::size_t>(colind[ti])];
+            for (int r = 0; r < Dim; ++r) {
+              if ((tiles[ti * Dim + static_cast<std::size_t>(r)] & xw) != 0) {
+                full = set_bit(full, r);
+              }
+            }
+          }
+          const word_t one_row = set_bit(word_t{0}, static_cast<int>(p % Dim));
+          const word_t last_row = set_bit(word_t{0}, Dim - 1);
+          const word_t random = static_cast<word_t>(rng() & all);
+          for (const word_t want :
+               {word_t{0}, one_row, last_row, random, all}) {
+            const auto expected = static_cast<word_t>(full & want);
+            const word_t portable = simd::portable::bbb_row_or<Dim>(
+                tiles.data(), colind.data(), xwords.data(), kLo, hi, want);
+            const word_t dispatched = simd::bbb_row_or<Dim>(
+                tiles.data(), colind.data(), xwords.data(), kLo, hi, want);
+            if ((portable != expected || dispatched != expected) &&
+                mismatches++ == 0) {
+              first = "length " + std::to_string(len) + ", settling tile " +
+                      std::to_string(p) + ", want " + std::to_string(want) +
+                      ": expected " + std::to_string(expected) +
+                      ", portable " + std::to_string(portable) +
+                      ", dispatched " + std::to_string(dispatched);
+            }
+          }
+        }
+      }
+      EXPECT_EQ(0, mismatches) << "dim " << Dim << ", first: " << first;
+    });
+  }
 }
 
 TEST_P(SimdParityTest, BbfRowAccum) {

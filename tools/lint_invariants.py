@@ -30,10 +30,13 @@ encode THIS project's architecture (see BUILDING.md "Static analysis"):
                        and std::vector, so the wave path stays
                        allocation-free and exception-safe.
   kernel-popcount      No popcount( (with or without template
-                       arguments) in src/core/*.cpp: the library builds
-                       without -mpopcnt, so each one is a libgcc call.
-                       Bit counting in a kernel loop belongs in a simd::
-                       entry, whose AVX2 body gets the instruction.  The
+                       arguments) in src/core/*.cpp or
+                       src/algorithms/*.cpp: the library builds without
+                       -mpopcnt, so each one is a libgcc call.  Bit
+                       counting in a kernel loop belongs in a simd::
+                       entry, whose AVX2 body gets the instruction; an
+                       algorithm's level loop counts inside the
+                       for_each_set_bit walk it already makes.  The
                        warp-sim transcriptions (bmm_sim.cpp,
                        bmv_sim.cpp) are the rule's home.
   promise-confinement  set_value( / set_exception( only in
@@ -120,11 +123,11 @@ RULES = (
     Rule(
         rule_id="kernel-popcount",
         pattern=re.compile(r"\bpopcount\s*(?:<[^<>()]*>\s*)?\("),
-        message="bit counting in a kernel loop belongs in a simd:: entry: "
-                "the library builds without -mpopcnt, so popcount() here "
-                "is a libgcc call",
+        message="bit counting in a kernel or level loop belongs in a "
+                "simd:: entry or the set-bit walk: the library builds "
+                "without -mpopcnt, so popcount() here is a libgcc call",
         home=("src/core/bmm_sim.cpp", "src/core/bmv_sim.cpp"),
-        scope=("src/core/*.cpp",),
+        scope=("src/core/*.cpp", "src/algorithms/*.cpp"),
     ),
     Rule(
         rule_id="promise-confinement",
@@ -281,16 +284,22 @@ def self_test() -> int:
         if lint(root) != 0:
             failures.append("matched inside a comment or string literal")
 
-        # 4. kernel-popcount also fires with template arguments, and
-        #    only in src/core/*.cpp.
+        # 4. kernel-popcount also fires with template arguments and in
+        #    src/algorithms/*.cpp, and stays quiet in headers.
         probe.write_text("n += popcount<std::uint32_t>(w);\n")
         if lint(root) == 0:
             failures.append("kernel-popcount missed popcount<T>(...)")
         probe.write_text("int ok() { return 1; }\n")
+        algo = root / "src" / "algorithms" / "probe.cpp"
+        algo.parent.mkdir()
+        algo.write_text("frontier_count += popcount(word);\n")
+        if lint(root) == 0:
+            failures.append("kernel-popcount missed src/algorithms/*.cpp")
+        algo.unlink()
         header = core / "probe.hpp"
         header.write_text("n += popcount(w);\n")
         if lint(root) != 0:
-            failures.append("kernel-popcount fired outside src/core/*.cpp")
+            failures.append("kernel-popcount fired outside its .cpp scope")
         header.unlink()
 
         # 5. promise-confinement also fires on set_exception and stays
