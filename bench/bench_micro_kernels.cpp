@@ -165,7 +165,7 @@ void track_push(const std::string& kernel, const B2srT<Dim>& a,
   track(kernel, Dim, static_cast<double>(a.nnz()), [&](Exec) {
     for (const vidx_t v : touched) next.rows[static_cast<std::size_t>(v)] = 0;
     touched.clear();
-    bmm_frontier_push_masked(a, f, all, mask, true, next, touched);
+    bmm_frontier_push_masked(a, f, all, mask, next, touched);
   });
 }
 

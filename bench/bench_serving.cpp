@@ -32,20 +32,12 @@
 //     QueryKinds: per-kind completion counts plus the executed
 //     wave-width histogram, the wave rule's decision record.
 //
-//   cancellation-overhead — the batched saturation burst run with no
-//     deadlines (no CancelToken armed: zero polling) vs with a
-//     far-future default deadline (every wave arms a token, polled at
-//     every level boundary), over rounds that alternate which side runs
-//     first, so neither side always inherits the other's warm state.
-//     The pair guards the hot path: the cooperative-cancellation poll
-//     must stay inside the spread of its own rounds.
-//
 // Every single-graph cell serves the bench graph from one registry of
 // one built in main.  Before any measurement, every batched answer is
 // verified bit-identical against a serial algo::bfs pass; a mismatch
 // fails the run (exit 1).  Timings are reported, not asserted:
 // regression detection belongs to the end-to-end benchmark's bounds.
-// Results go to BENCH_serving.json (schema bitgb-serving-bench-v7, see
+// Results go to BENCH_serving.json (schema bitgb-serving-bench-v8, see
 // BUILDING.md), including the persistence roundtrip cell (snapshot
 // load vs MatrixMarket re-ingest + prewarm); a file that cannot be
 // written also fails the run (exit 1).
@@ -88,8 +80,8 @@ constexpr const char* kGraphName = "hybrid_4096";
 constexpr int kSaturationQueries = 1024;
 constexpr int kOpenLoopQueries = 1500;
 constexpr std::size_t kOpenLoopQueueCap = 256;
-/// Rounds of the saturation and cancellation pairs; each round runs
-/// both sides, and consecutive rounds swap which side runs first.
+/// Rounds of the saturation pair; each round runs both modes, and
+/// consecutive rounds swap which mode runs first.
 constexpr int kRounds = 6;
 
 std::vector<vidx_t> random_sources(int count, vidx_t n, std::uint64_t seed) {
@@ -100,31 +92,21 @@ std::vector<vidx_t> random_sources(int count, vidx_t n, std::uint64_t seed) {
   return sources;
 }
 
-ServerOptions server_options(int max_batch, std::size_t queue_capacity,
-                             std::chrono::milliseconds default_deadline =
-                                 std::chrono::milliseconds{0}) {
+ServerOptions server_options(int max_batch, std::size_t queue_capacity) {
   ServerOptions opts;
   opts.workers = std::min(8, hardware_width());
   opts.queue_capacity = queue_capacity;
   opts.max_batch = max_batch;
-  opts.default_deadline = default_deadline;
   return opts;
 }
 
 /// Closed-loop burst: submit everything, then drain.  QPS over the
 /// whole burst; every reply must be kOk (capacity covers the burst).
-/// A non-zero `default_deadline` arms a CancelToken on every wave (the
-/// cancellation-overhead cell passes a far-future one so the deadline
-/// never fires but the per-level poll runs).
 bench::ServingSaturation run_saturation(const GraphRegistry& reg,
                                         const std::vector<vidx_t>& sources,
-                                        int max_batch, const char* mode,
-                                        std::chrono::milliseconds
-                                            default_deadline =
-                                                std::chrono::milliseconds{0}) {
+                                        int max_batch, const char* mode) {
   Server server(reg, server_options(max_batch,
-                                    static_cast<std::size_t>(sources.size()),
-                                    default_deadline));
+                                    static_cast<std::size_t>(sources.size())));
   std::vector<std::future<Reply>> futs;
   futs.reserve(sources.size());
   Stopwatch watch;
@@ -447,39 +429,6 @@ int main() {
               saturation.batched.mean_wave, saturation.batched_speedup,
               saturation.batched_speedup_spread);
 
-  // --- Cancellation overhead -----------------------------------------
-  // Same batched burst, polling off (no deadline => no token armed)
-  // vs polling on (a far-future default deadline arms a token on every
-  // wave; bfs/msbfs poll it at every level boundary but it never
-  // fires).  The delta is the pure cost of the cooperative poll.  A
-  // fixed off-then-on order read "on" faster in every record, so the
-  // rounds alternate which side runs first.
-  auto cancel_qps = [&](bool polling) {
-    return run_saturation(reg, burst, FrontierBatch::kMaxBatch,
-                          polling ? "polling-on" : "polling-off",
-                          std::chrono::milliseconds{polling ? 3600 * 1000
-                                                            : 0})
-        .qps;
-  };
-  std::vector<double> off_qps, on_qps;
-  for (int round = 0; round < kRounds; ++round) {
-    const bool on_first = round % 2 == 1;
-    const double first = cancel_qps(on_first);
-    const double second = cancel_qps(!on_first);
-    off_qps.push_back(on_first ? second : first);
-    on_qps.push_back(on_first ? first : second);
-  }
-  const bench::ServingCancellation cancellation =
-      bench::summarize_cancellation(off_qps, on_qps);
-  std::printf("\ncancellation overhead (batched burst, deadline token "
-              "armed vs not, median of %d alternating rounds):\n",
-              cancellation.rounds);
-  std::printf("  %-12s %10.0f q/s\n", "polling off",
-              cancellation.polling_off_qps);
-  std::printf("  %-12s %10.0f q/s   overhead %+.1f%% (quartile spread "
-              "%.1f%%)\n", "polling on", cancellation.polling_on_qps,
-              cancellation.overhead_pct, cancellation.overhead_pct_spread);
-
   // --- Open-loop latency profile -------------------------------------
   // Rates bracket the unbatched capacity: comfortably under, at, and
   // over it (where only the auto-batcher has headroom).
@@ -540,7 +489,7 @@ int main() {
                                     g.num_vertices(), g.num_edges(), workers,
                                     verified, saturation, points,
                                     {multi_graph, mixed_kinds},
-                                    cancellation, persistence);
+                                    persistence);
   } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "FAIL: %s\n", e.what());
     return 1;

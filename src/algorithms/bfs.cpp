@@ -59,8 +59,8 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
     touched.clear();
     if (push) {
       KernelTimerScope timer(ctx.timer);
-      bmv_bin_bin_bin_push_masked(a, frontier, active, visited,
-                                  /*complement=*/true, next, touched);
+      bmv_bin_bin_bin_push_masked(a, frontier, active, visited, next,
+                                  touched);
     } else {
       if (!pulled) {
         // Before the first pull, close the vertices no edge reaches:

@@ -92,8 +92,8 @@ void run_bit_levels(const Context& ctx, const gb::Graph& g,
     touched.clear();
     if (wave_level_pushes(active_tiles, stored_tiles)) {
       KernelTimerScope timer(ctx.timer);
-      bmm_frontier_push_masked(a, frontier, active_tr, visited,
-                               /*complement=*/true, next, touched);
+      bmm_frontier_push_masked(a, frontier, active_tr, visited, next,
+                               touched);
     } else {
       gb::bit_mxm_frontier_masked<Dim>(ctx, g.packed_t().as<Dim>(), frontier,
                                        visited, next);

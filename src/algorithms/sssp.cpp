@@ -61,8 +61,8 @@ void sssp_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
       touched.clear();
       {
         KernelTimerScope timer(ctx.timer);
-        bmv_bin_bin_bin_push_masked(a, changed, active, none,
-                                    /*complement=*/true, candidates, touched);
+        bmv_bin_bin_bin_push_masked(a, changed, active, none, candidates,
+                                    touched);
       }
       gb::bit_mxv_masked<Dim, MinPlusOp>(ctx, at, res.dist, candidates,
                                          /*complement=*/false, touched,

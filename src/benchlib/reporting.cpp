@@ -239,38 +239,16 @@ ServingSaturationAblation summarize_saturation(
   return cell;
 }
 
-ServingCancellation summarize_cancellation(const std::vector<double>& off_qps,
-                                           const std::vector<double>& on_qps) {
-  if (off_qps.size() != on_qps.size()) {
-    throw std::invalid_argument(
-        "summarize_cancellation: polling-off and polling-on rounds differ");
-  }
-  std::vector<double> overhead_pct;
-  for (std::size_t i = 0; i < off_qps.size(); ++i) {
-    overhead_pct.push_back(
-        off_qps[i] > 0.0 ? 100.0 * (off_qps[i] - on_qps[i]) / off_qps[i]
-                         : 0.0);
-  }
-  ServingCancellation cell;
-  cell.rounds = static_cast<int>(off_qps.size());
-  cell.polling_off_qps = percentile(off_qps, 50.0);
-  cell.polling_on_qps = percentile(on_qps, 50.0);
-  std::tie(cell.overhead_pct, cell.overhead_pct_spread) =
-      median_and_spread(overhead_pct);
-  return cell;
-}
-
 void write_serving_bench_json(const std::string& path,
                               const std::string& graph_name, vidx_t vertices,
                               eidx_t edges, int workers, bool verified,
                               const ServingSaturationAblation& saturation,
                               const std::vector<ServingRatePoint>& rates,
                               const std::vector<ServingScenario>& scenarios,
-                              const ServingCancellation& cancellation,
                               const ServingPersistence& persistence) {
   std::ofstream f = open_for_write(path);
   f << "{\n";
-  f << "  \"schema\": \"bitgb-serving-bench-v7\",\n";
+  f << "  \"schema\": \"bitgb-serving-bench-v8\",\n";
   f << "  \"graph\": {\"name\": \"" << graph_name
     << "\", \"vertices\": " << vertices << ", \"edges\": " << edges << "},\n";
   f << "  \"workers\": " << workers << ",\n";
@@ -289,12 +267,6 @@ void write_serving_bench_json(const std::string& path,
     << ",\n";
   f << "  \"saturation_batched_speedup_spread\": "
     << saturation.batched_speedup_spread << ",\n";
-  f << "  \"cancellation_overhead\": {\"rounds\": " << cancellation.rounds
-    << ", \"polling_off_qps\": " << cancellation.polling_off_qps
-    << ", \"polling_on_qps\": " << cancellation.polling_on_qps
-    << ", \"overhead_pct\": " << cancellation.overhead_pct
-    << ", \"overhead_pct_spread\": " << cancellation.overhead_pct_spread
-    << "},\n";
   f << "  \"persistence\": {\"snapshot_bytes\": " << persistence.snapshot_bytes
     << ", \"mm_bytes\": " << persistence.mm_bytes
     << ", \"save_ms\": " << persistence.save_ms

@@ -106,12 +106,9 @@ void print_kernel_bench(std::ostream& os,
 // histogram), the multi-tenant scenarios (a storm across a 3-graph
 // registry, and a mixed stream of all four query kinds, each with
 // per-kind counts and the executed wave-width histogram), and the
-// cancellation-overhead cell (the batched saturation burst with the
-// per-wave deadline token armed vs unarmed, over alternating rounds —
-// the guard that keeps the cooperative-cancellation poll off the hot
-// path's critical cost), and the persistence roundtrip cell (snapshot
-// load vs MatrixMarket re-ingest + prewarm — the warm-restart payoff).
-// Schema "bitgb-serving-bench-v7", documented in BUILDING.md.
+// persistence roundtrip cell (snapshot load vs MatrixMarket re-ingest
+// + prewarm — the warm-restart payoff).  Schema
+// "bitgb-serving-bench-v8", documented in BUILDING.md.
 
 /// Tail-aware percentile with linear interpolation between order
 /// statistics; `p` in [0, 100].  Returns 0 for empty input.
@@ -179,28 +176,6 @@ struct ServingScenario {
   std::vector<std::uint64_t> wave_width_hist;
 };
 
-/// The cancellation-overhead cell (v5): the batched saturation burst
-/// run with no deadlines (no CancelToken armed, zero polling) and with
-/// a far-future default deadline (every wave arms a token and polls it
-/// at every level boundary), once each per round, the two sides
-/// alternating which runs first.  The qps fields are each side's
-/// median; overhead_pct is the median of the per-round overheads and
-/// overhead_pct_spread the distance between their quartiles — the
-/// noise band the polling cost is read against.
-struct ServingCancellation {
-  int rounds = 0;
-  double polling_off_qps = 0.0;
-  double polling_on_qps = 0.0;
-  double overhead_pct = 0.0;
-  double overhead_pct_spread = 0.0;
-};
-
-/// Summarize paired rounds — round i measured `off_qps[i]` with polling
-/// off and `on_qps[i]` with it on — into the cancellation cell.
-/// Throws std::invalid_argument when the sides differ in length.
-[[nodiscard]] ServingCancellation summarize_cancellation(
-    const std::vector<double>& off_qps, const std::vector<double>& on_qps);
-
 /// The persistence roundtrip cell (v4): the warm-restart payoff.  The
 /// same graph is brought to serving readiness two ways — re-ingesting
 /// the MatrixMarket text (parse + from_coo + prewarm, the cold path
@@ -218,7 +193,7 @@ struct ServingPersistence {
   }
 };
 
-/// Write the v7 JSON document.  `saturation` holds the ablation whose
+/// Write the v8 JSON document.  `saturation` holds the ablation whose
 /// batched_speedup is the serving headline; `verified` records that the
 /// served answers were checked bit-identical against a serial pass;
 /// `scenarios` holds the multi-tenant cells (empty is valid — the
@@ -232,7 +207,6 @@ void write_serving_bench_json(const std::string& path,
                               const ServingSaturationAblation& saturation,
                               const std::vector<ServingRatePoint>& rates,
                               const std::vector<ServingScenario>& scenarios,
-                              const ServingCancellation& cancellation,
                               const ServingPersistence& persistence);
 
 }  // namespace bitgb::bench

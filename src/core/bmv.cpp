@@ -77,7 +77,7 @@ template <int Dim>
 void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
                                  const PackedVecT<Dim>& x,
                                  const std::vector<vidx_t>& active,
-                                 const PackedVecT<Dim>& mask, bool complement,
+                                 const PackedVecT<Dim>& mask,
                                  PackedVecT<Dim>& y,
                                  std::vector<vidx_t>& touched) {
   using word_t = typename TileTraits<Dim>::word_t;
@@ -108,8 +108,7 @@ void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
       });
       if (out == 0) continue;
       const auto j = static_cast<std::size_t>(colind[t]);
-      word_t mword = mask.words[j];
-      if (complement) mword = static_cast<word_t>(~mword);
+      word_t mword = static_cast<word_t>(~mask.words[j]);
       if (j == last_word) mword = static_cast<word_t>(mword & tail_mask);
       out = static_cast<word_t>(out & mword);
       if (out == 0) continue;
@@ -213,8 +212,7 @@ void semiring_tile_rows(const B2srT<Dim>& a, const value_t* x,
       bool, PackedVecT<Dim>&, Exec);                               \
   template void bmv_bin_bin_bin_push_masked<Dim>(                           \
       const B2srT<Dim>&, const PackedVecT<Dim>&, const std::vector<vidx_t>&,\
-      const PackedVecT<Dim>&, bool, PackedVecT<Dim>&,                       \
-      std::vector<vidx_t>&);                                                \
+      const PackedVecT<Dim>&, PackedVecT<Dim>&, std::vector<vidx_t>&);      \
   template void bmv_bin_bin_full<Dim>(const B2srT<Dim>&,                    \
                                       const PackedVecT<Dim>&,               \
                                       std::vector<value_t>&, Exec);\

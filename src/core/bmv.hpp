@@ -41,9 +41,9 @@
 // same float operations in the same order — so portable == AVX2 bit
 // for bit on every bundle and thread count, plus-times included.
 //
-// The masked variants take the mask as a PackedVec of the same tile dim
+// The masked pulls take the mask as a PackedVec of the same tile dim
 // plus `complement` (GraphBLAS structural complement: BFS masks with the
-// *negation* of visited).
+// *negation* of visited); the push always complements its mask.
 #pragma once
 
 #include "core/b2sr.hpp"
@@ -87,14 +87,15 @@ void bmv_bin_bin_bin_masked(const B2srT<Dim>& a, const PackedVecT<Dim>& x,
 /// caller supplies the indices of x's non-zero words (`active`), and
 /// the kernel appends to `touched` the indices of y's words it turned
 /// non-zero — so a BFS level costs O(frontier tiles), independent of
-/// the matrix size.  The mask is applied at the output store.  `y` must
-/// arrive all-zero and correctly sized; duplicate-free `touched` is
-/// guaranteed.
+/// the matrix size.  The mask is always complemented, applied at the
+/// output store: y stores only where the mask bit is clear (BFS passes
+/// visited; SSSP an all-zero mask).  `y` must arrive all-zero and
+/// correctly sized; duplicate-free `touched` is guaranteed.
 template <int Dim>
 void bmv_bin_bin_bin_push_masked(const B2srT<Dim>& a,
                                  const PackedVecT<Dim>& x,
                                  const std::vector<vidx_t>& active,
-                                 const PackedVecT<Dim>& mask, bool complement,
+                                 const PackedVecT<Dim>& mask,
                                  PackedVecT<Dim>& y,
                                  std::vector<vidx_t>& touched);
 

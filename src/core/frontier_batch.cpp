@@ -104,8 +104,7 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
 template <int Dim>
 void bmm_frontier_push_masked(const B2srT<Dim>& a, const FrontierBatch& f,
                               const std::vector<vidx_t>& active,
-                              const FrontierBatch& mask, bool complement,
-                              FrontierBatch& next,
+                              const FrontierBatch& mask, FrontierBatch& next,
                               std::vector<vidx_t>& touched) {
   using word_t = typename TileTraits<Dim>::word_t;
   assert(f.n == a.nrows);
@@ -133,10 +132,8 @@ void bmm_frontier_push_masked(const B2srT<Dim>& a, const FrontierBatch& f,
         if (w == 0) continue;
         for_each_set_bit(w, [&](int j) {
           const std::size_t c = base + static_cast<std::size_t>(j);
-          FrontierBatch::word_t mword = mask.rows[c];
-          if (complement) mword = ~mword;
           // fw carries no lane-tail bits, so neither does the store.
-          const FrontierBatch::word_t nw = fw & mword;
+          const FrontierBatch::word_t nw = fw & ~mask.rows[c];
           if (nw == 0) return;
           const FrontierBatch::word_t prev = next.rows[c];
           const FrontierBatch::word_t merged = prev | nw;
@@ -157,7 +154,7 @@ void bmm_frontier_push_masked(const B2srT<Dim>& a, const FrontierBatch& f,
                                          FrontierBatch&, Exec);   \
   template void bmm_frontier_push_masked<Dim>(                             \
       const B2srT<Dim>&, const FrontierBatch&, const std::vector<vidx_t>&, \
-      const FrontierBatch&, bool, FrontierBatch&, std::vector<vidx_t>&)
+      const FrontierBatch&, FrontierBatch&, std::vector<vidx_t>&)
 
 BITGB_INSTANTIATE_BMM_FRONTIER(4);
 BITGB_INSTANTIATE_BMM_FRONTIER(8);

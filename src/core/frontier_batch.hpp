@@ -153,8 +153,9 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
 /// rather than the whole matrix, which keeps long-diameter traversals
 /// (road / band graphs) frontier-proportional exactly as the
 /// direction-optimized single-source BFS is.  Takes A itself (vxm
-/// selects A's rows): next[c] |= f[r] for every set bit (r, c) of an
-/// active tile-row, mask AND-ed per store.  The caller supplies the
+/// selects A's rows): next[c] |= f[r] & ~mask[c] for every set bit
+/// (r, c) of an active tile-row — the mask is always complemented, as
+/// msbfs passes visited.  The caller supplies the
 /// tile-row indices holding live frontier rows (`active`, each once;
 /// msbfs lists them sorted);
 /// `next` must arrive all-zero and sized to a.ncols with f's batch
@@ -164,8 +165,7 @@ void bmm_frontier_masked(const B2srT<Dim>& a, const FrontierBatch& f,
 template <int Dim>
 void bmm_frontier_push_masked(const B2srT<Dim>& a, const FrontierBatch& f,
                               const std::vector<vidx_t>& active,
-                              const FrontierBatch& mask, bool complement,
-                              FrontierBatch& next,
+                              const FrontierBatch& mask, FrontierBatch& next,
                               std::vector<vidx_t>& touched);
 
 }  // namespace bitgb

@@ -1,7 +1,6 @@
 #include "core/pack.hpp"
 
 #include "platform/parallel.hpp"
-#include "platform/simd.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -46,8 +45,8 @@ RowRuns build_row_runs(const Csr& a, bool with_words, int threads) {
   RowRuns runs;
   runs.tc.resize(a.colind.size());
   // Counting callers (count_nonempty_tiles) only need the run index;
-  // skipping the word buffer and the bit scatter keeps the pure count
-  // at one transient array and no packing work.
+  // skipping the word buffer keeps the pure count at one transient
+  // array.
   if (with_words) runs.word.resize(a.colind.size());
   runs.count.assign(static_cast<std::size_t>(a.nrows), 0);
   const vidx_t* cols = a.colind.data();
@@ -65,14 +64,12 @@ RowRuns build_row_runs(const Csr& a, bool with_words, int threads) {
     while (i < hi) {
       const vidx_t tc = cols[i] / Dim;
       const vidx_t base = tc * Dim;
-      if (!with_words) {
-        const vidx_t limit = base + Dim;
-        while (i < hi && cols[i] < limit) ++i;
-      } else {
-        word_t w = 0;
-        i = simd::pack_scatter_run<Dim>(cols, i, hi, base, w);
-        run_word[lo + n] = w;
+      const vidx_t limit = base + Dim;
+      word_t w = 0;
+      for (; i < hi && cols[i] < limit; ++i) {
+        w = static_cast<word_t>(w | (word_t{1} << (cols[i] - base)));
       }
+      if (with_words) run_word[lo + n] = w;
       run_tc[lo + n] = tc;
       ++n;
     }
@@ -185,8 +182,7 @@ B2srT<Dim> pack_from_csr(const Csr& a, Exec exec) {
   const vidx_t ntr = b.n_tile_rows();
 
   // Pass 0: fold every row's nonzeros into (tile column, word) runs —
-  // the only O(nnz) work in the pipeline; the bit scatter runs through
-  // the SIMD engine here.
+  // the only O(nnz) work in the pipeline.
   const RowRuns runs =
       build_row_runs<Dim>(a, /*with_words=*/true, exec.threads);
 

@@ -19,7 +19,7 @@ namespace bitgb {
 
 /// Number of non-empty dim x dim tiles of `a` — the
 /// cusparseXcsr2bsrNnz() substitute.  No tiles are materialized and no
-/// bits are packed; the count shares the pack pipeline's run index
+/// bit words are stored; the count shares the pack pipeline's run index
 /// (one transient O(nnz) array of tile columns) and its tile-row
 /// merge, so count_nonempty_tiles and pack_from_csr can never
 /// disagree.  The storage statistics (stats.hpp) and Figure 3 trends
@@ -30,8 +30,9 @@ namespace bitgb {
 /// Pack a CSR matrix (pattern; values, if any, are ignored — a nonzero
 /// is a 1) into B2SR with the given tile dim.  Fused count+fill over a
 /// k-way tile-column merge (CSR's sorted columns make each row's tile
-/// sequence pre-sorted); the bit scatter runs through the SIMD engine's
-/// pack_scatter_run.
+/// sequence pre-sorted); one scalar pass folds each row's run of
+/// columns inside a tile into its bit-row word inline, and the fill
+/// pass stores those words.
 template <int Dim>
 [[nodiscard]] B2srT<Dim> pack_from_csr(const Csr& a, Exec exec = {});
 

@@ -19,14 +19,6 @@ void ref_vxm_bool_push(const Context& ctx, const Csr& a,
   next.erase(std::unique(next.begin(), next.end()), next.end());
 }
 
-std::vector<vidx_t> ref_vxm_bool_push(const Context& ctx, const Csr& a,
-                                      const std::vector<vidx_t>& frontier,
-                                      const std::vector<std::uint8_t>& visited) {
-  std::vector<vidx_t> next;
-  ref_vxm_bool_push(ctx, a, frontier, visited, next);
-  return next;
-}
-
 void ref_vxm_bool_pull(const Context& ctx, const Csr& at,
                        const std::vector<std::uint8_t>& frontier_dense,
                        const std::vector<std::uint8_t>& visited,

@@ -117,11 +117,6 @@ void ref_vxm_bool_push(const Context& ctx, const Csr& a,
                        const std::vector<std::uint8_t>& visited,
                        std::vector<vidx_t>& next);
 
-/// Convenience returning form.
-[[nodiscard]] std::vector<vidx_t> ref_vxm_bool_push(
-    const Context& ctx, const Csr& a, const std::vector<vidx_t>& frontier,
-    const std::vector<std::uint8_t>& visited);
-
 /// Boolean vxm, pull direction: for every unvisited vertex, scan its
 /// in-neighbours (rows of A^T) and stop at the first frontier member
 /// (early exit).  frontier_dense is 0/1 per vertex; out likewise.

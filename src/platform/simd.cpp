@@ -572,21 +572,6 @@ template <int Dim, LaneReduce R>
   std::memcpy(out, acc, sizeof(acc));
 }
 
-template <int Dim>
-[[gnu::always_inline]] inline std::size_t pack_scatter_run_body(
-    const vidx_t* cols, std::size_t i, std::size_t n, vidx_t base,
-    typename TileTraits<Dim>::word_t& w) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  const vidx_t limit = base + Dim;
-  word_t acc = w;
-  while (i < n && cols[i] < limit) {
-    acc = static_cast<word_t>(acc | (word_t{1} << (cols[i] - base)));
-    ++i;
-  }
-  w = acc;
-  return i;
-}
-
 }  // namespace
 
 // =====================================================================
@@ -635,13 +620,6 @@ void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
                         const std::uint64_t* frows, std::size_t nfrows,
                         std::uint64_t* acc) {
   frontier_row_accum_body<Dim>(tiles, colind, lo, hi, frows, nfrows, acc);
-}
-
-template <int Dim>
-std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i, std::size_t n,
-                             vidx_t base,
-                             typename TileTraits<Dim>::word_t& w) {
-  return pack_scatter_run_body<Dim>(cols, i, n, base, w);
 }
 
 template <int Dim>
@@ -1251,47 +1229,6 @@ BITGB_TGT_AVX2 void frontier_row_accum_avx2(
 }
 
 template <int Dim>
-BITGB_TGT_AVX2 std::size_t pack_scatter_run_avx2(
-    const vidx_t* cols, std::size_t i, std::size_t n, vidx_t base,
-    typename TileTraits<Dim>::word_t& w) {
-  using word_t = typename TileTraits<Dim>::word_t;
-  if constexpr (Dim == 16 || Dim == 32) {
-    // Eight sorted columns per iteration: compare against the tile's
-    // right edge (in-run lanes form a prefix because the input is
-    // sorted), variable-shift 1 << (c - base) per lane, OR-reduce.
-    // Worthwhile only where one tile can hold long runs; dims 4/8 cap
-    // runs at 8 columns and stay on the portable body.
-    const __m256i vlimit = _mm256_set1_epi32(base + Dim);
-    const __m256i vbase = _mm256_set1_epi32(base);
-    const __m256i ones = _mm256_set1_epi32(1);
-    __m256i accv = _mm256_setzero_si256();
-    while (i + 8 <= n) {
-      const __m256i v = loadu256(cols + i);
-      // vidx_t is a non-negative int32, so the signed compare is exact.
-      const __m256i in = _mm256_cmpgt_epi32(vlimit, v);
-      const auto m = static_cast<std::uint32_t>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(in)));
-      if (m == 0) break;
-      const __m256i bits = _mm256_sllv_epi32(ones, _mm256_sub_epi32(v, vbase));
-      accv = _mm256_or_si256(accv, _mm256_and_si256(bits, in));
-      i += static_cast<std::size_t>(__builtin_popcount(m));
-      if (m != 0xFFu) break;
-    }
-    __m128i o = _mm_or_si128(_mm256_castsi256_si128(accv),
-                             _mm256_extracti128_si256(accv, 1));
-    o = _mm_or_si128(o, _mm_shuffle_epi32(o, _MM_SHUFFLE(1, 0, 3, 2)));
-    o = _mm_or_si128(o, _mm_shuffle_epi32(o, _MM_SHUFFLE(2, 3, 0, 1)));
-    w = static_cast<word_t>(
-        w | static_cast<std::uint32_t>(_mm_cvtsi128_si32(o)));
-    // Fewer than 8 columns left (or the run already ended, in which
-    // case this is a no-op): finish on the portable body.
-    return pack_scatter_run_body<Dim>(cols, i, n, base, w);
-  } else {
-    return pack_scatter_run_body<Dim>(cols, i, n, base, w);
-  }
-}
-
-template <int Dim>
 BITGB_TGT_AVX2 void spgemm_tile_accum_avx2(
     const typename TileTraits<Dim>::word_t* awords,
     const typename TileTraits<Dim>::word_t* bwords,
@@ -1670,18 +1607,6 @@ void frontier_row_accum(const typename TileTraits<Dim>::word_t* tiles,
 }
 
 template <int Dim>
-std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i, std::size_t n,
-                             vidx_t base,
-                             typename TileTraits<Dim>::word_t& w) {
-#if BITGB_SIMD_X86
-  if (active_backend() == Backend::kAvx2) {
-    return pack_scatter_run_avx2<Dim>(cols, i, n, base, w);
-  }
-#endif
-  return portable::pack_scatter_run<Dim>(cols, i, n, base, w);
-}
-
-template <int Dim>
 void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,
                        const typename TileTraits<Dim>::word_t* bwords,
                        typename TileTraits<Dim>::word_t* cacc) {
@@ -1733,9 +1658,6 @@ void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
   template void ns::frontier_row_accum<Dim>(                                 \
       const TileTraits<Dim>::word_t*, const vidx_t*, vidx_t, vidx_t,         \
       const std::uint64_t*, std::size_t, std::uint64_t*);                    \
-  template std::size_t ns::pack_scatter_run<Dim>(                            \
-      const vidx_t*, std::size_t, std::size_t, vidx_t,                       \
-      TileTraits<Dim>::word_t&);                                             \
   template void ns::spgemm_tile_accum<Dim>(const TileTraits<Dim>::word_t*,   \
                                            const TileTraits<Dim>::word_t*,   \
                                            TileTraits<Dim>::word_t*);        \

@@ -193,18 +193,6 @@ void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
                        const value_t* x, vidx_t ncols, LaneReduce reduce,
                        value_t offset, value_t* out);
 
-/// Ingest bit-scatter: consume the run of sorted CSR column indices
-/// cols[i..n) that fall inside one tile (base <= c < base + Dim), OR
-/// `1 << (c - base)` for each into `w`, and return the index one past
-/// the run.  The AVX2 body shifts eight columns per iteration
-/// (variable-shift + lane OR-reduce); the portable body is the
-/// per-column loop.  Exact for any sorted input, including duplicates (OR is
-/// idempotent).
-template <int Dim>
-[[nodiscard]] std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i,
-                                           std::size_t n, vidx_t base,
-                                           typename TileTraits<Dim>::word_t& w);
-
 /// SpGEMM tile-pair accumulate into the SPA slot:
 ///   cacc[r] |= OR_{t set in awords[r]} bwords[t]  for r in [0, Dim).
 /// Dims 4/8 run a branch-light SWAR broadcast (whole tile per machine
@@ -256,11 +244,6 @@ void semiring_row_fold(const typename TileTraits<Dim>::word_t* tiles,
                        const vidx_t* colind, vidx_t lo, vidx_t hi,
                        const value_t* x, vidx_t ncols, LaneReduce reduce,
                        value_t offset, value_t* out);
-
-template <int Dim>
-[[nodiscard]] std::size_t pack_scatter_run(const vidx_t* cols, std::size_t i,
-                                           std::size_t n, vidx_t base,
-                                           typename TileTraits<Dim>::word_t& w);
 
 template <int Dim>
 void spgemm_tile_accum(const typename TileTraits<Dim>::word_t* awords,

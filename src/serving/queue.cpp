@@ -71,9 +71,4 @@ void RequestQueue::close() {
   cv_.notify_all();
 }
 
-std::size_t RequestQueue::depth() const {
-  const MutexLock lk(m_);
-  return total_locked();
-}
-
 }  // namespace bitgb::serving

@@ -61,9 +61,6 @@ class RequestQueue {
   /// once empty, pop_batch returns 0 to every worker.
   void close() EXCLUDES(m_);
 
-  [[nodiscard]] std::size_t depth() const EXCLUDES(m_);
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
  private:
   [[nodiscard]] std::size_t total_locked() const REQUIRES(m_) {
     std::size_t total = 0;
@@ -72,7 +69,7 @@ class RequestQueue {
   }
 
   const std::size_t capacity_;
-  mutable Mutex m_;
+  Mutex m_;
   CondVar cv_;
   /// Pending requests, one FIFO per QueryKind.
   std::array<std::deque<Request>, kNumQueryKinds> kinds_ GUARDED_BY(m_);

@@ -62,17 +62,6 @@ Server::Server(const GraphRegistry& registry, ServerOptions opts)
 
 Server::~Server() { shutdown(); }
 
-clock::time_point Server::default_deadline_now() const {
-  return opts_.default_deadline.count() > 0
-             ? clock::now() + opts_.default_deadline
-             : clock::time_point::max();
-}
-
-std::future<Reply> Server::submit(std::string_view graph, QueryKind kind,
-                                  vidx_t source) {
-  return submit(graph, kind, source, default_deadline_now());
-}
-
 std::future<Reply> Server::submit(std::string_view graph, QueryKind kind,
                                   vidx_t source, clock::time_point deadline) {
   return submit_resolved(registry_.lookup(graph), kind, source, {}, deadline);

@@ -44,7 +44,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <string_view>
@@ -65,9 +64,6 @@ struct ServerOptions {
   /// default — a serving worker's parallelism axis is the batch, and
   /// the worker pool supplies the concurrency.
   Context context = Context{}.with_threads(1);
-  /// Deadline applied by submit() when the caller passes none
-  /// (zero = requests without an explicit deadline never expire).
-  std::chrono::milliseconds default_deadline{0};
   /// Per-slot circuit-breaker tuning: trip_after consecutive internal
   /// errors on one graph slot open its breaker for `cooldown`, during
   /// which its queries shed kShedCircuitOpen instead of executing.
@@ -207,11 +203,12 @@ class Server {
   /// its wave threw (contained), or kBadGraph immediately when no
   /// graph is registered under `graph`.  Throws std::invalid_argument
   /// on an out-of-range source for the traversal kinds (whole-graph
-  /// kinds ignore `source`).
+  /// kinds ignore `source`).  A query submitted without a deadline
+  /// never expires.
   std::future<Reply> submit(std::string_view graph, QueryKind kind,
-                            vidx_t source = 0);
-  std::future<Reply> submit(std::string_view graph, QueryKind kind,
-                            vidx_t source, clock::time_point deadline);
+                            vidx_t source = 0,
+                            clock::time_point deadline =
+                                clock::time_point::max());
 
   /// PageRank with explicit params (carried in the request).  Params
   /// are validated at the door — NaN or out-of-[0,1) damping, a
@@ -237,7 +234,6 @@ class Server {
                                      vidx_t source,
                                      const algo::PageRankParams& params,
                                      clock::time_point deadline);
-  [[nodiscard]] clock::time_point default_deadline_now() const;
 
   const GraphRegistry& registry_;
   ServerOptions opts_;

@@ -159,29 +159,14 @@ TEST(Reporting, TrajectoryWritersThrowWhenPathIsUnwritable) {
                std::runtime_error);
   const std::string serving = dir + "/BENCH_serving.json";
   EXPECT_THROW(write_serving_bench_json(serving, "g", 1, 1, 1, true, {}, {},
-                                        {}, {}, {}),
+                                        {}, {}),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
-// The cancellation cell is each side's median plus the quartile spread
-// of the per-round overheads, so a noisy or order-biased round widens
-// the spread instead of moving the overhead.
-TEST(Reporting, CancellationCellIsMediansAndSpreadOfRounds) {
-  // Per-round overheads: +10%, 0%, -10%, +5%.
-  const ServingCancellation cell =
-      summarize_cancellation({100, 200, 100, 200}, {90, 200, 110, 190});
-  EXPECT_EQ(4, cell.rounds);
-  EXPECT_DOUBLE_EQ(150.0, cell.polling_off_qps);
-  EXPECT_DOUBLE_EQ(150.0, cell.polling_on_qps);
-  EXPECT_DOUBLE_EQ(2.5, cell.overhead_pct);
-  EXPECT_DOUBLE_EQ(8.75, cell.overhead_pct_spread);
-  EXPECT_THROW((void)summarize_cancellation({1.0}, {}), std::invalid_argument);
-}
-
 // The saturation ablation is each mode's median plus the quartile
-// spread of the per-round speedups, the same summary as the
-// cancellation cell.
+// spread of the per-round speedups, so a noisy or order-biased round
+// widens the spread instead of moving the speedup.
 TEST(Reporting, SaturationCellIsMediansAndSpreadOfRounds) {
   const auto rounds = [](const char* mode, std::vector<double> qps) {
     std::vector<ServingSaturation> out;
@@ -205,10 +190,10 @@ TEST(Reporting, SaturationCellIsMediansAndSpreadOfRounds) {
                std::invalid_argument);
 }
 
-// v7 keys: the saturation rounds and speedup spread, and a wave-width
-// histogram on every open-loop cell.
-TEST(Reporting, ServingJsonCarriesV7Keys) {
-  const std::string path = ::testing::TempDir() + "bitgb-serving-v7.json";
+// v8 keys: the saturation rounds and speedup spread, and a wave-width
+// histogram on every open-loop cell; v8 drops the cancellation cell.
+TEST(Reporting, ServingJsonCarriesV8Keys) {
+  const std::string path = ::testing::TempDir() + "bitgb-serving-v8.json";
   ServingRatePoint pt;
   pt.mode = "batched";
   pt.wave_width_hist = {5, 0, 2};
@@ -216,18 +201,19 @@ TEST(Reporting, ServingJsonCarriesV7Keys) {
                            summarize_saturation(
                                {{"unbatched", 8, 10.0, 1.0}},
                                {{"batched", 8, 30.0, 8.0}}),
-                           {pt}, {}, {}, {});
+                           {pt}, {}, {});
   std::ifstream in(path);
   std::stringstream text;
   text << in.rdbuf();
   const std::string json = text.str();
   for (const char* key :
-       {"\"schema\": \"bitgb-serving-bench-v7\"", "\"saturation_rounds\": 1",
+       {"\"schema\": \"bitgb-serving-bench-v8\"", "\"saturation_rounds\": 1",
         "\"saturation_batched_speedup\": 3",
         "\"saturation_batched_speedup_spread\": 0",
         "\"wave_width_hist\": [5, 0, 2]"}) {
     EXPECT_NE(std::string::npos, json.find(key)) << key;
   }
+  EXPECT_EQ(std::string::npos, json.find("cancellation_overhead"));
   std::filesystem::remove(path);
 }
 

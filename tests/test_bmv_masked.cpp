@@ -32,8 +32,7 @@ PackedVecT<Dim> push_from_frontier(const B2srT<Dim>& a,
   }
   PackedVecT<Dim> y(a.ncols);
   std::vector<vidx_t> touched;
-  bmv_bin_bin_bin_push_masked(a, frontier, active, visited,
-                              /*complement=*/true, y, touched);
+  bmv_bin_bin_bin_push_masked(a, frontier, active, visited, y, touched);
   std::vector<vidx_t> nonzero;
   for (std::size_t w = 0; w < y.words.size(); ++w) {
     if (y.words[w] != 0) nonzero.push_back(static_cast<vidx_t>(w));

@@ -192,7 +192,8 @@ TEST(RefOps, PushAndPullAgree) {
   visited[0] = visited[5] = visited[17] = 1;
 
   const Context ctx;
-  const auto pushed = gb::ref_vxm_bool_push(ctx, a, frontier, visited);
+  std::vector<vidx_t> pushed;
+  gb::ref_vxm_bool_push(ctx, a, frontier, visited, pushed);
   std::vector<std::uint8_t> pulled;
   gb::ref_vxm_bool_pull(ctx, at, frontier_dense, visited, pulled);
   std::vector<vidx_t> pulled_list;
@@ -257,8 +258,8 @@ TEST(BitOps, VxmBoolMaskedMatchesRefPush) {
   std::vector<std::uint8_t> visited(96, 0);
   std::vector<vidx_t> frontier = {3, 40};
   visited[3] = visited[40] = 1;
-  const auto expected =
-      gb::ref_vxm_bool_push(Context{}, a, frontier, visited);
+  std::vector<vidx_t> expected;
+  gb::ref_vxm_bool_push(Context{}, a, frontier, visited, expected);
 
   PackedVec8 f(96);
   PackedVec8 vis(96);

@@ -93,15 +93,19 @@ TEST(RequestQueue, ShedsOnFullDeterministically) {
     futs.push_back(r.promise.get_future());
     EXPECT_EQ(PushOutcome::kAccepted, q.try_push(std::move(r)));
   }
-  EXPECT_EQ(4u, q.depth());
   // The fifth push must be refused, and must leave the request (and
   // its promise) with the caller.
   Request fifth = make_request(QueryKind::kBfs, 4);
   auto fifth_fut = fifth.promise.get_future();
   EXPECT_EQ(PushOutcome::kFull, q.try_push(std::move(fifth)));
-  EXPECT_EQ(4u, q.depth());
   fifth.promise.set_value(Reply{});  // still ours: fulfillable
   EXPECT_EQ(Status::kOk, fifth_fut.get().status);
+  // The queue still holds exactly the four it admitted (closed first,
+  // so a short queue fails the count instead of blocking the pop).
+  q.close();
+  std::vector<Request> batch;
+  EXPECT_EQ(4u, q.pop_batch(batch, 64));
+  for (auto& r : batch) r.promise.set_value(Reply{});
 }
 
 TEST(RequestQueue, PopBatchCoalescesSameKindInFifoOrder) {
@@ -142,11 +146,10 @@ TEST(RequestQueue, PopBatchHonorsMaxBatch) {
   for (auto& r : batch) r.promise.set_value(Reply{});
   EXPECT_EQ(4u, q.pop_batch(batch, 4));
   for (auto& r : batch) r.promise.set_value(Reply{});
-  EXPECT_EQ(5u, q.depth());
-  while (q.pop_batch(batch, 64) > 0) {
-    for (auto& r : batch) r.promise.set_value(Reply{});
-    if (q.depth() == 0) break;
-  }
+  q.close();  // a short queue then fails the counts instead of blocking
+  EXPECT_EQ(5u, q.pop_batch(batch, 64));  // the rest, in one run
+  for (auto& r : batch) r.promise.set_value(Reply{});
+  EXPECT_EQ(0u, q.pop_batch(batch, 64));  // drained
 }
 
 TEST(RequestQueue, CloseDrainsThenReturnsZero) {

@@ -535,34 +535,6 @@ TEST_P(SimdParityTest, SemiringRowFold) {
   });
 }
 
-// Walk every CSR row's runs exactly as the packer does, checking both
-// the run end and the scattered word at every step.
-TEST_P(SimdParityTest, PackScatterRun) {
-  dispatch_tile_dim(dim(), [&]<int Dim>() {
-    using word_t = typename TileTraits<Dim>::word_t;
-    const Csr& m = csr();
-    const vidx_t* cols = m.colind.data();
-    for (vidx_t r = 0; r < m.nrows; ++r) {
-      const auto hi =
-          static_cast<std::size_t>(m.rowptr[static_cast<std::size_t>(r) + 1]);
-      std::size_t i =
-          static_cast<std::size_t>(m.rowptr[static_cast<std::size_t>(r)]);
-      while (i < hi) {
-        const vidx_t base = cols[i] / Dim * Dim;
-        word_t want = 0;
-        word_t got = 0;
-        const std::size_t want_end =
-            simd::portable::pack_scatter_run<Dim>(cols, i, hi, base, want);
-        const std::size_t got_end =
-            simd::pack_scatter_run<Dim>(cols, i, hi, base, got);
-        ASSERT_EQ(want_end, got_end) << name() << " row " << r;
-        EXPECT_EQ(want, got) << name() << " row " << r << " base " << base;
-        i = got_end;
-      }
-    }
-  });
-}
-
 TEST_P(SimdParityTest, SpgemmTileAccum) {
   dispatch_tile_dim(dim(), [&]<int Dim>() {
     using word_t = typename TileTraits<Dim>::word_t;
@@ -636,7 +608,7 @@ TEST_P(SimdParityTest, BmmFrontierPushMatchesPull) {
     std::vector<vidx_t> active;
     for (vidx_t tr = 0; tr < a.n_tile_rows(); ++tr) active.push_back(tr);
     std::vector<vidx_t> touched;
-    bmm_frontier_push_masked(a, f, active, mask, true, push, touched);
+    bmm_frontier_push_masked(a, f, active, mask, push, touched);
     EXPECT_EQ(pull.rows, push.rows) << name();
   });
 }
