@@ -22,6 +22,7 @@
 #include "core/bmv.hpp"
 #include "core/frontier_batch.hpp"
 #include "core/pack.hpp"
+#include "graphblas/graph.hpp"
 #include "platform/device_profile.hpp"
 #include "platform/exec.hpp"
 #include "platform/parallel.hpp"
@@ -67,6 +68,17 @@ template <int Dim>
 const B2srT<Dim>& powerlaw_lower_packed() {
   static const B2srT<Dim> b = pack_from_csr<Dim>(
       lower_triangle(coo_to_csr(gen_rmat(12, 1 << 15, 42))));
+  return b;
+}
+
+/// Twin of powerlaw_lower_packed: the operand Graph builds for TC on
+/// the same generator.  Graph symmetrizes it, and its degrees are
+/// skewed (mean 14.8, median 3), so lower() is the degree-ordered
+/// triangle (degree_ordered_lower).
+template <int Dim>
+const B2srT<Dim>& powerlaw_ordered_lower_packed() {
+  static const B2srT<Dim> b = pack_from_csr<Dim>(
+      gb::Graph::from_coo(gen_rmat(12, 1 << 15, 42)).lower());
   return b;
 }
 
@@ -261,6 +273,10 @@ void bench_dim() {
     track("bmm_bin_bin_sum_masked_powerlaw", Dim,
           static_cast<double>(l.nnz()),
           [&](Exec e) { g_bmm_sink = bmm_bin_bin_sum_masked(l, l, l, e); });
+    const auto& lo = powerlaw_ordered_lower_packed<Dim>();
+    track("bmm_bin_bin_sum_masked_powerlaw_ordered", Dim,
+          static_cast<double>(lo.nnz()),
+          [&](Exec e) { g_bmm_sink = bmm_bin_bin_sum_masked(lo, lo, lo, e); });
   }
   {
     const FrontierBatch f = fixture_frontier(a.ncols);

@@ -71,9 +71,15 @@ void bfs_bit(const Context& ctx, const gb::Graph& g, vidx_t source,
         for (const vidx_t v : g.no_in_edges()) visited.set(v);
       }
       gb::bit_vxm_bool_masked<Dim>(ctx, at, frontier, visited, next);
+      // List the non-zero words with no branch per word: write every
+      // index, and advance past it only if its word is non-zero.
+      touched.resize(next.words.size());
+      std::size_t live = 0;
       for (std::size_t w = 0; w < next.words.size(); ++w) {
-        if (next.words[w] != 0) touched.push_back(static_cast<vidx_t>(w));
+        touched[live] = static_cast<vidx_t>(w);
+        live += next.words[w] != 0 ? 1 : 0;
       }
+      touched.resize(live);
     }
     // Scatter levels, fold the new frontier into visited, and reset the
     // old frontier's words (only its active words are dirty).

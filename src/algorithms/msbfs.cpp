@@ -97,9 +97,14 @@ void run_bit_levels(const Context& ctx, const gb::Graph& g,
     } else {
       gb::bit_mxm_frontier_masked<Dim>(ctx, g.packed_t().as<Dim>(), frontier,
                                        visited, next);
+      // List the non-zero rows with no branch per row, as bfs does.
+      touched.resize(static_cast<std::size_t>(n));
+      std::size_t live = 0;
       for (vidx_t v = 0; v < n; ++v) {
-        if (next.rows[static_cast<std::size_t>(v)] != 0) touched.push_back(v);
+        touched[live] = v;
+        live += next.rows[static_cast<std::size_t>(v)] != 0 ? 1 : 0;
       }
+      touched.resize(live);
     }
 
     // Scatter the newly reached (vertex, lane) pairs, fold them into

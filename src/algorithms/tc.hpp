@@ -1,6 +1,12 @@
 // Triangle Counting — arithmetic semiring, masked SpGEMM (paper §V,
 // following Azad–Buluc and Wolf: count = sum((L * L^T) .* L) with L the
-// strict lower triangle of the adjacency matrix).
+// strict lower triangle of the adjacency matrix).  Both backends read
+// Graph::lower(), which on a symmetric graph with skewed degrees is the
+// triangle after a descending-degree relabel (graph.hpp): a relabel
+// keeps the count, cuts the B tiles the bit kernel walks, and hands
+// the reference the same operand, so their ratio still compares
+// kernels only.  Road-like graphs, whose even degrees already keep
+// neighbours in few tiles, and directed graphs keep vertex order.
 //
 // The bit backend fuses the reduction into the masked BMM
 // (bmm_bin_bin_sum_masked — "we fuse the reduction sum kernel with

@@ -59,23 +59,28 @@ SamplingProfile sample_profile(const Csr& a, vidx_t sample_rows,
     double sampled_tiles = 0.0;     // non-empty tiles in sampled windows
     double windows = 0.0;
     vidx_t last_window = -1;
-    std::vector<vidx_t> cols;
+    // stamp[j] == tr once window tr has met tile column j: one compare
+    // per nonzero counts the window's distinct tile columns.
+    std::vector<vidx_t> stamp(static_cast<std::size_t>((a.ncols + k - 1) / k),
+                              -1);
     for (const vidx_t r : rows) {
       const vidx_t tr = r / k;
       if (tr == last_window) continue;  // rows sorted: dedup windows
       last_window = tr;
       windows += 1.0;
-      cols.clear();
+      vidx_t distinct = 0;
       const vidx_t r_lo = tr * k;
       const vidx_t r_hi = std::min<vidx_t>(a.nrows, r_lo + k);
       for (vidx_t rr = r_lo; rr < r_hi; ++rr) {
         const auto rc = a.row_cols(rr);
         sampled_nnz += static_cast<double>(rc.size());
-        for (const vidx_t c : rc) cols.push_back(c / k);
+        for (const vidx_t c : rc) {
+          vidx_t& s = stamp[static_cast<std::size_t>(c / k)];
+          distinct += s != tr ? 1 : 0;
+          s = tr;
+        }
       }
-      std::sort(cols.begin(), cols.end());
-      cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-      sampled_tiles += static_cast<double>(cols.size());
+      sampled_tiles += static_cast<double>(distinct);
     }
 
     const double n_tile_rows = static_cast<double>((a.nrows + k - 1) / k);

@@ -120,8 +120,12 @@ const Csr& Graph::unit_adjacency_t() const {
 
 const Csr& Graph::lower() const {
   Lazy& l = *lazy_;
-  return materialize(l.built, kFmtLower, l.lower_mu, l.lower,
-                     [&] { return lower_triangle(csr_); });
+  return materialize(l.built, kFmtLower, l.lower_mu, l.lower, [&] {
+    // Relabeling a directed A would change which edges count as lower.
+    return opts_.symmetrize && degrees_skewed(csr_)
+               ? degree_ordered_lower(csr_)
+               : lower_triangle(csr_);
+  });
 }
 
 const B2srAny& Graph::packed_lower() const {

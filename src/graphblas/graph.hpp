@@ -16,8 +16,13 @@
 //   * B2SR and transposed B2SR for the bit backend, at a tile size
 //     chosen explicitly or — on the first B2SR request, not at
 //     construction — by the sampling profiler (paper §III-C);
-//   * the strict lower triangle and its B2SR for TC (paper §V), and
-//     the out-degree vector for PR.
+//   * the strict lower triangle L and its B2SR for TC (paper §V), and
+//     the out-degree vector for PR.  On a symmetric graph whose
+//     degrees are skewed (mean above 4x the median) L is taken after
+//     relabeling by descending degree, which cuts the B tiles TC's
+//     masked BMM walks; even-degree graphs (roads, meshes) keep vertex
+//     order, where the relabel would scatter neighbours over more
+//     tiles, and so do directed graphs.
 //
 // A symmetric graph (built with `symmetrize`, or loaded from a snapshot
 // whose symmetrized flag the loader proved) is its own transpose:
@@ -122,9 +127,20 @@ class Graph {
   /// B2SR of the transpose: packed() itself on a symmetric graph.
   [[nodiscard]] const B2srAny& packed_t() const;
 
-  /// Strict lower triangle L — the TC operand (paper §V).
+  /// Strict lower triangle L — the TC operand of both backends (paper
+  /// §V).  lower_triangle(adjacency()), except on a symmetric graph
+  /// whose degrees are skewed (degrees_skewed: mean above 4x the
+  /// median), where it is degree_ordered_lower(adjacency()): the
+  /// triangle of A relabeled by descending degree.  Hubs then take the
+  /// low ids, so most rows of L fall in the few tile columns they share
+  /// and the masked BMM meets fewer all-zero A tiles; a relabel leaves
+  /// the triangle count unchanged.  Road-like graphs with even degrees
+  /// keep vertex order, which already keeps neighbours in few tiles;
+  /// relabeling a directed graph would change which edges count as
+  /// lower.  No option selects the order.
   [[nodiscard]] const Csr& lower() const;
-  /// B2SR of L (the one-time conversion the paper amortizes).
+  /// B2SR of L, in whichever order lower() has (the one-time
+  /// conversion the paper amortizes).
   [[nodiscard]] const B2srAny& packed_lower() const;
 
   /// Out-degrees (the PR auxiliary vector, paper §V).

@@ -12,6 +12,11 @@
 // such sections byte-equal to A's and drops them, so files from either
 // writer load the same graph and the format version stays 1.
 //
+// A persisted L may be in either order: vertex order, or the degree
+// order lower() builds for a skewed symmetric graph (older writers
+// always wrote vertex order).  Both count the same triangles, so load()
+// keeps L as written and the format version stays 1 here too.
+//
 // Loads are paranoid by design: the snapshot container has already
 // proven magic/version/CRCs by the time this layer runs, and this layer
 // adds the STRUCTURAL defenses — Csr/B2sr validate(), cross-format

@@ -159,6 +159,68 @@ Csr lower_triangle(const Csr& a) {
   });
 }
 
+bool degrees_skewed(const Csr& a) {
+  if (a.nrows == 0) return false;
+  std::vector<vidx_t> deg = out_degrees(a);
+  const auto mid = deg.begin() + static_cast<std::ptrdiff_t>(deg.size() / 2);
+  std::nth_element(deg.begin(), mid, deg.end());
+  // mean > 4 * median, in integers: at most half the rows reach the
+  // median, so 4 * median * nrows <= 8 * nnz cannot overflow.
+  return a.nnz() > 4 * static_cast<eidx_t>(*mid) * a.nrows;
+}
+
+Csr degree_ordered_lower(const Csr& a) {
+  const vidx_t n = a.nrows;
+  const auto deg = [&](vidx_t v) {
+    return a.rowptr[static_cast<std::size_t>(v) + 1] -
+           a.rowptr[static_cast<std::size_t>(v)];
+  };
+  // A stable counting sort on descending degree: bucket max_deg - d
+  // holds the degree-d vertices, filled in vertex order.
+  vidx_t max_deg = 0;
+  for (vidx_t v = 0; v < n; ++v) max_deg = std::max(max_deg, deg(v));
+  std::vector<vidx_t> next(static_cast<std::size_t>(max_deg) + 1, 0);
+  for (vidx_t v = 0; v < n; ++v) {
+    ++next[static_cast<std::size_t>(max_deg - deg(v))];
+  }
+  vidx_t at = 0;
+  for (vidx_t& b : next) at += std::exchange(b, at);
+  std::vector<vidx_t> rank(static_cast<std::size_t>(n));
+  std::vector<vidx_t> order(static_cast<std::size_t>(n));
+  for (vidx_t v = 0; v < n; ++v) {
+    const vidx_t r = next[static_cast<std::size_t>(max_deg - deg(v))]++;
+    rank[static_cast<std::size_t>(v)] = r;
+    order[static_cast<std::size_t>(r)] = v;
+  }
+
+  // A is symmetric, so column j of the relabeled A is row order[j] of
+  // A.  Both passes walk j upwards over the entries (i, j) below the
+  // diagonal: they agree on every row's length whatever the input, and
+  // the fill appends each row's columns in ascending order.
+  const auto walk = [&](auto&& visit) {
+    for (vidx_t j = 0; j < n; ++j) {
+      for (const vidx_t u : a.row_cols(order[static_cast<std::size_t>(j)])) {
+        const vidx_t i = rank[static_cast<std::size_t>(u)];
+        if (i > j) visit(static_cast<std::size_t>(i), j);
+      }
+    }
+  };
+  Csr l;
+  l.nrows = n;
+  l.ncols = n;
+  l.rowptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  walk([&](std::size_t i, vidx_t) { ++l.rowptr[i + 1]; });
+  for (std::size_t i = 1; i < l.rowptr.size(); ++i) {
+    l.rowptr[i] += l.rowptr[i - 1];
+  }
+  l.colind.resize(static_cast<std::size_t>(l.rowptr.back()));
+  std::vector<vidx_t> cursor(l.rowptr.begin(), l.rowptr.end() - 1);
+  walk([&](std::size_t i, vidx_t j) {
+    l.colind[static_cast<std::size_t>(cursor[i]++)] = j;
+  });
+  return l;
+}
+
 Csr symmetrize(const Csr& a) {
   const Csr t = transpose(a);
   Csr s;

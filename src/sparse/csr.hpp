@@ -62,6 +62,21 @@ struct Csr {
 /// counting multiplies L by L^T (paper §V, TC).
 [[nodiscard]] Csr lower_triangle(const Csr& a);
 
+/// True if a's row lengths are skewed: the mean exceeds four times the
+/// median (the upper median, for an even row count).  The test of
+/// LAGraph's TriangleCount auto-sort; Graph::lower() orders a skewed
+/// symmetric graph's L by degree.
+[[nodiscard]] bool degrees_skewed(const Csr& a);
+
+/// Strict lower triangle of a symmetric `a` relabeled by descending
+/// degree, ties kept in vertex order: vertex v becomes its rank in that
+/// order, and row i holds the ranks below i of its neighbours.  Hubs
+/// take the low ids, so most rows reach the few tile columns the hubs
+/// share.  Two O(nnz) passes over the new column ids in ascending
+/// order (count, then fill) leave every row sorted with no sort.
+/// Values are dropped (a binary L).
+[[nodiscard]] Csr degree_ordered_lower(const Csr& a);
+
 /// Symmetrize: a OR a^T (pattern union; values take the max).  Graph
 /// algorithms over undirected graphs expect symmetric adjacency.
 [[nodiscard]] Csr symmetrize(const Csr& a);

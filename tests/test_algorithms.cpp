@@ -506,6 +506,54 @@ TEST(Tc, KnownTriangleCounts) {
   EXPECT_EQ(0, algo::triangle_count(test::ctx(gb::Backend::kBit), gm));
 }
 
+TEST(Tc, SkewedSymmetricGraphCountsOnADegreeOrderedLower) {
+  // gen_rmat(12, 1 << 15, 42) symmetrized: mean degree 14.8 against a
+  // median of 3, so lower() is the degree-ordered triangle.
+  const Coo edges = gen_rmat(12, 1 << 15, 42);
+  for (const int dim : {4, 8, 16, 32}) {
+    SCOPED_TRACE(::testing::Message() << "dim " << dim);
+    gb::GraphOptions opts;
+    opts.tile_dim = dim;
+    const gb::Graph g = gb::Graph::from_coo(edges, opts);
+    ASSERT_TRUE(degrees_skewed(g.adjacency()));
+    const Csr& l = g.lower();
+    EXPECT_TRUE(l.validate());
+    EXPECT_EQ(g.num_edges(), 2 * l.nnz());
+    const Csr natural = lower_triangle(g.adjacency());
+    EXPECT_NE(natural.colind, l.colind);
+    const std::int64_t gold = algo::tc_gold(g.adjacency());
+    for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
+      for (const int threads : {1, 4}) {
+        EXPECT_EQ(gold, algo::triangle_count(
+                            test::ctx(backend).with_threads(threads), g))
+            << gb::backend_name(backend) << ", threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(Tc, DirectedAndEvenGraphsKeepTheNaturalLower) {
+  // A directed graph keeps its order even when skewed: relabeling would
+  // change which edges count as lower.  A road graph is symmetric but
+  // its degrees are even.
+  gb::GraphOptions directed;
+  directed.symmetrize = false;
+  const gb::Graph d = gb::Graph::from_coo(gen_rmat(12, 1 << 15, 42), directed);
+  const gb::Graph road = gb::Graph::from_coo(gen_road(64, 64, 0.02, 3));
+  EXPECT_TRUE(degrees_skewed(d.adjacency()));
+  EXPECT_FALSE(degrees_skewed(road.adjacency()));
+  for (const gb::Graph* g : {&d, &road}) {
+    const Csr natural = lower_triangle(g->adjacency());
+    EXPECT_EQ(natural.rowptr, g->lower().rowptr);
+    EXPECT_EQ(natural.colind, g->lower().colind);
+    const std::int64_t gold = algo::tc_gold(g->adjacency());
+    for (const auto backend : {gb::Backend::kReference, gb::Backend::kBit}) {
+      EXPECT_EQ(gold, algo::triangle_count(test::ctx(backend), *g))
+          << gb::backend_name(backend);
+    }
+  }
+}
+
 TEST(Tc, CycleHasNoTrianglesSquareOfCycleDoes) {
   Coo c5{5, 5, {}, {}, {}};
   for (vidx_t i = 0; i < 5; ++i) c5.push(i, (i + 1) % 5);

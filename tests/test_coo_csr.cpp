@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 namespace bitgb {
 namespace {
 
@@ -140,6 +144,80 @@ TEST(Csr, LowerTriangleStrict) {
       EXPECT_LT(col, r);
     }
   }
+}
+
+TEST(Csr, DegreeOrderedLowerIsTheRelabeledLowerTriangle) {
+  // Oracle: rank the vertices with a stable sort on descending degree,
+  // relabel every entry through a COO, and take its lower_triangle.
+  // The inputs carry degree ties, isolated vertices and self loops.
+  const Csr empty{0, 0, {0}, {}, {}};
+  for (const Csr& a : {symmetrize(coo_to_csr(gen_rmat(8, 1500, 3))),
+                       symmetrize(coo_to_csr(gen_random(40, 150, 11))),
+                       symmetrize(coo_to_csr(gen_road(6, 5, 0.1, 2))),
+                       empty}) {
+    const vidx_t n = a.nrows;
+    const auto deg = out_degrees(a);
+    std::vector<vidx_t> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), vidx_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](vidx_t x, vidx_t y) {
+      return deg[static_cast<std::size_t>(x)] >
+             deg[static_cast<std::size_t>(y)];
+    });
+    std::vector<vidx_t> rank(static_cast<std::size_t>(n));
+    for (vidx_t r = 0; r < n; ++r) {
+      rank[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])] = r;
+    }
+    Coo relabeled{n, n, {}, {}, {}};
+    for (vidx_t u = 0; u < n; ++u) {
+      for (const vidx_t v : a.row_cols(u)) {
+        relabeled.push(rank[static_cast<std::size_t>(u)],
+                       rank[static_cast<std::size_t>(v)]);
+      }
+    }
+    const Csr want = lower_triangle(coo_to_csr(relabeled));
+    const Csr got = degree_ordered_lower(a);
+    SCOPED_TRACE(::testing::Message() << "n " << n << ", nnz " << a.nnz());
+    EXPECT_TRUE(got.validate());
+    EXPECT_EQ(want.rowptr, got.rowptr);
+    EXPECT_EQ(want.colind, got.colind);
+    EXPECT_TRUE(got.val.empty());
+  }
+}
+
+TEST(Csr, DegreesSkewedWhenTheMeanPassesFourTimesTheMedian) {
+  // K9 plus six disjoint edges: 21 vertices, median degree 1 (twelve
+  // vertices of degree 1, nine of degree 8) and mean 84 / 21 = 4
+  // exactly, which is not above 4 x the median.
+  Coo g{21, 21, {}, {}, {}};
+  const auto edge = [&](vidx_t u, vidx_t v) {
+    g.push(u, v);
+    g.push(v, u);
+  };
+  for (vidx_t u = 0; u < 9; ++u) {
+    for (vidx_t v = u + 1; v < 9; ++v) edge(u, v);
+  }
+  for (vidx_t u = 9; u < 21; u += 2) edge(u, u + 1);
+  EXPECT_FALSE(degrees_skewed(coo_to_csr(g)));
+  // One more edge, from the clique to a matched vertex: nnz 86 > 84
+  // with the median still 1.
+  edge(0, 9);
+  EXPECT_TRUE(degrees_skewed(coo_to_csr(g)));
+  // Even degrees are not skewed.  K5 plus isolated vertices: six of 11
+  // isolated put the median at 0, so any edge is skewed; five of 10
+  // put the upper median at 4 (the lower one is 0), and its 20
+  // entries are not above 4 x 4 x 10.
+  EXPECT_FALSE(
+      degrees_skewed(symmetrize(coo_to_csr(gen_road(16, 16, 0.0, 1)))));
+  for (const vidx_t n : {11, 10}) {
+    Coo k5{n, n, {}, {}, {}};
+    for (vidx_t u = 0; u < 5; ++u) {
+      for (vidx_t v = 0; v < 5; ++v) {
+        if (u != v) k5.push(u, v);
+      }
+    }
+    EXPECT_EQ(n == 11, degrees_skewed(coo_to_csr(k5))) << n << " vertices";
+  }
+  EXPECT_FALSE(degrees_skewed(Csr{0, 0, {0}, {}, {}}));
 }
 
 TEST(Csr, SymmetrizeProducesSymmetricUnion) {

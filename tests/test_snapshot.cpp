@@ -4,6 +4,7 @@
 // registry save_all/recover (including quarantine), and the
 // fingerprint-keyed re-add dedup.
 #include "algorithms/bfs.hpp"
+#include "algorithms/tc.hpp"
 #include "graphblas/graph.hpp"
 #include "platform/crc32c.hpp"
 #include "platform/fault_injector.hpp"
@@ -112,7 +113,12 @@ TEST(Crc32c, SoftwareHardwareParity) {
 // ---------------------------------------------------------------------
 
 TEST_F(SnapshotTest, RoundtripOracleCorpusBitIdentical) {
-  for (const auto& [name, a] : test::small_matrices()) {
+  // The oracle corpus, plus a skewed graph whose L is degree-ordered.
+  auto inputs = test::small_matrices();
+  inputs.emplace_back("rmat_12_skewed",
+                      coo_to_csr(gen_rmat(12, 1 << 15, 42)));
+  const Context ctx = Context{}.with_threads(1);
+  for (const auto& [name, a] : inputs) {
     const gb::Graph g = gb::Graph::from_csr(a);
     const std::string p = path(name + ".bgbs");
     g.save(p, gb::kBitFormats);
@@ -123,6 +129,10 @@ TEST_F(SnapshotTest, RoundtripOracleCorpusBitIdentical) {
     EXPECT_EQ(loaded.fingerprint(), g.fingerprint()) << name;
     EXPECT_EQ(loaded.adjacency().rowptr, g.adjacency().rowptr) << name;
     EXPECT_EQ(loaded.adjacency().colind, g.adjacency().colind) << name;
+    EXPECT_EQ(loaded.lower().rowptr, g.lower().rowptr) << name;
+    EXPECT_EQ(loaded.lower().colind, g.lower().colind) << name;
+    EXPECT_EQ(algo::triangle_count(ctx, loaded), algo::triangle_count(ctx, g))
+        << name;
 
     // Every persisted format is already materialized — the warm-restart
     // contract: no re-prewarm, no re-pack.
